@@ -23,7 +23,7 @@ from .models import (
     MixtureRegressionData,
 )
 from .lp import LpSolution, clime_inverse, dantzig_direction, solve_lp
-from .em import EmConfig, EmTrace, run_em, run_em_resampled
+from .em import EmConfig, EmTrace, run_em
 from .inference import (
     InferenceConfig,
     InferenceResult,
@@ -62,7 +62,6 @@ __all__ = [
     "make_beta_star",
     "make_init",
     "run_em",
-    "run_em_resampled",
     "score_function",
     "score_test",
     "solve_lp",

@@ -163,6 +163,8 @@ def dataset_from_csv(tag, path, sigma, p_missing=0.0, clime_lambda=None):
             MixtureRegressionData(data[:, :-1], data[:, -1], sigma),
             clime_lambda=clime_lambda,
         )
+    if data.shape[1] % 2 == 0:
+        raise ValueError(f"{path}: RMC needs 2d + 1 columns, got {data.shape[1]}")
     d = (data.shape[1] - 1) // 2
     return MissingCovariateRegression(
         MissingCovariateData(

@@ -1,4 +1,4 @@
-"""The truncated EM loop and its data-splitting variant."""
+"""The truncated EM loop, with an optional data-splitting mode."""
 
 from dataclasses import dataclass, field
 
@@ -86,55 +86,30 @@ def run_em(model, init, cfg: EmConfig):
     """Truncated EM: alternate the M-step with hard truncation.
 
     Returns an EmTrace with n_iter + 1 iterates (fewer only if
-    ``cfg.stop_tol`` triggers early stopping).
+    ``cfg.stop_tol`` triggers early stopping).  With ``cfg.resample``
+    iteration t sees only the t-th data block: the first
+    ``n_iter * (n // n_iter)`` samples are split into ``n_iter``
+    contiguous blocks in the given order and trailing samples are
+    discarded.  Log likelihoods are always evaluated on the full dataset.
     """
+    init = _check_setup(model, init, cfg)
     if cfg.resample:
-        raise ValueError("cfg.resample is set; use run_em_resampled")
-    init = _check_setup(model, init, cfg)
-    trace = EmTrace()
-    beta = hard_truncate(init, top_support(init, cfg.s_hat))
-    trace.iterates.append(beta)
-    trace.logliks.append(model.loglik(beta))
-    for _ in range(cfg.n_iter):
-        half = _m_step(model, beta, cfg)
-        support = top_support(half, cfg.s_hat)
-        nxt = hard_truncate(half, support)
-        trace.half_iterates.append(half)
-        trace.supports.append(support)
-        trace.iterates.append(nxt)
-        trace.logliks.append(model.loglik(nxt))
-        if cfg.stop_tol is not None and np.linalg.norm(nxt - beta) < cfg.stop_tol:
-            beta = nxt
-            break
-        beta = nxt
-    return trace
-
-
-def run_em_resampled(model, init, cfg: EmConfig):
-    """Truncated EM where iteration t sees only the t-th data block.
-
-    The first ``n_iter * (n // n_iter)`` samples are split into
-    ``n_iter`` contiguous blocks in the given order; trailing samples are
-    discarded.  Log likelihoods are evaluated on the full dataset so the
-    trace is comparable with ``run_em``.
-    """
-    if not cfg.resample:
-        raise ValueError("cfg.resample is not set; use run_em")
-    if cfg.n_iter < 1:
-        raise ValueError("resampled EM needs n_iter >= 1")
-    init = _check_setup(model, init, cfg)
-    block = model.n_samples // cfg.n_iter
-    if block == 0:
-        raise ValueError(
-            f"cannot split {model.n_samples} samples into {cfg.n_iter} blocks"
-        )
+        if cfg.n_iter < 1:
+            raise ValueError("resampled EM needs n_iter >= 1")
+        block = model.n_samples // cfg.n_iter
+        if block == 0:
+            raise ValueError(
+                f"cannot split {model.n_samples} samples into {cfg.n_iter} blocks"
+            )
     trace = EmTrace()
     beta = hard_truncate(init, top_support(init, cfg.s_hat))
     trace.iterates.append(beta)
     trace.logliks.append(model.loglik(beta))
     for t in range(cfg.n_iter):
-        sub = model.subset(np.arange(t * block, (t + 1) * block))
-        half = _m_step(sub, beta, cfg)
+        source = model
+        if cfg.resample:
+            source = model.subset(np.arange(t * block, (t + 1) * block))
+        half = _m_step(source, beta, cfg)
         support = top_support(half, cfg.s_hat)
         nxt = hard_truncate(half, support)
         trace.half_iterates.append(half)

@@ -10,12 +10,12 @@ the order in which replicates are executed.
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .datagen import GenSpec, dataset_from_csv, gen_dataset, make_beta_star, make_init
-from .em import EmConfig, run_em, run_em_resampled
+from .em import EmConfig, run_em
 from .errors import DegenerateInformationError
 from .inference import InferenceConfig, score_test, wald_test
 
@@ -74,6 +74,11 @@ class ExperimentConfig:
             self.rel_err = DEFAULT_REL_ERR[self.model]
         if self.beta_values is None:
             self.beta_values = default_beta_values(self.s_star)
+        # an external dataset sets its own dimension, checked once loaded
+        if self.data_csv is None and not 0 <= self.alpha_index < self.d:
+            raise ValueError(
+                f"alpha_index {self.alpha_index} out of range for d = {self.d}"
+            )
         return self
 
     def echo(self):
@@ -116,6 +121,12 @@ def fit_replicate(cfg: ExperimentConfig, seed):
         seed=seed,
     )
     model = gen_dataset(spec)
+    return model, _fit(cfg, model, beta_star, seed), beta_star
+
+
+def _fit(cfg: ExperimentConfig, model, beta_star, seed):
+    """Truncated EM on ``model`` from the seeded initialization around
+    ``beta_star``."""
     init = make_init(beta_star, cfg.rel_err, init_stream(seed))
     em_cfg = EmConfig(
         s_hat=cfg.s_hat,
@@ -124,9 +135,7 @@ def fit_replicate(cfg: ExperimentConfig, seed):
         eta=cfg.eta,
         resample=cfg.resample,
     )
-    runner = run_em_resampled if cfg.resample else run_em
-    trace = runner(model, init, em_cfg)
-    return model, trace, beta_star
+    return run_em(model, init, em_cfg)
 
 
 def run_trace(cfg: ExperimentConfig):
@@ -153,17 +162,8 @@ def run_scaling(cfg: ExperimentConfig):
     rows = []
     for s_star in cfg.s_star_grid:
         for n in cfg.n_grid:
-            cell = ExperimentConfig(
-                model=cfg.model,
-                d=cfg.scaling_d,
-                n=n,
-                s_star=s_star,
-                sigma=cfg.sigma,
-                p_missing=cfg.p_missing,
-                m_step=cfg.m_step,
-                eta=cfg.eta,
-                n_iter=cfg.n_iter,
-                seed=cfg.seed,
+            cell = replace(
+                cfg, d=cfg.scaling_d, n=n, s_star=s_star, s_hat=None, beta_values=None
             ).resolve()
             x = math.sqrt(s_star * math.log(cfg.scaling_d) / n)
             errs = []
@@ -194,6 +194,21 @@ def run_scaling(cfg: ExperimentConfig):
     return rows
 
 
+def _run_tests(cfg: ExperimentConfig, model, beta_hat):
+    """Score and Wald tests of H0: beta[alpha_index] = 0.
+
+    Returns ``(score, wald, None)``, or ``(None, None, reason)`` when the
+    plug-in information is not positive.
+    """
+    icfg = InferenceConfig(
+        alpha_index=cfg.alpha_index, lam=cfg.lam, delta=cfg.delta, null_value=0.0
+    )
+    try:
+        return score_test(model, beta_hat, icfg), wald_test(model, beta_hat, icfg), None
+    except DegenerateInformationError as exc:
+        return None, None, str(exc)
+
+
 def infer_replicate(cfg: ExperimentConfig, seed):
     """Fit one replicate and run both tests at the configured coordinate.
 
@@ -202,15 +217,9 @@ def infer_replicate(cfg: ExperimentConfig, seed):
     not positive.
     """
     model, trace, _ = fit_replicate(cfg, seed)
-    icfg = InferenceConfig(
-        alpha_index=cfg.alpha_index, lam=cfg.lam, delta=cfg.delta, null_value=0.0
-    )
-    record = {"replicate": None, "degenerate": 0}
-    try:
-        sres = score_test(model, trace.estimate, icfg)
-        wres = wald_test(model, trace.estimate, icfg)
-    except DegenerateInformationError:
-        record["degenerate"] = 1
+    sres, wres, reason = _run_tests(cfg, model, trace.estimate)
+    record = {"replicate": None, "degenerate": int(reason is not None)}
+    if reason is not None:
         for key in (
             "score_stat",
             "score_p",
@@ -271,26 +280,16 @@ def run_typeone(cfg: ExperimentConfig):
 
 
 def _load_or_generate(cfg: ExperimentConfig, seed):
-    if cfg.data_csv is not None:
-        model = dataset_from_csv(
-            cfg.model,
-            cfg.data_csv,
-            sigma=cfg.sigma,
-            p_missing=cfg.p_missing,
-        )
-        beta_star = make_beta_star(model.dim, cfg.beta_values)
-        init = make_init(beta_star, cfg.rel_err, init_stream(seed))
-        em_cfg = EmConfig(
-            s_hat=cfg.s_hat,
-            n_iter=cfg.n_iter,
-            m_step=cfg.m_step,
-            eta=cfg.eta,
-            resample=cfg.resample,
-        )
-        runner = run_em_resampled if cfg.resample else run_em
-        trace = runner(model, init, em_cfg)
-        return model, trace, beta_star
-    return fit_replicate(cfg, seed)
+    if cfg.data_csv is None:
+        return fit_replicate(cfg, seed)
+    model = dataset_from_csv(
+        cfg.model,
+        cfg.data_csv,
+        sigma=cfg.sigma,
+        p_missing=cfg.p_missing,
+    )
+    beta_star = make_beta_star(model.dim, cfg.beta_values)
+    return model, _fit(cfg, model, beta_star, seed), beta_star
 
 
 def run_fit(cfg: ExperimentConfig):
@@ -315,16 +314,11 @@ def run_infer(cfg: ExperimentConfig):
     """Single generate/load -> fit -> test run; JSON-ready result."""
     cfg.resolve()
     model, trace, _ = _load_or_generate(cfg, cfg.seed)
-    icfg = InferenceConfig(
-        alpha_index=cfg.alpha_index, lam=cfg.lam, delta=cfg.delta, null_value=0.0
-    )
+    sres, wres, reason = _run_tests(cfg, model, trace.estimate)
     out = {"config": cfg.echo()}
-    try:
-        sres = score_test(model, trace.estimate, icfg)
-        wres = wald_test(model, trace.estimate, icfg)
-    except DegenerateInformationError as exc:
+    if reason is not None:
         out["degenerate"] = True
-        out["error"] = str(exc)
+        out["error"] = reason
         return out
     out["degenerate"] = False
     out["score"] = {

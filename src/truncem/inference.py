@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from .errors import DegenerateInformationError
 from .lp import dantzig_direction
@@ -29,32 +30,11 @@ def std_normal_cdf(x):
 
 
 def std_normal_quantile(p):
-    """Functional inverse of ``std_normal_cdf`` on (0, 1).
-
-    Newton iterations on the cdf, started from a bisection bracket, so
-    the result inverts our cdf rather than any platform-specific one.
-    """
+    """Inverse of the standard normal CDF on (0, 1)."""
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in the open interval (0, 1)")
-    lo, hi = -40.0, 40.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if std_normal_cdf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    for _ in range(10):
-        err = std_normal_cdf(x) - p
-        pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        if pdf == 0.0:
-            break
-        step = err / pdf
-        x -= step
-        if abs(step) < 1e-14:
-            break
-    return x
+    return float(ndtri(p))
 
 
 @dataclass
@@ -131,38 +111,32 @@ def _two_sided(statistic, delta):
     return p_value, abs(statistic) > crit
 
 
-def score_test(model, beta_hat, cfg: InferenceConfig, at_null=True):
-    """Decorrelated score test of H0: beta[alpha_index] = null_value.
-
-    With ``at_null`` (the default) the curvature matrix, decorrelation
-    direction and score are all evaluated at the estimate with the tested
-    coordinate pinned to the null value; ``at_null=False`` evaluates them
-    at the unrestricted estimate instead (same asymptotics, exposed for
-    completeness).
-    """
-    beta_hat = np.asarray(beta_hat, dtype=float)
+def _decorrelate(model, beta, cfg: InferenceConfig):
+    """Curvature matrix at ``beta`` and the decorrelation direction w."""
     if not 0 <= cfg.alpha_index < model.dim:
         raise ValueError("alpha_index out of range")
-    beta_eval = beta_hat.copy()
-    if at_null:
-        beta_eval[cfg.alpha_index] = cfg.null_value
-    t_mat = model.curvature_matrix(beta_eval)
+    t_mat = model.curvature_matrix(beta)
     lam = cfg.lam if cfg.lam is not None else default_lambda(t_mat, model.n_samples)
-    w = dantzig_direction(t_mat, cfg.alpha_index, lam)
+    return t_mat, dantzig_direction(t_mat, cfg.alpha_index, lam)
+
+
+def _information(model, t_mat, w, cfg: InferenceConfig):
+    """Fisher-scaled plug-in partial information of the tested coordinate."""
     info = -info_quadratic_form(t_mat, w, cfg.alpha_index) / model.sigma**2
     if info <= 0:
         raise DegenerateInformationError(
             "plug-in partial information is not positive; statistic undefined"
         )
-    score = score_function(model, beta_eval, w, cfg) / model.sigma**2
-    statistic = math.sqrt(model.n_samples) * score / math.sqrt(info)
+    return info
+
+
+def _result(model, statistic, center, w, info, cfg: InferenceConfig):
+    """Two-sided decision and the level-(1 - delta) interval around
+    ``center``."""
     p_value, reject = _two_sided(statistic, cfg.delta)
     half = std_normal_quantile(1.0 - cfg.delta / 2.0) / math.sqrt(
         model.n_samples * info
     )
-    # score-style interval around the (unshifted) estimate is not defined
-    # by the test itself; report the null-centered acceptance region
-    center = cfg.null_value + score / info
     return InferenceResult(
         statistic=statistic,
         p_value=p_value,
@@ -174,13 +148,28 @@ def score_test(model, beta_hat, cfg: InferenceConfig, at_null=True):
     )
 
 
+def score_test(model, beta_hat, cfg: InferenceConfig):
+    """Decorrelated score test of H0: beta[alpha_index] = null_value.
+
+    The curvature matrix, decorrelation direction and score are all
+    evaluated at the estimate with the tested coordinate pinned to the
+    null value.
+    """
+    beta_eval = np.array(beta_hat, dtype=float)
+    # a slice, so an out-of-range index reaches the check in _decorrelate
+    beta_eval[cfg.alpha_index : cfg.alpha_index + 1] = cfg.null_value
+    t_mat, w = _decorrelate(model, beta_eval, cfg)
+    info = _information(model, t_mat, w, cfg)
+    score = score_function(model, beta_eval, w, cfg) / model.sigma**2
+    statistic = math.sqrt(model.n_samples) * score / math.sqrt(info)
+    # score-style interval around the (unshifted) estimate is not defined
+    # by the test itself; report the null-centered acceptance region
+    return _result(model, statistic, cfg.null_value + score / info, w, info, cfg)
+
+
 def _wald_pieces(model, beta_hat, cfg: InferenceConfig):
     beta_hat = np.asarray(beta_hat, dtype=float)
-    if not 0 <= cfg.alpha_index < model.dim:
-        raise ValueError("alpha_index out of range")
-    t_mat = model.curvature_matrix(beta_hat)
-    lam = cfg.lam if cfg.lam is not None else default_lambda(t_mat, model.n_samples)
-    w = dantzig_direction(t_mat, cfg.alpha_index, lam)
+    t_mat, w = _decorrelate(model, beta_hat, cfg)
     keep = np.delete(np.arange(model.dim), cfg.alpha_index)
     denom = t_mat[cfg.alpha_index, cfg.alpha_index] - w @ t_mat[keep, cfg.alpha_index]
     if denom == 0:
@@ -199,24 +188,8 @@ def wald_estimator(model, beta_hat, cfg: InferenceConfig):
 def wald_test(model, beta_hat, cfg: InferenceConfig):
     """Decorrelated Wald test and confidence interval for one coordinate."""
     alpha_bar, w, t_mat = _wald_pieces(model, beta_hat, cfg)
-    info = -info_quadratic_form(t_mat, w, cfg.alpha_index) / model.sigma**2
-    if info <= 0:
-        raise DegenerateInformationError(
-            "plug-in partial information is not positive; statistic undefined"
-        )
+    info = _information(model, t_mat, w, cfg)
     statistic = (
         math.sqrt(model.n_samples) * (alpha_bar - cfg.null_value) * math.sqrt(info)
     )
-    p_value, reject = _two_sided(statistic, cfg.delta)
-    half = std_normal_quantile(1.0 - cfg.delta / 2.0) / math.sqrt(
-        model.n_samples * info
-    )
-    return InferenceResult(
-        statistic=statistic,
-        p_value=p_value,
-        reject=reject,
-        ci_lo=alpha_bar - half,
-        ci_hi=alpha_bar + half,
-        w_hat=w,
-        info_scalar=info,
-    )
+    return _result(model, statistic, alpha_bar, w, info, cfg)

@@ -117,12 +117,12 @@ class MissingCovariateData:
             raise ValueError("p_missing must lie in [0, 1)")
 
 
-class GaussianMixture:
-    """Symmetric two-component Gaussian mixture with known noise level."""
+class _Model:
+    """What every model shares: its dataset, the dataset's shape and noise
+    level, and the gradient M-step.  ``data.y`` has one row per sample;
+    ``data.x`` is the (n, d) design of the regression models."""
 
-    tag = GMM
-
-    def __init__(self, data: GaussianMixtureData):
+    def __init__(self, data):
         self.data = data
 
     @property
@@ -131,11 +131,36 @@ class GaussianMixture:
 
     @property
     def dim(self):
-        return self.data.y.shape[1]
+        return self.data.x.shape[1]
 
     @property
     def sigma(self):
         return self.data.sigma
+
+    def m_step_gradient(self, beta, eta):
+        if eta < 0:
+            raise ValueError("eta must be nonnegative")
+        return np.asarray(beta, dtype=float) + eta * self.grad_q(beta)
+
+
+class _Mixture(_Model):
+    """A symmetric two-component mixture; ``_weights`` gives the posterior
+    probability of the positive component for every sample."""
+
+    def posterior_weight(self, beta, i):
+        if not 0 <= i < self.n_samples:
+            raise ValueError("sample index out of range")
+        return float(self._weights(beta)[i])
+
+
+class GaussianMixture(_Mixture):
+    """Symmetric two-component Gaussian mixture with known noise level."""
+
+    tag = GMM
+
+    @property
+    def dim(self):
+        return self.data.y.shape[1]
 
     def subset(self, indices):
         return GaussianMixture(
@@ -146,11 +171,6 @@ class GaussianMixture:
         # posterior probability of the positive component, per sample
         beta = _check_vector(beta, self.dim)
         return expit(2.0 * (self.data.y @ beta) / self.sigma**2)
-
-    def posterior_weight(self, beta, i):
-        if not 0 <= i < self.n_samples:
-            raise ValueError("sample index out of range")
-        return float(self._weights(beta)[i])
 
     def q_value(self, beta_prime, beta):
         beta_prime = _check_vector(beta_prime, self.dim, "beta_prime")
@@ -169,11 +189,6 @@ class GaussianMixture:
         w = self._weights(beta)
         return (2.0 * w - 1.0) @ self.data.y / self.n_samples
 
-    def m_step_gradient(self, beta, eta):
-        if eta < 0:
-            raise ValueError("eta must be nonnegative")
-        return np.asarray(beta, dtype=float) + eta * self.grad_q(beta)
-
     def curvature_matrix(self, beta):
         y = self.data.y
         w = self._weights(beta)
@@ -191,7 +206,7 @@ class GaussianMixture:
         return float(np.sum(np.logaddexp(lp, lm) + const))
 
 
-class MixtureRegression:
+class MixtureRegression(_Mixture):
     """Symmetric two-component mixture of linear regressions.
 
     The exact M-step premultiplies by a CLIME estimate of the inverse
@@ -202,7 +217,7 @@ class MixtureRegression:
     tag = MR
 
     def __init__(self, data: MixtureRegressionData, clime_lambda=None):
-        self.data = data
+        super().__init__(data)
         if clime_lambda is None:
             n, d = data.x.shape
             clime_lambda = 2.0 * np.sqrt(np.log(d) / n)
@@ -210,18 +225,6 @@ class MixtureRegression:
             raise ValueError("clime_lambda must be nonnegative")
         self.clime_lambda = float(clime_lambda)
         self._theta_hat = None
-
-    @property
-    def n_samples(self):
-        return self.data.x.shape[0]
-
-    @property
-    def dim(self):
-        return self.data.x.shape[1]
-
-    @property
-    def sigma(self):
-        return self.data.sigma
 
     def subset(self, indices):
         return MixtureRegression(
@@ -246,11 +249,6 @@ class MixtureRegression:
         margin = self.data.y * (self.data.x @ beta)
         return expit(2.0 * margin / self.sigma**2)
 
-    def posterior_weight(self, beta, i):
-        if not 0 <= i < self.n_samples:
-            raise ValueError("sample index out of range")
-        return float(self._weights(beta)[i])
-
     def q_value(self, beta_prime, beta):
         beta_prime = _check_vector(beta_prime, self.dim, "beta_prime")
         w = self._weights(beta)
@@ -270,11 +268,6 @@ class MixtureRegression:
         moment = self.data.x.T @ ((2.0 * w - 1.0) * self.data.y) / self.n_samples
         return self.clime_theta() @ moment
 
-    def m_step_gradient(self, beta, eta):
-        if eta < 0:
-            raise ValueError("eta must be nonnegative")
-        return np.asarray(beta, dtype=float) + eta * self.grad_q(beta)
-
     def curvature_matrix(self, beta):
         x, y = self.data.x, self.data.y
         w = self._weights(beta)
@@ -293,7 +286,7 @@ class MixtureRegression:
         return float(np.sum(np.logaddexp(lp, lm) + const))
 
 
-class MissingCovariateRegression:
+class MissingCovariateRegression(_Model):
     """Linear regression with covariates missing completely at random.
 
     The latent variable is the vector of unobserved covariates.  Only the
@@ -304,21 +297,6 @@ class MissingCovariateRegression:
     """
 
     tag = RMC
-
-    def __init__(self, data: MissingCovariateData):
-        self.data = data
-
-    @property
-    def n_samples(self):
-        return self.data.x.shape[0]
-
-    @property
-    def dim(self):
-        return self.data.x.shape[1]
-
-    @property
-    def sigma(self):
-        return self.data.sigma
 
     def subset(self, indices):
         d = self.data
@@ -374,11 +352,6 @@ class MissingCovariateRegression:
             "exact M-step is unavailable for missing-covariate regression: "
             "the per-sample second-moment matrix need not be invertible"
         )
-
-    def m_step_gradient(self, beta, eta):
-        if eta < 0:
-            raise ValueError("eta must be nonnegative")
-        return np.asarray(beta, dtype=float) + eta * self.grad_q(beta)
 
     def curvature_matrix(self, beta):
         raise UnsupportedOperationError(

@@ -206,3 +206,11 @@ def test_csv_malformed_rows_reported(tmp_path):
         dataset_from_csv("GMM", str(path), sigma=1.0)
     with pytest.raises(ValueError):
         dataset_from_csv("XXX", str(path), sigma=1.0)
+
+
+def test_csv_rmc_needs_odd_column_count(tmp_path):
+    # 2d + 1 columns: x_0..x_{d-1}, m_0..m_{d-1}, y
+    path = tmp_path / "rmc.csv"
+    path.write_text("x0,x1,m0,m1,y,extra\n1.0,2.0,1,0,0.5,9.0\n")
+    with pytest.raises(ValueError, match="2d \\+ 1"):
+        dataset_from_csv("RMC", str(path), sigma=1.0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_gmm, random_rmc
-from truncem.em import EmConfig, EmTrace, run_em, run_em_resampled
+from truncem.em import EmConfig, EmTrace, run_em
 from truncem.errors import UnsupportedOperationError
 from truncem.models import GaussianMixture, GaussianMixtureData
 from truncem.sparsity import hard_truncate, top_support
@@ -66,15 +66,6 @@ def test_full_support_exact_em_ascends(rng):
         assert np.all(diffs >= -1e-9)
 
 
-def test_mismatched_resample_flag(rng):
-    model = random_gmm(rng)
-    init = np.ones(model.dim)
-    with pytest.raises(ValueError):
-        run_em(model, init, EmConfig(s_hat=2, n_iter=1, resample=True))
-    with pytest.raises(ValueError):
-        run_em_resampled(model, init, EmConfig(s_hat=2, n_iter=1))
-
-
 def test_exact_m_step_rejected_for_rmc(rng):
     model = random_rmc(rng)
     with pytest.raises(UnsupportedOperationError):
@@ -117,7 +108,7 @@ def test_oracle_recovery_tiny_noise(rng):
 
 
 # ---------------------------------------------------------------------------
-# resampled variant
+# resampled mode
 
 
 def test_resampled_block_rule(rng):
@@ -132,7 +123,7 @@ def test_resampled_block_rule(rng):
 
     model.subset = spying_subset
     cfg = EmConfig(s_hat=2, n_iter=3, resample=True)
-    run_em_resampled(model, rng.standard_normal(4), cfg)
+    run_em(model, rng.standard_normal(4), cfg)
     assert [s.tolist() for s in seen] == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
 
 
@@ -140,7 +131,7 @@ def test_resampled_single_block_matches_plain(rng):
     model = random_gmm(rng, n=12, d=5)
     init = rng.standard_normal(5)
     plain = run_em(model, init, EmConfig(s_hat=2, n_iter=1))
-    res = run_em_resampled(
+    res = run_em(
         model, init, EmConfig(s_hat=2, n_iter=1, resample=True)
     )
     for a, b in zip(plain.iterates, res.iterates):
@@ -151,7 +142,7 @@ def test_resampled_too_many_blocks(rng):
     model = random_gmm(rng, n=3, d=4)
     cfg = EmConfig(s_hat=2, n_iter=5, resample=True)
     with pytest.raises(ValueError):
-        run_em_resampled(model, np.ones(4), cfg)
+        run_em(model, np.ones(4), cfg)
 
 
 def test_resampled_error_matches_plain_at_block_size(rng):
@@ -175,7 +166,7 @@ def test_resampled_error_matches_plain_at_block_size(rng):
         init = beta_star + 0.125 * np.linalg.norm(
             beta_star
         ) * rng.standard_normal(d) / np.sqrt(d)
-        res = run_em_resampled(
+        res = run_em(
             model, init, EmConfig(s_hat=s, n_iter=n_iter, resample=True)
         )
         small = run_em(

@@ -108,6 +108,23 @@ def test_scaling_single_cell_row_count():
     assert all(r["x"] == pytest.approx(expect_x) for r in rows)
 
 
+def test_scaling_passes_rel_err_and_resample(monkeypatch):
+    from truncem import harness
+
+    seen = []
+    fit = harness.fit_replicate
+
+    def spying_fit(cfg, seed):
+        seen.append((cfg.rel_err, cfg.resample))
+        return fit(cfg, seed)
+
+    monkeypatch.setattr(harness, "fit_replicate", spying_fit)
+    run_scaling(small_cfg(model="GMM", rel_err=0.0, resample=True, n_iter=3,
+                          s_star_grid=(2, 3), n_grid=(60,),
+                          scaling_replicates=1, scaling_d=16))
+    assert seen == [(0.0, True), (0.0, True)]
+
+
 def test_typeone_requires_null_coordinate():
     with pytest.raises(ValueError):
         run_typeone(small_cfg(model="GMM", alpha_index=0, replicates=2))
@@ -239,6 +256,19 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["config"]["n_iter"] == 4  # flag wins over file
     assert out["config"]["d"] == 16
+
+
+@pytest.mark.parametrize("command", ["typeone", "infer"])
+def test_cli_alpha_index_out_of_range(command, monkeypatch):
+    from truncem import harness
+
+    def no_fit(cfg, seed):
+        raise AssertionError("fitted before validating alpha_index")
+
+    monkeypatch.setattr(harness, "fit_replicate", no_fit)
+    with pytest.raises((ValueError, SystemExit)):
+        run_cli(command, "--model", "GMM", "--d", "16", "--n", "60",
+                "--s-star", "2", "--alpha-index", "16", "--replicates", "2")
 
 
 def test_cli_rejects_unknown_config_keys(tmp_path):

@@ -194,8 +194,6 @@ def test_score_test_pins_coordinate_to_null(rng):
     r1 = score_test(model, beta_star, cfg)
     r2 = score_test(model, shifted, cfg)
     assert r1.statistic == r2.statistic
-    r3 = score_test(model, shifted, cfg, at_null=False)
-    assert r3.statistic != r2.statistic
 
 
 def test_score_reduces_to_naive_for_large_lambda(rng):
