@@ -75,10 +75,8 @@ class ExperimentConfig:
         if self.beta_values is None:
             self.beta_values = default_beta_values(self.s_star)
         # an external dataset sets its own dimension, checked once loaded
-        if self.data_csv is None and not 0 <= self.alpha_index < self.d:
-            raise ValueError(
-                f"alpha_index {self.alpha_index} out of range for d = {self.d}"
-            )
+        if self.data_csv is None:
+            _check_alpha_index(self.alpha_index, self.d)
         return self
 
     def echo(self):
@@ -87,6 +85,11 @@ class ExperimentConfig:
         for key in ("beta_values", "s_star_grid", "n_grid"):
             out[key] = list(out[key]) if out[key] is not None else None
         return out
+
+
+def _check_alpha_index(alpha_index, d):
+    if not 0 <= alpha_index < d:
+        raise ValueError(f"alpha_index {alpha_index} out of range for d = {d}")
 
 
 def default_beta_values(s_star):
@@ -138,8 +141,17 @@ def _fit(cfg: ExperimentConfig, model, beta_star, seed):
     return run_em(model, init, em_cfg)
 
 
+def _generated_only(cfg: ExperimentConfig, command):
+    """Reject an external dataset for a command that draws its own."""
+    if cfg.data_csv is not None:
+        raise ValueError(
+            f"{command} generates its own data; data_csv is not supported"
+        )
+
+
 def run_trace(cfg: ExperimentConfig):
     """One fit; rows of (t, opt_error, est_error, loglik)."""
+    _generated_only(cfg, "trace")
     cfg.resolve()
     _, trace, beta_star = fit_replicate(cfg, cfg.seed)
     beta_final = trace.estimate
@@ -158,6 +170,7 @@ def run_trace(cfg: ExperimentConfig):
 
 def run_scaling(cfg: ExperimentConfig):
     """Error-vs-rate grid: per-replicate rows plus per-cell mean rows."""
+    _generated_only(cfg, "scaling")
     cfg.resolve()
     rows = []
     for s_star in cfg.s_star_grid:
@@ -251,6 +264,7 @@ def run_typeone(cfg: ExperimentConfig):
     Returns (rows, summary): per-replicate records and a summary dict
     with rejection rates over the non-degenerate replicates.
     """
+    _generated_only(cfg, "typeone")
     cfg.resolve()
     beta_star = make_beta_star(cfg.d, cfg.beta_values)
     if beta_star[cfg.alpha_index] != 0.0:
@@ -288,6 +302,7 @@ def _load_or_generate(cfg: ExperimentConfig, seed):
         sigma=cfg.sigma,
         p_missing=cfg.p_missing,
     )
+    _check_alpha_index(cfg.alpha_index, model.dim)
     beta_star = make_beta_star(model.dim, cfg.beta_values)
     return model, _fit(cfg, model, beta_star, seed), beta_star
 

@@ -4,6 +4,10 @@ Both tests remove the influence of the (d-1)-dimensional nuisance block
 by projecting its score out of the coordinate of interest; the
 projection direction is an l1-minimizing solution of an approximate
 linear system in the curvature matrix, fitted by ``dantzig_direction``.
+One evaluation point is decorrelated once: the model keeps its last
+curvature matrix and direction, so the Wald test at an estimate whose
+tested coordinate already equals the null value reuses the score test's
+solve, and both results share one read-only ``w_hat``.
 
 The model classes expose ``grad_q`` and ``curvature_matrix`` in the
 sigma^2-scaled surrogate normalization (see ``models``); the statistics
@@ -112,12 +116,24 @@ def _two_sided(statistic, delta):
 
 
 def _decorrelate(model, beta, cfg: InferenceConfig):
-    """Curvature matrix at ``beta`` and the decorrelation direction w."""
+    """Curvature matrix at ``beta`` and the decorrelation direction w.
+
+    Both are read-only and memoized on the model for one key: the exact
+    bytes of ``beta``, ``alpha_index`` and ``lam``.
+    """
     if not 0 <= cfg.alpha_index < model.dim:
         raise ValueError("alpha_index out of range")
+    key = (beta.tobytes(), cfg.alpha_index, cfg.lam)
+    memo = getattr(model, "_decorrelated", None)
+    if memo is not None and memo[0] == key:
+        return memo[1], memo[2]
     t_mat = model.curvature_matrix(beta)
     lam = cfg.lam if cfg.lam is not None else default_lambda(t_mat, model.n_samples)
-    return t_mat, dantzig_direction(t_mat, cfg.alpha_index, lam)
+    w = dantzig_direction(t_mat, cfg.alpha_index, lam)
+    t_mat.flags.writeable = False
+    w.flags.writeable = False
+    model._decorrelated = (key, t_mat, w)
+    return t_mat, w
 
 
 def _information(model, t_mat, w, cfg: InferenceConfig):

@@ -6,6 +6,11 @@ column-wise CLIME inverse-covariance estimator.  Both reduce to LPs in
 standard form ``min c.x  s.t.  A x <= b,  x >= 0`` via the positive/negative
 split ``w = w+ - w-``.
 
+When ``||target||_inf <= lam`` the zero vector is feasible with l1 norm 0,
+so it is the unique optimum and is returned without building or solving
+the LP.  This holds for every decorrelation direction whose cross column
+lies within ``lam`` of zero, and for every CLIME column once ``lam >= 1``.
+
 The LP backend is scipy's dual-simplex/HiGHS solver, which is
 deterministic for a fixed input and accurate to well below the 1e-8
 feasibility tolerance used throughout.  Correctness is cross-checked in
@@ -59,6 +64,9 @@ def solve_lp(c, a_ub, b_ub):
 def _l1_min_linf_residual(a_mat, target, lam):
     """``argmin ||w||_1  s.t.  ||target - a_mat @ w||_inf <= lam``."""
     m = a_mat.shape[1]
+    if np.max(np.abs(target)) <= lam:
+        # w = 0 is feasible, and every other w has a positive l1 norm
+        return np.zeros(m)
     c = np.ones(2 * m)
     block = np.hstack([a_mat, -a_mat])
     a_ub = np.vstack([block, -block])
@@ -75,6 +83,9 @@ def dantzig_direction(t_mat, alpha_index, lam):
     ``T_ga``, and returns
 
         argmin ||w||_1  s.t.  ||T_ga - T_gg @ w||_inf <= lam.
+
+    If ``||T_ga||_inf <= lam`` the answer is the zero vector, returned
+    without solving the LP.
 
     Parameters
     ----------
@@ -107,7 +118,8 @@ def clime_inverse(sigma_hat, lam, symmetrize=False):
     Column j solves ``min ||theta||_1  s.t.  ||sigma_hat @ theta - e_j||_inf
     <= lam``.  By default the raw column-wise solution is returned (no
     symmetrization); pass ``symmetrize=True`` to combine (i, j) and (j, i)
-    by minimum magnitude.
+    by minimum magnitude.  For ``lam >= 1`` every column is zero and no LP
+    is solved.
 
     Raises
     ------

@@ -174,6 +174,22 @@ def test_fit_on_external_csv(tmp_path):
     assert external["beta_hat"] == generated["beta_hat"]
 
 
+def test_infer_data_checks_alpha_index_before_fit(tmp_path, monkeypatch):
+    from truncem import harness
+    from truncem.datagen import GenSpec, dataset_to_csv, gen_dataset, make_beta_star
+
+    model = gen_dataset(GenSpec("GMM", 40, 8, make_beta_star(8, (4, 4)), 1.0, seed=3))
+    path = tmp_path / "d8.csv"
+    dataset_to_csv(model, path)
+
+    def no_em(*args):
+        raise AssertionError("fitted before validating alpha_index")
+
+    monkeypatch.setattr(harness, "run_em", no_em)
+    with pytest.raises(ValueError, match="alpha_index"):
+        run_infer(ExperimentConfig(model="GMM", s_star=2, data_csv=str(path)))
+
+
 # ---------------------------------------------------------------------------
 # CSV / JSON output
 
@@ -269,6 +285,22 @@ def test_cli_alpha_index_out_of_range(command, monkeypatch):
     with pytest.raises((ValueError, SystemExit)):
         run_cli(command, "--model", "GMM", "--d", "16", "--n", "60",
                 "--s-star", "2", "--alpha-index", "16", "--replicates", "2")
+
+
+@pytest.mark.parametrize("command", ["trace", "scaling", "typeone"])
+def test_cli_generating_commands_reject_data_csv(command, tmp_path, monkeypatch):
+    from truncem import harness
+
+    def no_fit(cfg, seed):
+        raise AssertionError("ran on generated data despite data_csv")
+
+    monkeypatch.setattr(harness, "fit_replicate", no_fit)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": "GMM", "d": 16, "n": 60, "s_star": 2,
+                                    "alpha_index": 5, "replicates": 2,
+                                    "data_csv": str(tmp_path / "data.csv")}))
+    with pytest.raises(ValueError, match="generates its own data"):
+        run_cli(command, "--config", str(cfg_path))
 
 
 def test_cli_rejects_unknown_config_keys(tmp_path):

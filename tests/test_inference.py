@@ -1,12 +1,16 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import random_gmm
+from truncem import inference
 from truncem.errors import DegenerateInformationError
 from truncem.inference import (
     InferenceConfig,
+    InferenceResult,
     default_lambda,
     info_quadratic_form,
     score_function,
@@ -283,3 +287,53 @@ def test_alpha_index_out_of_range(rng):
         score_test(model, beta_star, cfg)
     with pytest.raises(ValueError):
         wald_test(model, beta_star, cfg)
+
+
+# ---------------------------------------------------------------------------
+# one decorrelation per evaluation point
+
+
+def assert_same_result(got, expect):
+    for field in dataclasses.fields(InferenceResult):
+        a, b = getattr(got, field.name), getattr(expect, field.name)
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+
+
+@pytest.mark.parametrize(
+    "change, solves",
+    [("none", 1), ("estimate_off_null", 2), ("alpha_index", 2), ("lam", 2)],
+)
+def test_score_then_wald_decorrelates_once_per_point(rng, monkeypatch, change, solves):
+    model, beta_hat = gmm_instance(rng)
+    score_cfg = wald_cfg = InferenceConfig(alpha_index=4)
+    if change == "estimate_off_null":
+        beta_hat[4] = 0.3
+    elif change == "alpha_index":
+        wald_cfg = InferenceConfig(alpha_index=5)
+    elif change == "lam":
+        wald_cfg = InferenceConfig(alpha_index=4, lam=0.05)
+
+    counts = Counter()
+    curvature, dantzig = GaussianMixture.curvature_matrix, inference.dantzig_direction
+
+    def counted_curvature(self, beta):
+        counts["curvature_matrix"] += 1
+        return curvature(self, beta)
+
+    def counted_dantzig(*args):
+        counts["dantzig_direction"] += 1
+        return dantzig(*args)
+
+    monkeypatch.setattr(GaussianMixture, "curvature_matrix", counted_curvature)
+    monkeypatch.setattr(inference, "dantzig_direction", counted_dantzig)
+    sres = score_test(model, beta_hat, score_cfg)
+    wres = wald_test(model, beta_hat, wald_cfg)
+    assert counts == {"curvature_matrix": solves, "dantzig_direction": solves}
+    assert (sres.w_hat is wres.w_hat) == (solves == 1)
+    assert not sres.w_hat.flags.writeable
+    assert not wres.w_hat.flags.writeable
+    assert_same_result(sres, score_test(GaussianMixture(model.data), beta_hat, score_cfg))
+    assert_same_result(wres, wald_test(GaussianMixture(model.data), beta_hat, wald_cfg))

@@ -67,7 +67,42 @@ def test_dantzig_large_lambda_gives_zero(rng):
     keep = np.delete(np.arange(5), 2)
     lam = float(np.max(np.abs(t_mat[keep, 2]))) * 1.001
     w = dantzig_direction(t_mat, 2, lam)
-    assert np.allclose(w, 0.0, atol=1e-9)
+    assert np.array_equal(w, np.zeros(4))
+
+
+def counting_linprog(monkeypatch):
+    """Route ``truncem.lp.linprog`` through a call counter."""
+    from truncem import lp
+
+    calls = []
+    solve = lp.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "linprog", counted)
+    return calls
+
+
+def test_dantzig_lambda_at_cross_column_norm_skips_lp(rng, monkeypatch):
+    calls = counting_linprog(monkeypatch)
+    t_mat = random_symmetric(rng, 5)
+    lam = float(np.max(np.abs(np.delete(t_mat[:, 2], 2))))
+    assert np.array_equal(dantzig_direction(t_mat, 2, lam), np.zeros(4))
+    assert calls == []
+
+
+def test_dantzig_lambda_just_below_cross_column_norm_solves(rng, monkeypatch):
+    calls = counting_linprog(monkeypatch)
+    t_mat = random_symmetric(rng, 5)
+    keep = np.delete(np.arange(5), 2)
+    lam = float(np.nextafter(np.max(np.abs(t_mat[keep, 2])), 0.0))
+    w = dantzig_direction(t_mat, 2, lam)
+    assert len(calls) == 1
+    ref = l1_linf_oracle(t_mat[np.ix_(keep, keep)], t_mat[keep, 2], lam)
+    assert np.sum(np.abs(w)) == pytest.approx(ref[1], abs=1e-7)
+    assert dantzig_residual(t_mat, 2, w) <= lam + 1e-8
 
 
 def test_dantzig_d2_soft_threshold(rng):
@@ -140,6 +175,15 @@ def test_clime_identity_shrinks_diagonal():
 
 def test_clime_identity_large_lambda_zero():
     assert np.allclose(clime_inverse(np.eye(3), 1.0), 0.0, atol=1e-9)
+
+
+def test_clime_lambda_at_least_one_skips_lp(rng, monkeypatch):
+    calls = counting_linprog(monkeypatch)
+    a = rng.standard_normal((4, 4))
+    sigma = a @ a.T / 4 + 0.5 * np.eye(4)
+    for lam in (1.0, 2.5):
+        assert np.array_equal(clime_inverse(sigma, lam), np.zeros((4, 4)))
+    assert calls == []
 
 
 def test_clime_identity_no_offdiagonal():
