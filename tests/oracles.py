@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from truncem.lp import solve_lp
+
 FEAS_TOL = 1e-8
 
 
@@ -83,6 +85,26 @@ def l1_linf_oracle(g_mat, target, lam):
             if best is None or l1 < best[1]:
                 best = (w, l1)
     return best
+
+
+def full_l1_linf_lp(a_mat, target, lam):
+    """argmin ||w||_1 s.t. ||target - a_mat w||_inf <= lam as one LP.
+
+    Every residual row and every split column ``w = w+ - w-`` enters a
+    single ``solve_lp`` call: the 2m-row, 2m-column program that the
+    working-set solver in ``truncem.lp`` must reproduce.  Raises
+    ``LpInfeasibleError`` when no w is feasible.
+    """
+    a_mat = np.asarray(a_mat, dtype=float)
+    target = np.asarray(target, dtype=float)
+    m = a_mat.shape[1]
+    block = np.hstack([a_mat, -a_mat])
+    sol = solve_lp(
+        np.ones(2 * m),
+        np.vstack([block, -block]),
+        np.concatenate([target + lam, lam - target]),
+    )
+    return sol.x[:m] - sol.x[m:]
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import random_gmm
-from truncem import inference
+from oracles import full_l1_linf_lp
+from truncem import inference, lp
 from truncem.errors import DegenerateInformationError
+from truncem.harness import ExperimentConfig, infer_replicate
 from truncem.inference import (
     InferenceConfig,
     InferenceResult,
@@ -337,3 +339,31 @@ def test_score_then_wald_decorrelates_once_per_point(rng, monkeypatch, change, s
     assert not wres.w_hat.flags.writeable
     assert_same_result(sres, score_test(GaussianMixture(model.data), beta_hat, score_cfg))
     assert_same_result(wres, wald_test(GaussianMixture(model.data), beta_hat, wald_cfg))
+
+
+# ---------------------------------------------------------------------------
+# working-set LP against the full LP, end to end
+
+
+def test_statistics_match_full_lp_reference(monkeypatch):
+    gradient = ExperimentConfig(model="MR", d=64).resolve()
+    exact = dataclasses.replace(gradient, m_step="exact")  # CLIME in the fit
+    runs = [(gradient, seed) for seed in range(4)] + [(exact, 0)]
+    fast = [infer_replicate(cfg, seed) for cfg, seed in runs]
+
+    nonzero = []
+
+    def full_lp(a_mat, target, lam):
+        w = full_l1_linf_lp(a_mat, target, lam)
+        nonzero.append(bool(np.any(w)))
+        return w
+
+    monkeypatch.setattr(lp, "_l1_min_linf_residual", full_lp)
+    ref = [infer_replicate(cfg, seed) for cfg, seed in runs]
+    assert any(nonzero)
+    for got, expect in zip(fast, ref):
+        assert got["degenerate"] == expect["degenerate"] == 0
+        for key in ("score_reject", "wald_reject"):
+            assert got[key] == expect[key]
+        for key in ("score_stat", "score_p", "wald_stat", "wald_p", "ci_lo", "ci_hi"):
+            assert got[key] == pytest.approx(expect[key], rel=1e-9), key

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
-from oracles import l1_linf_oracle, lp_vertex_oracle
+from oracles import full_l1_linf_lp, l1_linf_oracle, lp_vertex_oracle
 from truncem.errors import LpInfeasibleError, LpUnboundedError
-from truncem.lp import clime_inverse, dantzig_direction, solve_lp
+from truncem.harness import ExperimentConfig, fit_replicate
+from truncem.inference import default_lambda
+from truncem.lp import (
+    FEAS_TOL,
+    _l1_min_linf_residual,
+    clime_inverse,
+    dantzig_direction,
+    solve_lp,
+)
 
 
 def dantzig_residual(t_mat, alpha_index, w):
@@ -71,14 +79,15 @@ def test_dantzig_large_lambda_gives_zero(rng):
 
 
 def counting_linprog(monkeypatch):
-    """Route ``truncem.lp.linprog`` through a call counter."""
+    """Route ``truncem.lp.linprog`` through a recorder of the shape of
+    each call's ``A_ub``."""
     from truncem import lp
 
     calls = []
     solve = lp.linprog
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(kwargs["A_ub"].shape)
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(lp, "linprog", counted)
@@ -99,7 +108,7 @@ def test_dantzig_lambda_just_below_cross_column_norm_solves(rng, monkeypatch):
     keep = np.delete(np.arange(5), 2)
     lam = float(np.nextafter(np.max(np.abs(t_mat[keep, 2])), 0.0))
     w = dantzig_direction(t_mat, 2, lam)
-    assert len(calls) == 1
+    assert len(calls) >= 1
     ref = l1_linf_oracle(t_mat[np.ix_(keep, keep)], t_mat[keep, 2], lam)
     assert np.sum(np.abs(w)) == pytest.approx(ref[1], abs=1e-7)
     assert dantzig_residual(t_mat, 2, w) <= lam + 1e-8
@@ -162,6 +171,86 @@ def test_dantzig_invalid_arguments(rng):
         dantzig_direction(t_mat, 0, -0.1)
     with pytest.raises(ValueError):
         dantzig_direction(np.ones((1, 1)), 0, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# working set of rows and columns against the full LP
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "rank_deficient", "rounded"])
+def test_working_set_matches_full_lp(rng, kind):
+    feasible = 0
+    for _ in range(40):
+        d = int(rng.integers(2, 30))
+        target = rng.standard_normal(d)
+        lam = float(rng.uniform(0.05, 1.0))
+        if kind == "symmetric":
+            a_mat = random_symmetric(rng, d)
+        elif kind == "rank_deficient":
+            # n < d samples, split as in an MR decorrelation LP
+            x = rng.standard_normal((int(rng.integers(1, d)), d + 1))
+            t_mat = -x.T @ x / x.shape[0]
+            a_mat, target = t_mat[1:, 1:], t_mat[1:, 0]
+        else:
+            # one decimal creates ties among |target_i|, lam and the duals
+            a_mat = np.round(random_symmetric(rng, d), 1)
+            target, lam = np.round(target, 1), round(lam, 1)
+        try:
+            ref = full_l1_linf_lp(a_mat, target, lam)
+        except LpInfeasibleError:
+            with pytest.raises(LpInfeasibleError):
+                _l1_min_linf_residual(a_mat, target, lam)
+            continue
+        feasible += 1
+        w = _l1_min_linf_residual(a_mat, target, lam)
+        assert np.sum(np.abs(w)) == pytest.approx(np.sum(np.abs(ref)), abs=1e-9)
+        assert np.max(np.abs(target - a_mat @ w)) <= lam + FEAS_TOL
+    assert feasible >= 10
+
+
+def test_working_set_matches_full_lp_on_mr_curvature():
+    model, trace, _ = fit_replicate(ExperimentConfig(model="MR").resolve(), 0)
+    beta = trace.estimate.copy()
+    beta[9] = 0.0  # the score test's evaluation point
+    t_mat = model.curvature_matrix(beta)
+    lam = default_lambda(t_mat, model.n_samples)
+    keep = np.delete(np.arange(model.dim), 9)
+    ref = full_l1_linf_lp(t_mat[np.ix_(keep, keep)], t_mat[keep, 9], lam)
+    assert np.count_nonzero(ref) > 0
+    w = dantzig_direction(t_mat, 9, lam)
+    assert np.max(np.abs(w - ref)) <= 1e-9
+
+
+def test_working_set_widens_columns_when_start_block_is_singular(monkeypatch):
+    calls = counting_linprog(monkeypatch)
+    a_mat = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    target = np.array([1.0, 0.0, 0.0])
+    w = _l1_min_linf_residual(a_mat, target, 0.5)
+    # R = J = {0} with A[R, R] = 0 is infeasible; then J is every column
+    assert calls == [(2, 2), (2, 6)]
+    assert np.allclose(w, full_l1_linf_lp(a_mat, target, 0.5), atol=1e-12)
+    assert np.sum(np.abs(w)) == pytest.approx(l1_linf_oracle(a_mat, target, 0.5)[1])
+
+
+def test_working_set_finds_support_outside_start_rows(monkeypatch):
+    calls = counting_linprog(monkeypatch)
+    a_mat = np.array([[0.1, 1.0], [1.0, 1.0]])
+    target = np.array([1.0, 0.0])
+    w = _l1_min_linf_residual(a_mat, target, 0.1)
+    # R = J = {0}; column 1 prices out, then w violates row 1
+    assert calls == [(2, 2), (2, 4), (4, 4)]
+    assert w[1] != 0.0
+    assert np.allclose(w, full_l1_linf_lp(a_mat, target, 0.1), atol=1e-12)
+    assert np.sum(np.abs(w)) == pytest.approx(l1_linf_oracle(a_mat, target, 0.1)[1])
+
+
+def test_working_set_rejects_nonfinite_data_outside_start_block():
+    a_mat = np.eye(3)
+    a_mat[2, 1] = np.nan
+    with pytest.raises(ValueError):
+        _l1_min_linf_residual(a_mat, np.array([1.0, 0.0, 0.0]), 0.5)
+    with pytest.raises(ValueError):
+        _l1_min_linf_residual(np.eye(3), np.array([1.0, np.nan, 0.0]), 0.5)
 
 
 # ---------------------------------------------------------------------------
