@@ -25,7 +25,16 @@ generation, as in fastclime):
 2. The LP restricted to rows R and columns J is solved.  If it is
    infeasible, J is widened to every column; if it is still infeasible,
    so is the full LP (it has more rows), and ``LpInfeasibleError`` is
-   raised.
+   raised.  A 1 x 1 block, R = J = {i}, is solved in closed form, not by
+   HiGHS: it reads ``min |w_i|  s.t.  |t_i - a_ii w_i| <= lam`` with
+   ``|t_i| > lam``, so the row on the side of ``t_i`` binds and
+   ``w_i = (t_i - sign(t_i) lam) / a_ii`` is its only optimum; its dual
+   is ``-1/|a_ii|`` (the objective's slope in that row's bound) and the
+   other row's is 0.  If ``a_ii = 0`` no w_i is feasible.  The division
+   is the one the simplex pivot makes on that block, and the tests check
+   x, objective and duals against ``solve_lp`` to the bit.  At the
+   default CLIME lambda this block is a column's whole LP (one start
+   row, nothing prices out, no row violated), so CLIME calls no solver.
 3. The columns outside J are priced with the constraint duals y of the
    restricted solve: the split columns of coordinate k have reduced
    costs ``1 + g_k`` and ``1 - g_k`` with
@@ -42,7 +51,7 @@ Every solve after the first follows a strict growth of R or J, and
 neither set ever shrinks, so the loop ends after at most 2m + 1 solves;
 on the MR decorrelation and CLIME inputs one or two suffice.
 
-The LP backend is scipy's dual-simplex/HiGHS solver, which is
+Every larger block goes to scipy's dual-simplex/HiGHS solver, which is
 deterministic for a fixed input and accurate to well below the 1e-8
 feasibility tolerance used throughout.  Correctness is cross-checked in
 the test suite against an exhaustive vertex-enumeration oracle and
@@ -102,6 +111,31 @@ def solve_lp(c, a_ub, b_ub):
     )
 
 
+def _solve_block(block, t_r, lam):
+    """The Dantzig LP restricted to a working set, ``block = A[R, J]`` and
+    ``t_r = t[R]``, as the ``LpSolution`` of its split form.  A 1 x 1
+    block can only be the start block, whose row has ``|t_i| > lam``; it
+    is solved in closed form (see the module docstring).  Any larger
+    block goes to ``solve_lp``."""
+    if block.shape != (1, 1):
+        return solve_lp(
+            np.ones(2 * block.shape[1]),
+            np.block([[block, -block], [-block, block]]),
+            np.concatenate([t_r + lam, lam - t_r]),
+        )
+    a, t = block[0, 0], t_r[0]
+    if a == 0.0:
+        raise LpInfeasibleError("LP infeasible")
+    # |t| > lam, so the row on the side of t binds: a w = t - sign(t) lam
+    w = (t - np.copysign(lam, t)) / a
+    dual = -1.0 / abs(a)
+    return LpSolution(
+        x=np.array([max(w, 0.0), max(-w, 0.0)]),
+        objective=float(abs(w)),
+        duals=np.array([dual, 0.0] if t < 0 else [0.0, dual]),
+    )
+
+
 def _l1_min_linf_residual(a_mat, target, lam):
     """``argmin ||w||_1  s.t.  ||target - a_mat @ w||_inf <= lam`` for a
     square ``a_mat``, solved on a working set of rows and columns (see the
@@ -119,14 +153,8 @@ def _l1_min_linf_residual(a_mat, target, lam):
     cols = rows.copy()
     while True:
         r_idx, j_idx = np.flatnonzero(rows), np.flatnonzero(cols)
-        block = a_mat[np.ix_(r_idx, j_idx)]
-        t_r = target[r_idx]
         try:
-            sol = solve_lp(
-                np.ones(2 * j_idx.size),
-                np.block([[block, -block], [-block, block]]),
-                np.concatenate([t_r + lam, lam - t_r]),
-            )
+            sol = _solve_block(a_mat[np.ix_(r_idx, j_idx)], target[r_idx], lam)
         except LpInfeasibleError:
             if cols.all():
                 raise

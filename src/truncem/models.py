@@ -212,6 +212,13 @@ class MixtureRegression(_Mixture):
     The exact M-step premultiplies by a CLIME estimate of the inverse
     covariance of the design; the estimate is computed once per
     (dataset, clime_lambda) pair and cached.
+
+    The default ``clime_lambda = 2 sqrt(log d / n)`` over-shrinks at
+    small n: at n=100 and d=64 (lambda 0.41) every CLIME column is a
+    scaled unit vector, and the exact M-step ends at relative error
+    0.31-0.56 over seeds 0-5, against 0.0013-0.0027 for the gradient
+    M-step.  That is why the gradient M-step is the default for MR
+    fitting and inference.
     """
 
     tag = MR

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from oracles import full_l1_linf_lp, l1_linf_oracle, lp_vertex_oracle
+from truncem import lp
+from truncem.datagen import GenSpec, gen_dataset, make_beta_star
 from truncem.errors import LpInfeasibleError, LpUnboundedError
 from truncem.harness import ExperimentConfig, fit_replicate
 from truncem.inference import default_lambda
 from truncem.lp import (
     FEAS_TOL,
     _l1_min_linf_residual,
+    _solve_block,
     clime_inverse,
     dantzig_direction,
     solve_lp,
@@ -227,7 +230,7 @@ def test_working_set_widens_columns_when_start_block_is_singular(monkeypatch):
     target = np.array([1.0, 0.0, 0.0])
     w = _l1_min_linf_residual(a_mat, target, 0.5)
     # R = J = {0} with A[R, R] = 0 is infeasible; then J is every column
-    assert calls == [(2, 2), (2, 6)]
+    assert calls == [(2, 6)]
     assert np.allclose(w, full_l1_linf_lp(a_mat, target, 0.5), atol=1e-12)
     assert np.sum(np.abs(w)) == pytest.approx(l1_linf_oracle(a_mat, target, 0.5)[1])
 
@@ -238,10 +241,61 @@ def test_working_set_finds_support_outside_start_rows(monkeypatch):
     target = np.array([1.0, 0.0])
     w = _l1_min_linf_residual(a_mat, target, 0.1)
     # R = J = {0}; column 1 prices out, then w violates row 1
-    assert calls == [(2, 2), (2, 4), (4, 4)]
+    assert calls == [(2, 4), (4, 4)]
     assert w[1] != 0.0
     assert np.allclose(w, full_l1_linf_lp(a_mat, target, 0.1), atol=1e-12)
     assert np.sum(np.abs(w)) == pytest.approx(l1_linf_oracle(a_mat, target, 0.1)[1])
+
+
+def split_lp(block, t_r, lam):
+    """The restricted LP of a working-set block, always through ``solve_lp``."""
+    return solve_lp(
+        np.ones(2 * block.shape[1]),
+        np.block([[block, -block], [-block, block]]),
+        np.concatenate([t_r + lam, lam - t_r]),
+    )
+
+
+def test_one_by_one_block_closed_form_matches_solve_lp(rng):
+    for a_abs in np.logspace(-3, 3, 13):
+        for a_sign in (1.0, -1.0):
+            for t_sign in (1.0, -1.0):
+                for lam in (0.0, *rng.uniform(0.0, 2.0, size=3)):
+                    block = np.array([[a_sign * a_abs * rng.uniform(0.5, 2.0)]])
+                    t_r = np.array([t_sign * (lam + rng.exponential())])
+                    got = _solve_block(block, t_r, lam)
+                    ref = split_lp(block, t_r, lam)
+                    assert np.array_equal(got.x, ref.x)
+                    assert got.objective == ref.objective
+                    assert np.array_equal(got.duals, ref.duals)
+
+
+def test_one_by_one_block_with_zero_diagonal_widens_as_before(monkeypatch):
+    a_mat = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    target = np.array([1.0, 0.0, 0.0])
+    with pytest.raises(LpInfeasibleError):
+        _solve_block(a_mat[:1, :1], target[:1], 0.5)
+    with pytest.raises(LpInfeasibleError):
+        split_lp(a_mat[:1, :1], target[:1], 0.5)
+    w = _l1_min_linf_residual(a_mat, target, 0.5)
+    calls = counting_linprog(monkeypatch)
+    monkeypatch.setattr(lp, "_solve_block", split_lp)
+    assert np.array_equal(w, _l1_min_linf_residual(a_mat, target, 0.5))
+    assert calls == [(2, 2), (2, 6)]
+
+
+@pytest.mark.parametrize("d", [32, 64])
+def test_clime_at_default_lambda_solves_no_lp(monkeypatch, d):
+    cfg = ExperimentConfig(model="MR", d=d).resolve()
+    model = gen_dataset(GenSpec("MR", n=cfg.n, d=d, beta_star=make_beta_star(d, cfg.beta_values),
+                                sigma=cfg.sigma, seed=0))
+    sigma_hat = model.design_covariance()
+    calls = counting_linprog(monkeypatch)
+    theta = clime_inverse(sigma_hat, model.clime_lambda)
+    assert calls == []
+    monkeypatch.setattr(lp, "_solve_block", split_lp)
+    assert np.array_equal(theta, clime_inverse(sigma_hat, model.clime_lambda))
+    assert calls == [(2, 2)] * d
 
 
 def test_working_set_rejects_nonfinite_data_outside_start_block():
