@@ -82,9 +82,7 @@ def gen_dataset(spec: GenSpec):
     x = rng.standard_normal((spec.n, spec.d))
     y = x @ spec.beta_star + spec.sigma * rng.standard_normal(spec.n)
     mask = (rng.uniform(size=(spec.n, spec.d)) >= spec.p_missing).astype(float)
-    return MissingCovariateRegression(
-        MissingCovariateData(x, mask, y, spec.sigma, spec.p_missing)
-    )
+    return MissingCovariateRegression(MissingCovariateData(x, mask, y, spec.sigma))
 
 
 def make_init(beta_star, rel_err, seed):
@@ -94,7 +92,7 @@ def make_init(beta_star, rel_err, seed):
     equals ``rel_err * ||beta_star||_2`` up to roundoff.
     """
     beta_star = np.asarray(beta_star, dtype=float)
-    if rel_err < 0:
+    if not rel_err >= 0:
         raise ValueError("rel_err must be nonnegative")
     if rel_err == 0:
         return beta_star.copy()
@@ -136,7 +134,7 @@ def dataset_to_csv(model, path):
                 )
 
 
-def dataset_from_csv(tag, path, sigma, p_missing=0.0, clime_lambda=None):
+def dataset_from_csv(tag, path, sigma):
     """Read a dataset written by ``dataset_to_csv`` back into a model."""
     if tag not in MODEL_TAGS:
         raise ValueError(f"unknown model tag {tag!r}")
@@ -160,14 +158,11 @@ def dataset_from_csv(tag, path, sigma, p_missing=0.0, clime_lambda=None):
         return GaussianMixture(GaussianMixtureData(data, sigma))
     if tag == "MR":
         return MixtureRegression(
-            MixtureRegressionData(data[:, :-1], data[:, -1], sigma),
-            clime_lambda=clime_lambda,
+            MixtureRegressionData(data[:, :-1], data[:, -1], sigma)
         )
     if data.shape[1] % 2 == 0:
         raise ValueError(f"{path}: RMC needs 2d + 1 columns, got {data.shape[1]}")
     d = (data.shape[1] - 1) // 2
     return MissingCovariateRegression(
-        MissingCovariateData(
-            data[:, :d], data[:, d : 2 * d], data[:, -1], sigma, p_missing
-        )
+        MissingCovariateData(data[:, :d], data[:, d : 2 * d], data[:, -1], sigma)
     )

@@ -4,7 +4,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnsupportedOperationError
 from .sparsity import hard_truncate, top_support
 
 EXACT = "exact"
@@ -16,14 +15,10 @@ class EmConfig:
     """Knobs of the truncated EM loop.
 
     s_hat: number of coordinates kept by the truncation step.
-    n_iter: number of EM iterations (the loop always runs this many
-        unless ``stop_tol`` is set).
+    n_iter: number of EM iterations; the loop always runs this many.
     m_step: "exact" or "gradient".
     eta: stepsize for the gradient M-step.
     resample: use a fresh contiguous data block per iteration.
-    stop_tol: optional early-stopping threshold on the l2 change between
-        consecutive iterates; off by default to keep the iteration count
-        fixed.
     """
 
     s_hat: int
@@ -31,7 +26,6 @@ class EmConfig:
     m_step: str = EXACT
     eta: float = 1.0
     resample: bool = False
-    stop_tol: float | None = None
 
     def __post_init__(self):
         if self.s_hat < 1:
@@ -50,13 +44,15 @@ class EmTrace:
 
     ``iterates`` holds beta^(0) ... beta^(T); ``half_iterates`` the raw
     M-step outputs; ``supports`` the truncation supports, with
-    ``supports[t] == top_support(half_iterates[t], s_hat)``.
+    ``supports[t] == top_support(half_iterates[t], s_hat)``.  The log
+    likelihood is not recorded: neither the estimate nor the decorrelated
+    tests read it, so callers that report it evaluate ``model.loglik`` on
+    the iterates.
     """
 
     iterates: list = field(default_factory=list)
     half_iterates: list = field(default_factory=list)
     supports: list = field(default_factory=list)
-    logliks: list = field(default_factory=list)
 
     @property
     def estimate(self):
@@ -69,10 +65,6 @@ def _check_setup(model, init, cfg):
         raise ValueError(f"init must have shape ({model.dim},)")
     if cfg.s_hat > model.dim:
         raise ValueError("s_hat exceeds the parameter dimension")
-    if cfg.m_step == EXACT and model.tag == "RMC":
-        raise UnsupportedOperationError(
-            "exact M-step is unavailable for missing-covariate regression"
-        )
     return init
 
 
@@ -85,12 +77,11 @@ def _m_step(model, beta, cfg):
 def run_em(model, init, cfg: EmConfig):
     """Truncated EM: alternate the M-step with hard truncation.
 
-    Returns an EmTrace with n_iter + 1 iterates (fewer only if
-    ``cfg.stop_tol`` triggers early stopping).  With ``cfg.resample``
+    Returns an EmTrace with n_iter + 1 iterates.  With ``cfg.resample``
     iteration t sees only the t-th data block: the first
     ``n_iter * (n // n_iter)`` samples are split into ``n_iter``
     contiguous blocks in the given order and trailing samples are
-    discarded.  Log likelihoods are always evaluated on the full dataset.
+    discarded.
     """
     init = _check_setup(model, init, cfg)
     if cfg.resample:
@@ -104,20 +95,14 @@ def run_em(model, init, cfg: EmConfig):
     trace = EmTrace()
     beta = hard_truncate(init, top_support(init, cfg.s_hat))
     trace.iterates.append(beta)
-    trace.logliks.append(model.loglik(beta))
     for t in range(cfg.n_iter):
         source = model
         if cfg.resample:
             source = model.subset(np.arange(t * block, (t + 1) * block))
         half = _m_step(source, beta, cfg)
         support = top_support(half, cfg.s_hat)
-        nxt = hard_truncate(half, support)
+        beta = hard_truncate(half, support)
         trace.half_iterates.append(half)
         trace.supports.append(support)
-        trace.iterates.append(nxt)
-        trace.logliks.append(model.loglik(nxt))
-        if cfg.stop_tol is not None and np.linalg.norm(nxt - beta) < cfg.stop_tol:
-            beta = nxt
-            break
-        beta = nxt
+        trace.iterates.append(beta)
     return trace

@@ -153,7 +153,7 @@ def run_trace(cfg: ExperimentConfig):
     """One fit; rows of (t, opt_error, est_error, loglik)."""
     _generated_only(cfg, "trace")
     cfg.resolve()
-    _, trace, beta_star = fit_replicate(cfg, cfg.seed)
+    model, trace, beta_star = fit_replicate(cfg, cfg.seed)
     beta_final = trace.estimate
     rows = []
     for t, beta_t in enumerate(trace.iterates):
@@ -162,7 +162,7 @@ def run_trace(cfg: ExperimentConfig):
                 "t": t,
                 "opt_error": float(np.linalg.norm(beta_t - beta_final)),
                 "est_error": float(np.linalg.norm(beta_t - beta_star)),
-                "loglik": trace.logliks[t],
+                "loglik": model.loglik(beta_t),
             }
         )
     return rows
@@ -296,12 +296,7 @@ def run_typeone(cfg: ExperimentConfig):
 def _load_or_generate(cfg: ExperimentConfig, seed):
     if cfg.data_csv is None:
         return fit_replicate(cfg, seed)
-    model = dataset_from_csv(
-        cfg.model,
-        cfg.data_csv,
-        sigma=cfg.sigma,
-        p_missing=cfg.p_missing,
-    )
+    model = dataset_from_csv(cfg.model, cfg.data_csv, sigma=cfg.sigma)
     _check_alpha_index(cfg.alpha_index, model.dim)
     beta_star = make_beta_star(model.dim, cfg.beta_values)
     return model, _fit(cfg, model, beta_star, seed), beta_star
@@ -316,7 +311,7 @@ def run_fit(cfg: ExperimentConfig):
         "beta_hat": [float(v) for v in beta_hat],
         "support": [int(j) for j in np.flatnonzero(beta_hat)],
         "n_iterations": len(trace.iterates) - 1,
-        "final_loglik": trace.logliks[-1],
+        "final_loglik": model.loglik(beta_hat),
         "opt_errors": [
             float(np.linalg.norm(b - beta_hat)) for b in trace.iterates
         ],

@@ -61,7 +61,7 @@ class InferenceConfig:
     def __post_init__(self):
         if self.alpha_index < 0:
             raise ValueError("alpha_index must be nonnegative")
-        if self.lam is not None and self.lam < 0:
+        if self.lam is not None and not self.lam >= 0:
             raise ValueError("lam must be nonnegative")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")

@@ -204,7 +204,7 @@ def dantzig_direction(t_mat, alpha_index, lam):
         raise ValueError("t_mat must be square with d >= 2")
     if not 0 <= alpha_index < d:
         raise ValueError("alpha_index out of range")
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lam must be nonnegative")
     keep = np.delete(np.arange(d), alpha_index)
     t_ga = t_mat[keep, alpha_index]
@@ -214,14 +214,12 @@ def dantzig_direction(t_mat, alpha_index, lam):
     return _l1_min_linf_residual(t_mat[np.ix_(keep, keep)], t_ga, lam)
 
 
-def clime_inverse(sigma_hat, lam, symmetrize=False):
+def clime_inverse(sigma_hat, lam):
     """Column-wise l1-minimizing inverse of a covariance matrix.
 
     Column j solves ``min ||theta||_1  s.t.  ||sigma_hat @ theta - e_j||_inf
-    <= lam``.  By default the raw column-wise solution is returned (no
-    symmetrization); pass ``symmetrize=True`` to combine (i, j) and (j, i)
-    by minimum magnitude.  For ``lam >= 1`` every column is zero and no LP
-    is solved.
+    <= lam``.  The raw column-wise solution is returned, not symmetrized.
+    For ``lam >= 1`` every column is zero and no LP is solved.
 
     Raises
     ------
@@ -233,7 +231,7 @@ def clime_inverse(sigma_hat, lam, symmetrize=False):
     d = sigma_hat.shape[0]
     if sigma_hat.shape != (d, d):
         raise ValueError("sigma_hat must be square")
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lam must be nonnegative")
     theta = np.zeros((d, d))
     for j in range(d):
@@ -243,7 +241,4 @@ def clime_inverse(sigma_hat, lam, symmetrize=False):
             theta[:, j] = _l1_min_linf_residual(sigma_hat, target, lam)
         except LpInfeasibleError as exc:
             raise LpInfeasibleError(f"CLIME column {j} infeasible") from exc
-    if symmetrize:
-        smaller = np.abs(theta) <= np.abs(theta.T)
-        theta = np.where(smaller, theta, theta.T)
     return theta

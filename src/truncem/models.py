@@ -85,15 +85,13 @@ class MissingCovariateData:
     """Linear regression where covariate entries are missing at random.
 
     ``mask[i, j] == 1`` iff ``x[i, j]`` was observed; values of ``x`` at
-    unobserved coordinates are ignored.  ``p_missing`` is metadata (the
-    declared per-coordinate missing probability), not used by the fit.
+    unobserved coordinates are ignored.
     """
 
     x: np.ndarray  # (n, d)
     mask: np.ndarray  # (n, d) of {0, 1}
     y: np.ndarray  # (n,)
     sigma: float
-    p_missing: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
@@ -113,8 +111,6 @@ class MissingCovariateData:
             raise ValueError("observed x entries must be finite")
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
-        if not 0 <= self.p_missing < 1:
-            raise ValueError("p_missing must lie in [0, 1)")
 
 
 class _Model:
@@ -228,7 +224,7 @@ class MixtureRegression(_Mixture):
         if clime_lambda is None:
             n, d = data.x.shape
             clime_lambda = 2.0 * np.sqrt(np.log(d) / n)
-        if clime_lambda < 0:
+        if not clime_lambda >= 0:
             raise ValueError("clime_lambda must be nonnegative")
         self.clime_lambda = float(clime_lambda)
         self._theta_hat = None
@@ -308,9 +304,7 @@ class MissingCovariateRegression(_Model):
     def subset(self, indices):
         d = self.data
         return MissingCovariateRegression(
-            MissingCovariateData(
-                d.x[indices], d.mask[indices], d.y[indices], d.sigma, d.p_missing
-            )
+            MissingCovariateData(d.x[indices], d.mask[indices], d.y[indices], d.sigma)
         )
 
     def _conditional_moments(self, beta):

@@ -40,9 +40,7 @@ def random_rmc(rng, n=20, d=5, sigma=1.0, p_missing=0.3):
     x = rng.standard_normal((n, d))
     mask = (rng.uniform(size=(n, d)) >= p_missing).astype(float)
     y = 2.0 * rng.standard_normal(n)
-    return MissingCovariateRegression(
-        MissingCovariateData(x, mask, y, sigma, p_missing)
-    )
+    return MissingCovariateRegression(MissingCovariateData(x, mask, y, sigma))
 
 
 @pytest.fixture

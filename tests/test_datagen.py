@@ -167,6 +167,8 @@ def test_make_init_validation():
     with pytest.raises(ValueError):
         make_init(np.array([1.0]), -0.1, seed=0)
     with pytest.raises(ValueError):
+        make_init(np.array([1.0]), np.nan, seed=0)
+    with pytest.raises(ValueError):
         make_init(np.zeros(3), 0.1, seed=0)
 
 
@@ -182,8 +184,7 @@ def test_csv_round_trip(tag, tmp_path):
     model = gen_dataset(spec)
     path = tmp_path / "data.csv"
     dataset_to_csv(model, path)
-    back = dataset_from_csv(tag, path, sigma=0.8,
-                            p_missing=0.25 if tag == "RMC" else 0.0)
+    back = dataset_from_csv(tag, path, sigma=0.8)
     if tag == "GMM":
         assert np.array_equal(back.data.y, model.data.y)
     else:

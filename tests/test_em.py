@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_gmm, random_rmc
+from conftest import random_gmm, random_mr, random_rmc
 from truncem.em import EmConfig, EmTrace, run_em
 from truncem.errors import UnsupportedOperationError
 from truncem.models import GaussianMixture, GaussianMixtureData
@@ -27,7 +27,7 @@ def test_zero_iterations_returns_truncated_init(rng):
     expect = hard_truncate(init, top_support(init, 2))
     assert np.array_equal(trace.iterates[0], expect)
     assert np.array_equal(trace.estimate, expect)
-    assert len(trace.logliks) == 1
+    assert np.isfinite([model.loglik(b) for b in trace.iterates]).all()
     assert trace.half_iterates == [] and trace.supports == []
 
 
@@ -54,7 +54,9 @@ def test_determinism_bit_identical(rng):
     t2 = run_em(model, init, cfg)
     for a, b in zip(t1.iterates, t2.iterates):
         assert np.array_equal(a, b)
-    assert t1.logliks == t2.logliks
+    assert [model.loglik(b) for b in t1.iterates] == [
+        model.loglik(b) for b in t2.iterates
+    ]
 
 
 def test_full_support_exact_em_ascends(rng):
@@ -62,7 +64,7 @@ def test_full_support_exact_em_ascends(rng):
         model = random_gmm(rng, n=15, d=4)
         init = rng.standard_normal(4)
         trace = run_em(model, init, EmConfig(s_hat=4, n_iter=20))
-        diffs = np.diff(trace.logliks)
+        diffs = np.diff([model.loglik(b) for b in trace.iterates])
         assert np.all(diffs >= -1e-9)
 
 
@@ -80,16 +82,27 @@ def test_init_shape_and_s_hat_checked(rng):
         run_em(model, np.ones(4), EmConfig(s_hat=5, n_iter=1))
 
 
-def test_stop_tol_truncates_trace(rng):
-    # a noiseless-ish instance converges immediately, so the tolerance
-    # stops the loop well before n_iter
-    beta_star = np.array([3.0, -2.0, 0.0, 0.0])
-    signs = rng.choice([-1.0, 1.0], 40)
-    y = signs[:, None] * beta_star + 1e-4 * rng.standard_normal((40, 4))
-    model = GaussianMixture(GaussianMixtureData(y, 1e-4))
-    cfg = EmConfig(s_hat=2, n_iter=50, stop_tol=1e-10)
-    trace = run_em(model, beta_star + 0.01, cfg)
-    assert len(trace.iterates) < 51
+@pytest.mark.parametrize("resample", [False, True])
+def test_run_em_evaluates_no_loglik(rng, resample):
+    # neither the estimate nor the decorrelated tests read the log
+    # likelihood, so the loop must not pay for it
+    for make, m_step in (
+        (random_gmm, "exact"),
+        (random_mr, "gradient"),
+        (random_rmc, "gradient"),
+    ):
+        model = make(rng, n=30, d=6)
+        calls = []
+
+        def counting_loglik(beta, loglik=model.loglik):
+            calls.append(beta)
+            return loglik(beta)
+
+        model.loglik = counting_loglik
+        cfg = EmConfig(s_hat=2, n_iter=10, m_step=m_step, resample=resample)
+        trace = run_em(model, rng.standard_normal(6), cfg)
+        assert len(trace.iterates) == 11
+        assert calls == []
 
 
 def test_oracle_recovery_tiny_noise(rng):

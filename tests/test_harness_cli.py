@@ -303,6 +303,15 @@ def test_cli_generating_commands_reject_data_csv(command, tmp_path, monkeypatch)
         run_cli(command, "--config", str(cfg_path))
 
 
+@pytest.mark.parametrize("command, flag", [("infer", "--lambda"), ("fit", "--rel-err")])
+def test_cli_rejects_nan_settings(command, flag):
+    # a NaN lambda made every decorrelation direction zero, and a NaN
+    # rel_err wrote a NaN beta_hat, which is not valid JSON
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        run_cli(command, "--model", "MR", "--d", "16", "--n", "40",
+                "--alpha-index", "9", flag, "nan")
+
+
 def test_cli_rejects_unknown_config_keys(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"modle": "GMM"}))

@@ -67,6 +67,8 @@ def test_inference_config_validation():
     with pytest.raises(ValueError):
         InferenceConfig(alpha_index=0, lam=-0.1)
     with pytest.raises(ValueError):
+        InferenceConfig(alpha_index=0, lam=float("nan"))
+    with pytest.raises(ValueError):
         InferenceConfig(alpha_index=0, delta=1.5)
 
 

@@ -63,8 +63,6 @@ def test_rmc_data_validation():
         MissingCovariateData(x, np.full((3, 2), 0.5), np.zeros(3), 1.0)
     with pytest.raises(ValueError):
         MissingCovariateData(x, np.ones((2, 2)), np.zeros(3), 1.0)
-    with pytest.raises(ValueError):
-        MissingCovariateData(x, np.ones((3, 2)), np.zeros(3), 1.0, p_missing=1.0)
     # unobserved x entries may be anything, including non-finite
     x_bad = x.copy()
     x_bad[0, 0] = np.inf
@@ -296,6 +294,13 @@ def test_mr_m_step_clime_residual_bound(rng):
     residual = np.max(np.abs(model.design_covariance() @ m - moment))
     # entrywise CLIME feasibility propagated through the moment vector
     assert residual <= lam * np.sum(np.abs(moment)) + 1e-8
+
+
+@pytest.mark.parametrize("lam", [-0.1, np.nan])
+def test_mr_rejects_negative_or_nan_clime_lambda(rng, lam):
+    data = MixtureRegressionData(rng.standard_normal((5, 2)), np.zeros(5), 1.0)
+    with pytest.raises(ValueError, match="clime_lambda must be nonnegative"):
+        MixtureRegression(data, clime_lambda=lam)
 
 
 def test_mr_clime_cache_reused(rng):
