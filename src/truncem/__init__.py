@@ -14,14 +14,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .sparsity import hard_truncate, top_support
-from .models import (
-    GaussianMixture,
-    GaussianMixtureData,
-    MissingCovariateData,
-    MissingCovariateRegression,
-    MixtureRegression,
-    MixtureRegressionData,
-)
+from .models import GaussianMixture, MissingCovariateRegression, MixtureRegression
 from .lp import LpSolution, clime_inverse, dantzig_direction, solve_lp
 from .em import EmConfig, EmTrace, run_em
 from .inference import (
@@ -42,17 +35,14 @@ __all__ = [
     "EmConfig",
     "EmTrace",
     "GaussianMixture",
-    "GaussianMixtureData",
     "GenSpec",
     "InferenceConfig",
     "InferenceResult",
     "LpInfeasibleError",
     "LpSolution",
     "LpUnboundedError",
-    "MissingCovariateData",
     "MissingCovariateRegression",
     "MixtureRegression",
-    "MixtureRegressionData",
     "UnsupportedOperationError",
     "clime_inverse",
     "dantzig_direction",

@@ -16,14 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import (
-    GaussianMixture,
-    GaussianMixtureData,
-    MissingCovariateData,
-    MissingCovariateRegression,
-    MixtureRegression,
-    MixtureRegressionData,
-)
+from .models import GaussianMixture, MissingCovariateRegression, MixtureRegression
 
 MODEL_TAGS = ("GMM", "MR", "RMC")
 
@@ -73,16 +66,16 @@ def gen_dataset(spec: GenSpec):
         signs = rng.integers(0, 2, size=spec.n) * 2.0 - 1.0
         noise = rng.standard_normal((spec.n, spec.d))
         y = signs[:, None] * spec.beta_star + spec.sigma * noise
-        return GaussianMixture(GaussianMixtureData(y, spec.sigma))
+        return GaussianMixture(y, spec.sigma)
     if spec.model == "MR":
         x = rng.standard_normal((spec.n, spec.d))
         signs = rng.integers(0, 2, size=spec.n) * 2.0 - 1.0
         y = signs * (x @ spec.beta_star) + spec.sigma * rng.standard_normal(spec.n)
-        return MixtureRegression(MixtureRegressionData(x, y, spec.sigma))
+        return MixtureRegression(x, y, spec.sigma)
     x = rng.standard_normal((spec.n, spec.d))
     y = x @ spec.beta_star + spec.sigma * rng.standard_normal(spec.n)
     mask = (rng.uniform(size=(spec.n, spec.d)) >= spec.p_missing).astype(float)
-    return MissingCovariateRegression(MissingCovariateData(x, mask, y, spec.sigma))
+    return MissingCovariateRegression(x, mask, y, spec.sigma)
 
 
 def make_init(beta_star, rel_err, seed):
@@ -116,17 +109,17 @@ def dataset_to_csv(model, path):
         writer = csv.writer(fh)
         if model.tag == "GMM":
             writer.writerow([f"y{j}" for j in range(d)])
-            for row in model.data.y:
+            for row in model.y:
                 writer.writerow([repr(float(v)) for v in row])
         elif model.tag == "MR":
             writer.writerow([f"x{j}" for j in range(d)] + ["y"])
-            for xi, yi in zip(model.data.x, model.data.y):
+            for xi, yi in zip(model.x, model.y):
                 writer.writerow([repr(float(v)) for v in xi] + [repr(float(yi))])
         else:
             writer.writerow(
                 [f"x{j}" for j in range(d)] + [f"m{j}" for j in range(d)] + ["y"]
             )
-            for xi, mi, yi in zip(model.data.x, model.data.mask, model.data.y):
+            for xi, mi, yi in zip(model.x, model.mask, model.y):
                 writer.writerow(
                     [repr(float(v)) for v in xi]
                     + [str(int(v)) for v in mi]
@@ -153,16 +146,16 @@ def dataset_from_csv(tag, path, sigma):
                 rows.append([float(v) for v in row])
             except ValueError as exc:
                 raise ValueError(f"{path}: row {k}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=float)
     if tag == "GMM":
-        return GaussianMixture(GaussianMixtureData(data, sigma))
+        return GaussianMixture(data, sigma)
     if tag == "MR":
-        return MixtureRegression(
-            MixtureRegressionData(data[:, :-1], data[:, -1], sigma)
-        )
+        return MixtureRegression(data[:, :-1], data[:, -1], sigma)
     if data.shape[1] % 2 == 0:
         raise ValueError(f"{path}: RMC needs 2d + 1 columns, got {data.shape[1]}")
     d = (data.shape[1] - 1) // 2
     return MissingCovariateRegression(
-        MissingCovariateData(data[:, :d], data[:, d : 2 * d], data[:, -1], sigma)
+        data[:, :d], data[:, d : 2 * d], data[:, -1], sigma
     )

@@ -64,6 +64,9 @@ class ExperimentConfig:
     data_csv: str | None = None
 
     def resolve(self):
+        for key in ("replicates", "scaling_replicates"):
+            if not getattr(self, key) >= 1:
+                raise ValueError(f"{key} must be >= 1")
         if self.sigma is None:
             self.sigma = DEFAULT_SIGMA[self.model]
         if self.m_step is None:

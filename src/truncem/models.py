@@ -1,9 +1,12 @@
 """The three latent-variable models behind one uniform interface.
 
-Each model exposes the EM surrogate ``q_value``, its first-slot gradient
-``grad_q`` evaluated on the diagonal, exact and gradient M-steps, the
-curvature matrix used for inference, and the observed-data log
-likelihood.
+Each model is one class built directly from its sample arrays, which the
+constructor validates: ``GaussianMixture(y, sigma)``,
+``MixtureRegression(x, y, sigma, clime_lambda=None)`` and
+``MissingCovariateRegression(x, mask, y, sigma)``.  Each exposes the EM
+surrogate ``q_value``, its first-slot gradient ``grad_q`` evaluated on
+the diagonal, exact and gradient M-steps, the curvature matrix used for
+inference, and the observed-data log likelihood.
 
 Normalization convention
 ------------------------
@@ -21,8 +24,6 @@ sigmoid of ``2 <beta, y> / sigma^2`` (Gaussian mixture) or
 ``2 y <beta, x> / sigma^2`` (mixture of regression); the factor 2 is
 forced by Bayes' rule for the two symmetric components.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -42,96 +43,33 @@ def _check_vector(beta, d, name="beta"):
     return beta
 
 
-@dataclass(frozen=True)
-class GaussianMixtureData:
-    """Observations from Y = Z * beta + noise, Z a random sign."""
-
-    y: np.ndarray  # (n, d)
-    sigma: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-        if self.y.ndim != 2 or self.y.shape[0] < 1:
-            raise ValueError("y must be a nonempty (n, d) matrix")
-        if not np.all(np.isfinite(self.y)):
-            raise ValueError("y contains non-finite entries")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+def _check_matrix(a, name):
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+        raise ValueError(f"{name} must be a nonempty (n, d) matrix")
+    return a
 
 
-@dataclass(frozen=True)
-class MixtureRegressionData:
-    """Observations from Y = Z * <X, beta> + noise, Z a random sign."""
-
-    x: np.ndarray  # (n, d)
-    y: np.ndarray  # (n,)
-    sigma: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-        if self.x.ndim != 2 or self.x.shape[0] < 1:
-            raise ValueError("x must be a nonempty (n, d) matrix")
-        if self.y.shape != (self.x.shape[0],):
-            raise ValueError("y must have shape (n,)")
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
-            raise ValueError("data contains non-finite entries")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
-
-
-@dataclass(frozen=True)
-class MissingCovariateData:
-    """Linear regression where covariate entries are missing at random.
-
-    ``mask[i, j] == 1`` iff ``x[i, j]`` was observed; values of ``x`` at
-    unobserved coordinates are ignored.
-    """
-
-    x: np.ndarray  # (n, d)
-    mask: np.ndarray  # (n, d) of {0, 1}
-    y: np.ndarray  # (n,)
-    sigma: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "mask", np.asarray(self.mask, dtype=float))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-        if self.x.ndim != 2 or self.x.shape[0] < 1:
-            raise ValueError("x must be a nonempty (n, d) matrix")
-        if self.mask.shape != self.x.shape:
-            raise ValueError("mask must match x in shape")
-        if not np.all((self.mask == 0) | (self.mask == 1)):
-            raise ValueError("mask entries must be 0 or 1")
-        if self.y.shape != (self.x.shape[0],):
-            raise ValueError("y must have shape (n,)")
-        if not np.all(np.isfinite(self.y)):
-            raise ValueError("y contains non-finite entries")
-        if not np.all(np.isfinite(self.x[self.mask == 1])):
-            raise ValueError("observed x entries must be finite")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+def _check_response(y, n):
+    y = np.asarray(y, dtype=float)
+    if y.shape != (n,):
+        raise ValueError("y must have shape (n,)")
+    return y
 
 
 class _Model:
-    """What every model shares: its dataset, the dataset's shape and noise
-    level, and the gradient M-step.  ``data.y`` has one row per sample;
-    ``data.x`` is the (n, d) design of the regression models."""
+    """What every model shares: its samples ``y`` (one row or entry per
+    sample), their count ``n_samples``, the dimension ``dim``, the noise
+    level ``sigma``, and the gradient M-step.  The regression models also
+    keep their (n, d) design ``x``.  Each subclass validates its arrays
+    before calling this constructor."""
 
-    def __init__(self, data):
-        self.data = data
-
-    @property
-    def n_samples(self):
-        return self.data.y.shape[0]
-
-    @property
-    def dim(self):
-        return self.data.x.shape[1]
-
-    @property
-    def sigma(self):
-        return self.data.sigma
+    def __init__(self, y, sigma):
+        if not sigma > 0:
+            raise ValueError("sigma must be positive")
+        self.y = y
+        self.sigma = sigma
+        self.n_samples = y.shape[0]
 
     def m_step_gradient(self, beta, eta):
         if eta < 0:
@@ -150,43 +88,45 @@ class _Mixture(_Model):
 
 
 class GaussianMixture(_Mixture):
-    """Symmetric two-component Gaussian mixture with known noise level."""
+    """Symmetric two-component Gaussian mixture with known noise level:
+    each row of the (n, d) matrix ``y`` is Z * beta + noise, Z a random
+    sign."""
 
     tag = GMM
 
-    @property
-    def dim(self):
-        return self.data.y.shape[1]
+    def __init__(self, y, sigma):
+        y = _check_matrix(y, "y")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("y contains non-finite entries")
+        super().__init__(y, sigma)
+        self.dim = y.shape[1]
 
     def subset(self, indices):
-        return GaussianMixture(
-            GaussianMixtureData(self.data.y[indices], self.data.sigma)
-        )
+        return GaussianMixture(self.y[indices], self.sigma)
 
     def _weights(self, beta):
         # posterior probability of the positive component, per sample
         beta = _check_vector(beta, self.dim)
-        return expit(2.0 * (self.data.y @ beta) / self.sigma**2)
+        return expit(2.0 * (self.y @ beta) / self.sigma**2)
 
     def q_value(self, beta_prime, beta):
         beta_prime = _check_vector(beta_prime, self.dim, "beta_prime")
-        y = self.data.y
         w = self._weights(beta)
-        plus = np.sum((y - beta_prime) ** 2, axis=1)
-        minus = np.sum((y + beta_prime) ** 2, axis=1)
+        plus = np.sum((self.y - beta_prime) ** 2, axis=1)
+        minus = np.sum((self.y + beta_prime) ** 2, axis=1)
         return float(-0.5 * np.mean(w * plus + (1.0 - w) * minus))
 
     def grad_q(self, beta):
         beta = _check_vector(beta, self.dim)
         w = self._weights(beta)
-        return (2.0 * w - 1.0) @ self.data.y / self.n_samples - beta
+        return (2.0 * w - 1.0) @ self.y / self.n_samples - beta
 
     def m_step_exact(self, beta):
         w = self._weights(beta)
-        return (2.0 * w - 1.0) @ self.data.y / self.n_samples
+        return (2.0 * w - 1.0) @ self.y / self.n_samples
 
     def curvature_matrix(self, beta):
-        y = self.data.y
+        y = self.y
         w = self._weights(beta)
         nu = (4.0 / self.sigma**2) * w * (1.0 - w)
         t_mat = (y * nu[:, None]).T @ y / self.n_samples - np.eye(self.dim)
@@ -194,20 +134,20 @@ class GaussianMixture(_Mixture):
 
     def loglik(self, beta):
         beta = _check_vector(beta, self.dim)
-        y = self.data.y
         s2 = self.sigma**2
-        lp = -np.sum((y - beta) ** 2, axis=1) / (2.0 * s2)
-        lm = -np.sum((y + beta) ** 2, axis=1) / (2.0 * s2)
+        lp = -np.sum((self.y - beta) ** 2, axis=1) / (2.0 * s2)
+        lm = -np.sum((self.y + beta) ** 2, axis=1) / (2.0 * s2)
         const = -0.5 * self.dim * np.log(2.0 * np.pi * s2) - np.log(2.0)
         return float(np.sum(np.logaddexp(lp, lm) + const))
 
 
 class MixtureRegression(_Mixture):
-    """Symmetric two-component mixture of linear regressions.
+    """Symmetric two-component mixture of linear regressions:
+    ``y[i] = Z * <x[i], beta> + noise``, Z a random sign.
 
     The exact M-step premultiplies by a CLIME estimate of the inverse
     covariance of the design; the estimate is computed once per
-    (dataset, clime_lambda) pair and cached.
+    model and cached.
 
     The default ``clime_lambda = 2 sqrt(log d / n)`` over-shrinks at
     small n: at n=100 and d=64 (lambda 0.41) every CLIME column is a
@@ -219,11 +159,16 @@ class MixtureRegression(_Mixture):
 
     tag = MR
 
-    def __init__(self, data: MixtureRegressionData, clime_lambda=None):
-        super().__init__(data)
+    def __init__(self, x, y, sigma, clime_lambda=None):
+        x = _check_matrix(x, "x")
+        y = _check_response(y, x.shape[0])
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValueError("data contains non-finite entries")
+        super().__init__(y, sigma)
+        self.x = x
+        self.dim = x.shape[1]
         if clime_lambda is None:
-            n, d = data.x.shape
-            clime_lambda = 2.0 * np.sqrt(np.log(d) / n)
+            clime_lambda = 2.0 * np.sqrt(np.log(self.dim) / self.n_samples)
         if not clime_lambda >= 0:
             raise ValueError("clime_lambda must be nonnegative")
         self.clime_lambda = float(clime_lambda)
@@ -231,15 +176,11 @@ class MixtureRegression(_Mixture):
 
     def subset(self, indices):
         return MixtureRegression(
-            MixtureRegressionData(
-                self.data.x[indices], self.data.y[indices], self.data.sigma
-            ),
-            clime_lambda=self.clime_lambda,
+            self.x[indices], self.y[indices], self.sigma, self.clime_lambda
         )
 
     def design_covariance(self):
-        x = self.data.x
-        return x.T @ x / self.n_samples
+        return self.x.T @ self.x / self.n_samples
 
     def clime_theta(self):
         """Cached CLIME estimate of the inverse design covariance."""
@@ -249,30 +190,30 @@ class MixtureRegression(_Mixture):
 
     def _weights(self, beta):
         beta = _check_vector(beta, self.dim)
-        margin = self.data.y * (self.data.x @ beta)
+        margin = self.y * (self.x @ beta)
         return expit(2.0 * margin / self.sigma**2)
 
     def q_value(self, beta_prime, beta):
         beta_prime = _check_vector(beta_prime, self.dim, "beta_prime")
         w = self._weights(beta)
-        fit = self.data.x @ beta_prime
-        plus = (self.data.y - fit) ** 2
-        minus = (self.data.y + fit) ** 2
+        fit = self.x @ beta_prime
+        plus = (self.y - fit) ** 2
+        minus = (self.y + fit) ** 2
         return float(-0.5 * np.mean(w * plus + (1.0 - w) * minus))
 
     def grad_q(self, beta):
         beta = _check_vector(beta, self.dim)
         w = self._weights(beta)
-        resid = (2.0 * w - 1.0) * self.data.y - self.data.x @ beta
-        return self.data.x.T @ resid / self.n_samples
+        resid = (2.0 * w - 1.0) * self.y - self.x @ beta
+        return self.x.T @ resid / self.n_samples
 
     def m_step_exact(self, beta):
         w = self._weights(beta)
-        moment = self.data.x.T @ ((2.0 * w - 1.0) * self.data.y) / self.n_samples
+        moment = self.x.T @ ((2.0 * w - 1.0) * self.y) / self.n_samples
         return self.clime_theta() @ moment
 
     def curvature_matrix(self, beta):
-        x, y = self.data.x, self.data.y
+        x, y = self.x, self.y
         w = self._weights(beta)
         nu = (4.0 / self.sigma**2) * w * (1.0 - w)
         weighted = (x * (nu * y**2)[:, None]).T @ x / self.n_samples
@@ -281,10 +222,10 @@ class MixtureRegression(_Mixture):
 
     def loglik(self, beta):
         beta = _check_vector(beta, self.dim)
-        fit = self.data.x @ beta
+        fit = self.x @ beta
         s2 = self.sigma**2
-        lp = -((self.data.y - fit) ** 2) / (2.0 * s2)
-        lm = -((self.data.y + fit) ** 2) / (2.0 * s2)
+        lp = -((self.y - fit) ** 2) / (2.0 * s2)
+        lm = -((self.y + fit) ** 2) / (2.0 * s2)
         const = -0.5 * np.log(2.0 * np.pi * s2) - np.log(2.0)
         return float(np.sum(np.logaddexp(lp, lm) + const))
 
@@ -297,25 +238,43 @@ class MissingCovariateRegression(_Model):
     moment makes the exact maximizer require a d x d solve that is not
     well posed in high dimensions, and no curvature matrix is defined for
     this model, so inference is unavailable.
+
+    ``mask[i, j] == 1`` iff ``x[i, j]`` was observed; values of ``x`` at
+    unobserved coordinates are ignored.
     """
 
     tag = RMC
 
+    def __init__(self, x, mask, y, sigma):
+        x = _check_matrix(x, "x")
+        mask = np.asarray(mask, dtype=float)
+        if mask.shape != x.shape:
+            raise ValueError("mask must match x in shape")
+        if not np.all((mask == 0) | (mask == 1)):
+            raise ValueError("mask entries must be 0 or 1")
+        y = _check_response(y, x.shape[0])
+        if not np.all(np.isfinite(y)):
+            raise ValueError("y contains non-finite entries")
+        if not np.all(np.isfinite(x[mask == 1])):
+            raise ValueError("observed x entries must be finite")
+        super().__init__(y, sigma)
+        self.x, self.mask = x, mask
+        self.dim = x.shape[1]
+
     def subset(self, indices):
-        d = self.data
         return MissingCovariateRegression(
-            MissingCovariateData(d.x[indices], d.mask[indices], d.y[indices], d.sigma)
+            self.x[indices], self.mask[indices], self.y[indices], self.sigma
         )
 
     def _conditional_moments(self, beta):
         """Per-sample posterior mean m_i of x_i and the pieces of its
         second moment, given the observed coordinates and y_i."""
         beta = _check_vector(beta, self.dim)
-        z = self.data.mask
-        x_obs = z * self.data.x
+        z = self.mask
+        x_obs = z * self.x
         beta_miss = (1.0 - z) * beta  # (n, d)
         tau2 = self.sigma**2 + np.sum(beta_miss**2, axis=1)  # (n,)
-        resid = self.data.y - x_obs @ beta  # (n,)
+        resid = self.y - x_obs @ beta  # (n,)
         m = x_obs + (resid / tau2)[:, None] * beta_miss
         return m, beta_miss, tau2, resid
 
@@ -328,8 +287,8 @@ class MissingCovariateRegression(_Model):
     def q_value(self, beta_prime, beta):
         beta_prime = _check_vector(beta_prime, self.dim, "beta_prime")
         m, beta_miss, tau2, _ = self._conditional_moments(beta)
-        z = self.data.mask
-        lin = self.data.y * (m @ beta_prime)
+        z = self.mask
+        lin = self.y * (m @ beta_prime)
         # quadratic form in the conditional second moment of x
         quad = (
             (1.0 - z) @ (beta_prime**2)
@@ -340,13 +299,12 @@ class MissingCovariateRegression(_Model):
 
     def grad_q(self, beta):
         m, beta_miss, tau2, _ = self._conditional_moments(beta)
-        z = self.data.mask
         k_beta = (
             beta_miss
             + m * (m @ beta)[:, None]
             - beta_miss * ((beta_miss @ beta) / tau2)[:, None]
         )
-        return np.mean(self.data.y[:, None] * m - k_beta, axis=0)
+        return np.mean(self.y[:, None] * m - k_beta, axis=0)
 
     def m_step_exact(self, beta):
         raise UnsupportedOperationError(

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from truncem.models import (
-    GaussianMixture,
-    GaussianMixtureData,
-    MissingCovariateData,
-    MissingCovariateRegression,
-    MixtureRegression,
-    MixtureRegressionData,
-)
+from truncem.models import GaussianMixture, MissingCovariateRegression, MixtureRegression
 
 #: one summary line per acceptance criterion, printed after the run
 ACCEPTANCE_LINES = []
@@ -25,22 +18,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 def random_gmm(rng, n=20, d=5, sigma=1.0, scale=2.0):
     y = scale * rng.standard_normal((n, d))
-    return GaussianMixture(GaussianMixtureData(y, sigma))
+    return GaussianMixture(y, sigma)
 
 
 def random_mr(rng, n=20, d=5, sigma=1.0, scale=2.0, clime_lambda=None):
     x = rng.standard_normal((n, d))
     y = scale * rng.standard_normal(n)
-    return MixtureRegression(
-        MixtureRegressionData(x, y, sigma), clime_lambda=clime_lambda
-    )
+    return MixtureRegression(x, y, sigma, clime_lambda=clime_lambda)
 
 
 def random_rmc(rng, n=20, d=5, sigma=1.0, p_missing=0.3):
     x = rng.standard_normal((n, d))
     mask = (rng.uniform(size=(n, d)) >= p_missing).astype(float)
     y = 2.0 * rng.standard_normal(n)
-    return MissingCovariateRegression(MissingCovariateData(x, mask, y, sigma))
+    return MissingCovariateRegression(x, mask, y, sigma)
 
 
 @pytest.fixture

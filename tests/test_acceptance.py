@@ -2,13 +2,10 @@
 
 Each test exercises one headline behavior of the package at its stated
 tolerance and reports a single PASS/FAIL summary line (printed in the
-"acceptance criteria" section after the run).  Set TRUNCEM_FAST=1 to run
-the Monte-Carlo calibration check (criterion 3) with 100 replicates and a
-wider band instead of the full 500.
+"acceptance criteria" section after the run).
 """
 
 import math
-import os
 import time
 
 import numpy as np
@@ -21,9 +18,6 @@ from truncem.em import EmConfig, run_em
 from truncem.harness import ExperimentConfig, init_stream, run_scaling, run_trace, run_typeone
 from truncem.inference import InferenceConfig, wald_test
 from truncem.lp import clime_inverse, dantzig_direction
-
-FAST = os.environ.get("TRUNCEM_FAST", "") == "1"
-
 
 def record(num, ok, detail):
     status = "PASS" if ok else "FAIL"
@@ -85,8 +79,8 @@ def test_criterion_2_error_scaling():
 
 
 def test_criterion_3_typeone_calibration():
-    replicates = 100 if FAST else 500
-    lo, hi = (0.0, 0.12) if FAST else (0.02, 0.08)
+    replicates = 500
+    lo, hi = 0.02, 0.08
     start = time.time()
     rates = {}
     for model in ("GMM", "MR"):

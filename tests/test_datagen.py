@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -60,7 +61,7 @@ def test_genspec_validation():
 def test_gmm_noiseless_limit():
     beta = np.array([4.0, -2.0, 1.0])
     model = gen_dataset(GenSpec("GMM", 50, 3, beta, 1e-300, seed=3))
-    y = model.data.y
+    y = model.y
     close_plus = np.all(np.abs(y - beta) < 1e-290, axis=1)
     close_minus = np.all(np.abs(y + beta) < 1e-290, axis=1)
     assert np.all(close_plus | close_minus)
@@ -70,13 +71,13 @@ def test_gmm_noiseless_limit():
 def test_rmc_no_missingness_full_mask():
     beta = np.array([1.0, 2.0])
     model = gen_dataset(GenSpec("RMC", 20, 2, beta, 1.0, p_missing=0.0, seed=1))
-    assert np.all(model.data.mask == 1.0)
+    assert np.all(model.mask == 1.0)
 
 
 def test_rmc_missing_rate_roughly_matches():
     beta = np.ones(4)
     model = gen_dataset(GenSpec("RMC", 500, 4, beta, 1.0, p_missing=0.3, seed=2))
-    rate = 1.0 - model.data.mask.mean()
+    rate = 1.0 - model.mask.mean()
     assert abs(rate - 0.3) < 0.05
 
 
@@ -85,8 +86,8 @@ def test_determinism_and_stream_independence():
     a = gen_dataset(GenSpec("GMM", 30, 2, beta, 1.0, seed=7))
     b = gen_dataset(GenSpec("GMM", 30, 2, beta, 1.0, seed=7))
     c = gen_dataset(GenSpec("GMM", 30, 2, beta, 1.0, seed=8))
-    assert np.array_equal(a.data.y, b.data.y)
-    assert not np.array_equal(a.data.y, c.data.y)
+    assert np.array_equal(a.y, b.y)
+    assert not np.array_equal(a.y, c.y)
 
 
 def test_gmm_draw_order_and_sign_symmetry():
@@ -100,13 +101,13 @@ def test_gmm_draw_order_and_sign_symmetry():
     signs = rng.integers(0, 2, size=25) * 2.0 - 1.0
     noise = rng.standard_normal((25, 2))
     y_manual = signs[:, None] * beta + 0.7 * noise
-    assert np.array_equal(model.data.y, y_manual)
+    assert np.array_equal(model.y, y_manual)
     y_flip = (-signs)[:, None] * beta + 0.7 * (-noise)
     assert np.array_equal(y_flip, -y_manual)
     probe = np.array([0.3, 1.1])
-    from truncem.models import GaussianMixture, GaussianMixtureData
+    from truncem.models import GaussianMixture
 
-    flip_model = GaussianMixture(GaussianMixtureData(y_flip, 0.7))
+    flip_model = GaussianMixture(y_flip, 0.7)
     assert flip_model.loglik(-probe) == pytest.approx(
         model.loglik(probe), abs=1e-9
     )
@@ -116,8 +117,8 @@ def test_mr_draw_shapes_and_model():
     beta = np.array([1.0, -1.0, 0.0])
     model = gen_dataset(GenSpec("MR", 40, 3, beta, 0.5, seed=4))
     assert model.tag == "MR"
-    assert model.data.x.shape == (40, 3)
-    assert model.data.y.shape == (40,)
+    assert model.x.shape == (40, 3)
+    assert model.y.shape == (40,)
     assert model.sigma == 0.5
 
 
@@ -125,7 +126,7 @@ def test_gmm_first_coordinate_mean_vs_quadrature():
     # E|Z + V| for the first coordinate, via numerical integration
     beta = np.array([1.0, 0.0])
     model = gen_dataset(GenSpec("GMM", 10_000, 2, beta, 1.0, seed=5))
-    y1 = np.abs(model.data.y[:, 0])
+    y1 = np.abs(model.y[:, 0])
 
     def density(t):
         phi = lambda u: math.exp(-0.5 * u * u) / math.sqrt(2 * math.pi)
@@ -186,12 +187,12 @@ def test_csv_round_trip(tag, tmp_path):
     dataset_to_csv(model, path)
     back = dataset_from_csv(tag, path, sigma=0.8)
     if tag == "GMM":
-        assert np.array_equal(back.data.y, model.data.y)
+        assert np.array_equal(back.y, model.y)
     else:
-        assert np.array_equal(back.data.x, model.data.x)
-        assert np.array_equal(back.data.y, model.data.y)
+        assert np.array_equal(back.x, model.x)
+        assert np.array_equal(back.y, model.y)
     if tag == "RMC":
-        assert np.array_equal(back.data.mask, model.data.mask)
+        assert np.array_equal(back.mask, model.mask)
 
 
 def test_csv_malformed_rows_reported(tmp_path):
@@ -215,3 +216,20 @@ def test_csv_rmc_needs_odd_column_count(tmp_path):
     path.write_text("x0,x1,m0,m1,y,extra\n1.0,2.0,1,0,0.5,9.0\n")
     with pytest.raises(ValueError, match="2d \\+ 1"):
         dataset_from_csv("RMC", str(path), sigma=1.0)
+
+
+@pytest.mark.parametrize("tag, header", [("GMM", "y0,y1"), ("MR", "x0,x1,y"),
+                                         ("RMC", "x0,m0,y")])
+def test_csv_without_data_rows_rejected(tag, header, tmp_path):
+    path = tmp_path / "header_only.csv"
+    path.write_text(header + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: no data rows")):
+        dataset_from_csv(tag, str(path), sigma=1.0)
+
+
+@pytest.mark.parametrize("tag", ["MR", "RMC"])
+def test_csv_without_covariate_columns_rejected(tag, tmp_path):
+    path = tmp_path / "y_only.csv"
+    path.write_text("y\n0.5\n-1.0\n")
+    with pytest.raises(ValueError, match=r"x must be a nonempty \(n, d\) matrix"):
+        dataset_from_csv(tag, str(path), sigma=1.0)

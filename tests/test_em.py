@@ -4,7 +4,7 @@ import pytest
 from conftest import random_gmm, random_mr, random_rmc
 from truncem.em import EmConfig, EmTrace, run_em
 from truncem.errors import UnsupportedOperationError
-from truncem.models import GaussianMixture, GaussianMixtureData
+from truncem.models import GaussianMixture
 from truncem.sparsity import hard_truncate, top_support
 
 
@@ -111,7 +111,7 @@ def test_oracle_recovery_tiny_noise(rng):
     beta_star[:2] = [1.5, -2.0]
     signs = rng.choice([-1.0, 1.0], n)
     y = signs[:, None] * beta_star + sigma * rng.standard_normal((n, d))
-    model = GaussianMixture(GaussianMixtureData(y, sigma))
+    model = GaussianMixture(y, sigma)
     init = beta_star + 0.1 * rng.standard_normal(d)
     trace = run_em(model, init, EmConfig(s_hat=2, n_iter=1))
     beta1 = trace.iterates[1]
@@ -175,7 +175,7 @@ def test_resampled_error_matches_plain_at_block_size(rng):
     for _ in range(10):
         signs = rng.choice([-1.0, 1.0], n)
         y = signs[:, None] * beta_star + rng.standard_normal((n, d))
-        model = GaussianMixture(GaussianMixtureData(y, 1.0))
+        model = GaussianMixture(y, 1.0)
         init = beta_star + 0.125 * np.linalg.norm(
             beta_star
         ) * rng.standard_normal(d) / np.sqrt(d)

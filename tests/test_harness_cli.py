@@ -322,3 +322,23 @@ def test_cli_rejects_unknown_config_keys(tmp_path):
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         run_cli()
+
+
+@pytest.mark.parametrize("command, flag, value, key", [
+    ("typeone", "--replicates", "-3", "replicates"),
+    ("typeone", "--replicates", "0", "replicates"),
+    ("scaling", "--scaling-replicates", "0", "scaling_replicates"),
+])
+def test_cli_rejects_replicate_counts_below_one(command, flag, value, key, tmp_path,
+                                                monkeypatch):
+    from truncem import harness
+
+    def no_fit(cfg, seed):
+        raise AssertionError("ran before validating the replicate count")
+
+    monkeypatch.setattr(harness, "fit_replicate", no_fit)
+    out = tmp_path / "t0"
+    with pytest.raises(ValueError, match=f"{key} must be >= 1"):
+        run_cli(command, "--model", "GMM", "--d", "16", "--n", "40", "--s-star", "2",
+                "--alpha-index", "5", flag, value, "--out", str(out))
+    assert not list(tmp_path.iterdir())

@@ -22,7 +22,7 @@ from truncem.inference import (
     wald_estimator,
     wald_test,
 )
-from truncem.models import GaussianMixture, GaussianMixtureData
+from truncem.models import GaussianMixture
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +177,7 @@ def gmm_instance(rng, n=120, d=6, sigma=1.0):
     beta_star[:2] = [3.0, -2.0]
     signs = rng.choice([-1.0, 1.0], n)
     y = signs[:, None] * beta_star + sigma * rng.standard_normal((n, d))
-    model = GaussianMixture(GaussianMixtureData(y, sigma))
+    model = GaussianMixture(y, sigma)
     return model, beta_star
 
 
@@ -276,7 +276,7 @@ def test_wald_statistic_odd_in_null_value(rng):
 def test_degenerate_information_raises(rng):
     # widely spread data at beta = 0 makes the curvature positive definite
     y = 10.0 * rng.standard_normal((50, 3))
-    model = GaussianMixture(GaussianMixtureData(y, 1.0))
+    model = GaussianMixture(y, 1.0)
     cfg = InferenceConfig(alpha_index=0, lam=0.01)
     with pytest.raises(DegenerateInformationError):
         score_test(model, np.zeros(3), cfg)
@@ -339,8 +339,8 @@ def test_score_then_wald_decorrelates_once_per_point(rng, monkeypatch, change, s
     assert (sres.w_hat is wres.w_hat) == (solves == 1)
     assert not sres.w_hat.flags.writeable
     assert not wres.w_hat.flags.writeable
-    assert_same_result(sres, score_test(GaussianMixture(model.data), beta_hat, score_cfg))
-    assert_same_result(wres, wald_test(GaussianMixture(model.data), beta_hat, wald_cfg))
+    assert_same_result(sres, score_test(GaussianMixture(model.y, model.sigma), beta_hat, score_cfg))
+    assert_same_result(wres, wald_test(GaussianMixture(model.y, model.sigma), beta_hat, wald_cfg))
 
 
 # ---------------------------------------------------------------------------

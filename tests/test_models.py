@@ -12,14 +12,7 @@ from oracles import (
     rmc_q_naive,
 )
 from truncem.errors import UnsupportedOperationError
-from truncem.models import (
-    GaussianMixture,
-    GaussianMixtureData,
-    MissingCovariateData,
-    MissingCovariateRegression,
-    MixtureRegression,
-    MixtureRegressionData,
-)
+from truncem.models import GaussianMixture, MissingCovariateRegression, MixtureRegression
 
 
 def all_models(rng, sigma=1.0):
@@ -40,35 +33,43 @@ def rel_err(a, b):
 
 
 def test_gmm_data_validation():
-    with pytest.raises(ValueError):
-        GaussianMixtureData(np.zeros((0, 3)), 1.0)
-    with pytest.raises(ValueError):
-        GaussianMixtureData(np.zeros(3), 1.0)
-    with pytest.raises(ValueError):
-        GaussianMixtureData(np.full((2, 2), np.nan), 1.0)
-    with pytest.raises(ValueError):
-        GaussianMixtureData(np.zeros((2, 2)), 0.0)
+    for y in (np.zeros((0, 3)), np.zeros((3, 0)), np.zeros(3)):
+        with pytest.raises(ValueError, match=r"y must be a nonempty \(n, d\) matrix"):
+            GaussianMixture(y, 1.0)
+    with pytest.raises(ValueError, match="y contains non-finite entries"):
+        GaussianMixture(np.full((2, 2), np.nan), 1.0)
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        GaussianMixture(np.zeros((2, 2)), 0.0)
 
 
 def test_mr_data_validation():
-    with pytest.raises(ValueError):
-        MixtureRegressionData(np.zeros((3, 2)), np.zeros(2), 1.0)
-    with pytest.raises(ValueError):
-        MixtureRegressionData(np.zeros((3, 2)), np.zeros(3), -1.0)
+    for x in (np.zeros((0, 2)), np.zeros((3, 0))):
+        with pytest.raises(ValueError, match=r"x must be a nonempty \(n, d\) matrix"):
+            MixtureRegression(x, np.zeros(x.shape[0]), 1.0)
+    with pytest.raises(ValueError, match=r"y must have shape \(n,\)"):
+        MixtureRegression(np.zeros((3, 2)), np.zeros(2), 1.0)
+    with pytest.raises(ValueError, match="data contains non-finite entries"):
+        MixtureRegression(np.zeros((3, 2)), np.array([0.0, np.inf, 0.0]), 1.0)
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        MixtureRegression(np.zeros((3, 2)), np.zeros(3), -1.0)
 
 
 def test_rmc_data_validation():
     x = np.zeros((3, 2))
-    with pytest.raises(ValueError):
-        MissingCovariateData(x, np.full((3, 2), 0.5), np.zeros(3), 1.0)
-    with pytest.raises(ValueError):
-        MissingCovariateData(x, np.ones((2, 2)), np.zeros(3), 1.0)
+    with pytest.raises(ValueError, match=r"x must be a nonempty \(n, d\) matrix"):
+        MissingCovariateRegression(np.zeros((3, 0)), np.zeros((3, 0)), np.zeros(3), 1.0)
+    with pytest.raises(ValueError, match="mask entries must be 0 or 1"):
+        MissingCovariateRegression(x, np.full((3, 2), 0.5), np.zeros(3), 1.0)
+    with pytest.raises(ValueError, match="mask must match x in shape"):
+        MissingCovariateRegression(x, np.ones((2, 2)), np.zeros(3), 1.0)
     # unobserved x entries may be anything, including non-finite
     x_bad = x.copy()
     x_bad[0, 0] = np.inf
     mask = np.ones((3, 2))
     mask[0, 0] = 0.0
-    MissingCovariateData(x_bad, mask, np.zeros(3), 1.0)
+    MissingCovariateRegression(x_bad, mask, np.zeros(3), 1.0)
+    with pytest.raises(ValueError, match="observed x entries must be finite"):
+        MissingCovariateRegression(x_bad, np.ones((3, 2)), np.zeros(3), 1.0)
 
 
 def test_dimension_mismatch_rejected(rng):
@@ -85,7 +86,7 @@ def test_dimension_mismatch_rejected(rng):
 
 def test_gmm_weight_half_at_orthogonal():
     y = np.array([[1.0, 0.0]])
-    model = GaussianMixture(GaussianMixtureData(y, 1.0))
+    model = GaussianMixture(y, 1.0)
     assert model.posterior_weight(np.array([0.0, 3.0]), 0) == pytest.approx(0.5)
 
 
@@ -93,22 +94,20 @@ def test_gmm_weight_three_quarters():
     # 0.75 is reached when <beta, y> equals sigma^2 * ln(3) / 2
     sigma = 1.3
     y = np.array([[sigma**2 * math.log(3.0) / 2.0, 0.0]])
-    model = GaussianMixture(GaussianMixtureData(y, sigma))
+    model = GaussianMixture(y, sigma)
     assert model.posterior_weight(np.array([1.0, 0.0]), 0) == pytest.approx(0.75)
 
 
 def test_mr_weight_half_at_zero_margin():
-    model = MixtureRegression(
-        MixtureRegressionData(np.array([[1.0, 0.0]]), np.array([0.0]), 1.0)
-    )
+    model = MixtureRegression(np.array([[1.0, 0.0]]), np.array([0.0]), 1.0)
     assert model.posterior_weight(np.ones(2), 0) == pytest.approx(0.5)
 
 
 def test_gmm_weight_symmetry(rng):
     y = rng.standard_normal((10, 4))
     beta = rng.standard_normal(4)
-    pos = GaussianMixture(GaussianMixtureData(y, 0.8))
-    neg = GaussianMixture(GaussianMixtureData(-y, 0.8))
+    pos = GaussianMixture(y, 0.8)
+    neg = GaussianMixture(-y, 0.8)
     for i in range(10):
         total = pos.posterior_weight(beta, i) + neg.posterior_weight(beta, i)
         assert total == pytest.approx(1.0, abs=1e-12)
@@ -116,7 +115,7 @@ def test_gmm_weight_symmetry(rng):
 
 def test_weights_stable_at_huge_arguments():
     y = np.array([[1e6], [-1e6]])
-    model = GaussianMixture(GaussianMixtureData(y, 0.1))
+    model = GaussianMixture(y, 0.1)
     with np.errstate(all="raise"):
         assert model.posterior_weight(np.array([1.0]), 0) == 1.0
         assert model.posterior_weight(np.array([1.0]), 1) == 0.0
@@ -140,7 +139,7 @@ def test_weight_index_out_of_range(rng):
 
 def test_gmm_q_at_zero_is_mean_square():
     y = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.0]])
-    model = GaussianMixture(GaussianMixtureData(y, 1.0))
+    model = GaussianMixture(y, 1.0)
     zero = np.zeros(2)
     expect = -0.5 * np.mean(np.sum(y**2, axis=1))
     assert model.q_value(zero, zero) == pytest.approx(expect, abs=1e-12)
@@ -152,11 +151,9 @@ def test_q_value_matches_naive_loops(rng):
     x = rng.standard_normal((n, d))
     yr = rng.standard_normal(n)
     mask = (rng.uniform(size=(n, d)) >= 0.4).astype(float)
-    gmm = GaussianMixture(GaussianMixtureData(y, sigma))
-    mr = MixtureRegression(MixtureRegressionData(x, yr, sigma))
-    rmc = MissingCovariateRegression(
-        MissingCovariateData(x, mask, yr, sigma)
-    )
+    gmm = GaussianMixture(y, sigma)
+    mr = MixtureRegression(x, yr, sigma)
+    rmc = MissingCovariateRegression(x, mask, yr, sigma)
     for _ in range(5):
         bp = rng.standard_normal(d)
         b = rng.standard_normal(d)
@@ -175,9 +172,7 @@ def test_rmc_full_mask_complete_data_reduction(rng):
     n, d = 8, 3
     x = rng.standard_normal((n, d))
     y = rng.standard_normal(n)
-    model = MissingCovariateRegression(
-        MissingCovariateData(x, np.ones((n, d)), y, 1.0)
-    )
+    model = MissingCovariateRegression(x, np.ones((n, d)), y, 1.0)
     bp = rng.standard_normal(d)
     fit = x @ bp
     expect = float(np.mean(y * fit - 0.5 * fit**2))
@@ -232,7 +227,7 @@ def test_curvature_symmetry_and_fd(rng):
 
 def test_gmm_curvature_at_zero_closed_form(rng):
     model = random_gmm(rng, sigma=1.4)
-    y = model.data.y
+    y = model.y
     expect = y.T @ y / model.n_samples / model.sigma**2 - np.eye(model.dim)
     assert np.allclose(model.curvature_matrix(np.zeros(model.dim)), expect,
                        atol=1e-12)
@@ -257,7 +252,7 @@ def test_gmm_m_step_saturated_weights(rng):
     d = 4
     beta_star = np.array([5.0, 5.0, 0.0, 0.0])
     y = beta_star + 0.01 * rng.standard_normal((30, d))
-    model = GaussianMixture(GaussianMixtureData(y, 0.1))
+    model = GaussianMixture(y, 0.1)
     m = model.m_step_exact(beta_star)
     assert np.allclose(m, y.mean(axis=0), atol=1e-12)
 
@@ -286,7 +281,7 @@ def test_mr_m_step_clime_residual_bound(rng):
     beta0 = np.array([1.0, -2.0, 0.0, 0.5])
     y = rng.choice([-1.0, 1.0], n) * (x @ beta0) + 0.3 * rng.standard_normal(n)
     lam = 0.2
-    model = MixtureRegression(MixtureRegressionData(x, y, 0.3), clime_lambda=lam)
+    model = MixtureRegression(x, y, 0.3, clime_lambda=lam)
     beta = rng.standard_normal(d)
     m = model.m_step_exact(beta)
     w = np.array([model.posterior_weight(beta, i) for i in range(n)])
@@ -298,9 +293,9 @@ def test_mr_m_step_clime_residual_bound(rng):
 
 @pytest.mark.parametrize("lam", [-0.1, np.nan])
 def test_mr_rejects_negative_or_nan_clime_lambda(rng, lam):
-    data = MixtureRegressionData(rng.standard_normal((5, 2)), np.zeros(5), 1.0)
+    x = rng.standard_normal((5, 2))
     with pytest.raises(ValueError, match="clime_lambda must be nonnegative"):
-        MixtureRegression(data, clime_lambda=lam)
+        MixtureRegression(x, np.zeros(5), 1.0, clime_lambda=lam)
 
 
 def test_mr_clime_cache_reused(rng):
@@ -319,7 +314,7 @@ def test_gmm_self_consistency_small_sigma(rng):
     sigma = 1e-3
     signs = rng.choice([-1.0, 1.0], n)
     y = signs[:, None] * beta_star + sigma * rng.standard_normal((n, d))
-    model = GaussianMixture(GaussianMixtureData(y, sigma))
+    model = GaussianMixture(y, sigma)
     grad = model.grad_q(beta_star)
     assert np.linalg.norm(grad) <= 1e-2 * np.linalg.norm(beta_star)
 
@@ -331,15 +326,13 @@ def test_gmm_self_consistency_small_sigma(rng):
 def test_gmm_loglik_at_zero_single_sample():
     y = np.array([[1.0, -2.0]])
     sigma = 1.5
-    model = GaussianMixture(GaussianMixtureData(y, sigma))
+    model = GaussianMixture(y, sigma)
     expect = -np.log(2 * np.pi * sigma**2) - np.sum(y**2) / (2 * sigma**2)
     assert model.loglik(np.zeros(2)) == pytest.approx(expect, abs=1e-12)
 
 
 def test_mr_loglik_at_zero_single_sample():
-    model = MixtureRegression(
-        MixtureRegressionData(np.array([[1.0, 0.0]]), np.array([0.7]), 0.5)
-    )
+    model = MixtureRegression(np.array([[1.0, 0.0]]), np.array([0.7]), 0.5)
     expect = -0.5 * np.log(2 * np.pi * 0.25) - 0.7**2 / (2 * 0.25)
     assert model.loglik(np.zeros(2)) == pytest.approx(expect, abs=1e-12)
 
@@ -385,4 +378,4 @@ def test_subset_selects_samples(rng):
     model = random_gmm(rng, n=10)
     sub = model.subset(np.arange(3))
     assert sub.n_samples == 3
-    assert np.array_equal(sub.data.y, model.data.y[:3])
+    assert np.array_equal(sub.y, model.y[:3])
