@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Per-layer benchmark of the Dantzig LP: working set against the full LP.
+"""Per-layer benchmark of the Dantzig LP: the native solver against the full LP.
 
     python3 scripts/bench_lp.py [--repeats 5] [--out BENCH_lp.json]
 
@@ -12,18 +12,23 @@ alternating which goes first, with BLAS pinned to one thread:
   0 to 4, one LP each;
 - ``clime-d32``, ``clime-d64``, ``clime-d128``: ``clime_inverse`` of the
   MR design covariance at n=100 and seed 0 with the model's default CLIME
-  lambda, all d column LPs.
+  lambda, all d column LPs;
+- ``clime-d64-lam0.1``, ``clime-d64-lam0.05``: the same at d=64 with
+  lambda 0.1 and 0.05, where the columns are dense (about 21 and 46
+  nonzeros) and the homotopy takes many breakpoints.
 
-The working set is ``truncem.lp`` as it stands; the full LP is
-``full_l1_linf_lp`` from ``tests/oracles.py``, the reference the tests
-compare against, which puts all 2m rows and 2m columns into one
-``solve_lp`` call.  It replaces ``lp._l1_min_linf_residual`` for the full
-runs, so both sides run the same public function.  Each side reports the
-median and quartiles of its wall time per run and per LP, ``linprog``
-calls per LP and the mean ``A_ub`` shape per call (0 calls and a 0 x 0
-shape when the working set solves every block in closed form, as CLIME
-does at the default lambda); each row reports the max
-|w_working_set - w_full| and the ratio of the medians.
+The native solver is ``truncem.lp`` as it stands: the homotopy in lambda,
+with HiGHS only as its fallback.  The full LP is ``full_l1_linf_lp`` from
+``tests/oracles.py``, the reference the tests compare against, which puts
+all 2m rows and 2m columns into one ``solve_lp`` call.  It replaces
+``lp._l1_min_linf_residual`` for the full runs, so both sides of the MR
+row run the same public function; the full side of a CLIME row calls it
+once per column, since ``clime_inverse`` finishes the columns that end at
+their first breakpoint without it.  Each side reports the median and quartiles of its wall
+time per run and per LP, ``linprog`` calls per LP and the mean ``A_ub``
+shape per call (0 calls and a 0 x 0 shape when no LP falls back to
+HiGHS, and when CLIME finishes every column at its first breakpoint);
+each row reports the max |w_native - w_full| and the ratio of the medians.
 """
 
 import os
@@ -54,11 +59,11 @@ from truncem.inference import default_lambda  # noqa: E402
 
 ALPHA_INDEX = 9
 MR_SEEDS = range(5)
-CLIME_DIMS = (32, 64, 128)
+CLIME_CASES = ((32, None), (64, None), (128, None), (64, 0.1), (64, 0.05))
 
 
 def mr_decorrelation_case():
-    """(name, n_lps, solve) for the score test's LPs at the MR defaults,
+    """(name, n_lps, solve, solve) for the score test's LPs at the MR defaults,
     one per replicate seed in ``MR_SEEDS``."""
     cfg = ExperimentConfig(model="MR").resolve()
     inputs = []
@@ -72,17 +77,25 @@ def mr_decorrelation_case():
     def solve():
         return np.concatenate([lp.dantzig_direction(t, ALPHA_INDEX, lam) for t, lam in inputs])
 
-    return "mr-decorrelation-d256", len(inputs), solve
+    return "mr-decorrelation-d256", len(inputs), solve, solve
 
 
-def clime_case(d):
-    """(name, n_lps, solve) for CLIME of the MR design covariance."""
+def clime_case(d, lam):
+    """(name, n_lps, native solve, full solve) for CLIME of the MR design
+    covariance, at the model's default CLIME lambda when ``lam`` is None."""
     cfg = ExperimentConfig(model="MR", d=d).resolve()
     spec = GenSpec("MR", n=cfg.n, d=d, beta_star=make_beta_star(d, cfg.beta_values),
                    sigma=cfg.sigma, seed=0)
     model = gen_dataset(spec)
-    sigma_hat, lam = model.design_covariance(), model.clime_lambda
-    return f"clime-d{d}", d, lambda: lp.clime_inverse(sigma_hat, lam)
+    sigma_hat = model.design_covariance()
+    name = f"clime-d{d}" if lam is None else f"clime-d{d}-lam{lam}"
+    lam = model.clime_lambda if lam is None else lam
+
+    def full():
+        return np.column_stack([lp._l1_min_linf_residual(sigma_hat, e_j, lam)
+                                for e_j in np.eye(d)])
+
+    return name, d, lambda: lp.clime_inverse(sigma_hat, lam), full
 
 
 def run_once(solve, full):
@@ -118,21 +131,22 @@ def summarize(times, shapes, n_lps):
     }
 
 
-def bench_case(name, n_lps, solve, repeats):
-    solve()  # warm-up: imports and first-call set-up
-    times = {"working_set": [], "full": []}
+def bench_case(name, n_lps, native, full, repeats):
+    native()  # warm-up: imports and first-call set-up
+    solves = {"native": native, "full": full}
+    times = {"native": [], "full": []}
     shapes, outputs = {}, {}
     for r in range(repeats):
-        order = ("working_set", "full") if r % 2 == 0 else ("full", "working_set")
+        order = ("native", "full") if r % 2 == 0 else ("full", "native")
         for side in order:
-            elapsed, w, calls = run_once(solve, full=side == "full")
+            elapsed, w, calls = run_once(solves[side], full=side == "full")
             times[side].append(elapsed)
             shapes[side], outputs[side] = calls, w
     row = {"name": name, "lps_per_run": n_lps, "repeats": repeats}
     for side in times:
         row[side] = summarize(times[side], shapes[side], n_lps)
-    row["max_abs_dw"] = float(np.max(np.abs(outputs["working_set"] - outputs["full"])))
-    row["speedup_p50"] = row["full"]["ms_p50"] / row["working_set"]["ms_p50"]
+    row["max_abs_dw"] = float(np.max(np.abs(outputs["native"] - outputs["full"])))
+    row["speedup_p50"] = row["full"]["ms_p50"] / row["native"]["ms_p50"]
     return row
 
 
@@ -159,13 +173,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be positive")
-    cases = [mr_decorrelation_case()] + [clime_case(d) for d in CLIME_DIMS]
+    cases = [mr_decorrelation_case()] + [clime_case(d, lam) for d, lam in CLIME_CASES]
     rows = []
-    for name, n_lps, solve in cases:
-        row = bench_case(name, n_lps, solve, args.repeats)
+    for name, n_lps, native, full in cases:
+        row = bench_case(name, n_lps, native, full, args.repeats)
         rows.append(row)
-        ws, full = row["working_set"], row["full"]
-        print(f"{name}: working set {ws['ms_p50']:.1f} ms ({ws['linprog_calls_per_lp']:.2f} "
+        native, full = row["native"], row["full"]
+        print(f"{name}: native {native['ms_p50']:.1f} ms ({native['linprog_calls_per_lp']:.2f} "
               f"calls/LP), full {full['ms_p50']:.1f} ms, {row['speedup_p50']:.1f}x, "
               f"max |dw| {row['max_abs_dw']:.1e}", flush=True)
     out = {"provenance": provenance(args.repeats), "rows": rows}

@@ -85,7 +85,7 @@ def make_init(beta_star, rel_err, seed):
     equals ``rel_err * ||beta_star||_2`` up to roundoff.
     """
     beta_star = np.asarray(beta_star, dtype=float)
-    if not rel_err >= 0:
+    if not 0 <= rel_err < np.inf:
         raise ValueError("rel_err must be nonnegative")
     if rel_err == 0:
         return beta_star.copy()

@@ -34,7 +34,7 @@ class EmConfig:
             raise ValueError("n_iter must be >= 0")
         if self.m_step not in (EXACT, GRADIENT):
             raise ValueError(f"unknown m_step {self.m_step!r}")
-        if self.m_step == GRADIENT and not self.eta >= 0:
+        if self.m_step == GRADIENT and not 0 <= self.eta < np.inf:
             raise ValueError("eta must be nonnegative")
 
 

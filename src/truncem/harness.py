@@ -67,6 +67,8 @@ class ExperimentConfig:
         for key in ("replicates", "scaling_replicates"):
             if not getattr(self, key) >= 1:
                 raise ValueError(f"{key} must be >= 1")
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError("delta must lie in (0, 1)")
         if self.sigma is None:
             self.sigma = DEFAULT_SIGMA[self.model]
         if self.m_step is None:

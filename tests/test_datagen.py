@@ -169,6 +169,8 @@ def test_make_init_validation():
         make_init(np.array([1.0]), -0.1, seed=0)
     with pytest.raises(ValueError):
         make_init(np.array([1.0]), np.nan, seed=0)
+    with pytest.raises(ValueError, match="rel_err must be nonnegative"):
+        make_init(np.array([1.0]), np.inf, seed=0)
     with pytest.raises(ValueError):
         make_init(np.zeros(3), 0.1, seed=0)
 

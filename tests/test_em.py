@@ -17,6 +17,9 @@ def test_config_validation():
         EmConfig(s_hat=1, n_iter=1, m_step="newton")
     with pytest.raises(ValueError):
         EmConfig(s_hat=1, n_iter=1, m_step="gradient", eta=-1.0)
+    for eta in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="eta must be nonnegative"):
+            EmConfig(s_hat=1, n_iter=1, m_step="gradient", eta=eta)
 
 
 def test_zero_iterations_returns_truncated_init(rng):

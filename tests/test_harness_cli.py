@@ -303,13 +303,31 @@ def test_cli_generating_commands_reject_data_csv(command, tmp_path, monkeypatch)
         run_cli(command, "--config", str(cfg_path))
 
 
-@pytest.mark.parametrize("command, flag", [("infer", "--lambda"), ("fit", "--rel-err")])
-def test_cli_rejects_nan_settings(command, flag):
-    # a NaN lambda made every decorrelation direction zero, and a NaN
-    # rel_err wrote a NaN beta_hat, which is not valid JSON
+@pytest.mark.parametrize("command, flags", [
+    pytest.param("infer", ("--lambda", "nan"), id="infer---lambda"),
+    pytest.param("fit", ("--rel-err", "nan"), id="fit---rel-err"),
+    pytest.param("fit", ("--rel-err", "inf"), id="fit---rel-err-inf"),
+    pytest.param("fit", ("--m-step", "gradient", "--eta", "inf"), id="fit---eta-inf"),
+])
+def test_cli_rejects_nan_settings(command, flags):
+    # a NaN lambda made every decorrelation direction zero, and a NaN or
+    # infinite rel_err or eta wrote a NaN beta_hat, which is not valid JSON
     with pytest.raises(ValueError, match="must be nonnegative"):
         run_cli(command, "--model", "MR", "--d", "16", "--n", "40",
-                "--alpha-index", "9", flag, "nan")
+                "--alpha-index", "9", *flags)
+
+
+@pytest.mark.parametrize("delta", ["0", "1.5", "nan"])
+def test_cli_rejects_delta_before_any_fit(delta, monkeypatch):
+    from truncem import harness
+
+    def no_fit(cfg, seed):
+        raise AssertionError("ran before validating delta")
+
+    monkeypatch.setattr(harness, "fit_replicate", no_fit)
+    with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+        run_cli("typeone", "--model", "GMM", "--d", "16", "--n", "40", "--s-star", "2",
+                "--alpha-index", "5", "--replicates", "2", "--delta", delta)
 
 
 def test_cli_rejects_unknown_config_keys(tmp_path):

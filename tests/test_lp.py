@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import full_l1_linf_lp, l1_linf_oracle, lp_vertex_oracle
 from truncem import lp
@@ -9,8 +11,8 @@ from truncem.harness import ExperimentConfig, fit_replicate
 from truncem.inference import default_lambda
 from truncem.lp import (
     FEAS_TOL,
+    _certified,
     _l1_min_linf_residual,
-    _solve_block,
     clime_inverse,
     dantzig_direction,
     solve_lp,
@@ -111,7 +113,7 @@ def test_dantzig_lambda_just_below_cross_column_norm_solves(rng, monkeypatch):
     keep = np.delete(np.arange(5), 2)
     lam = float(np.nextafter(np.max(np.abs(t_mat[keep, 2])), 0.0))
     w = dantzig_direction(t_mat, 2, lam)
-    assert len(calls) >= 1
+    assert calls == []
     ref = l1_linf_oracle(t_mat[np.ix_(keep, keep)], t_mat[keep, 2], lam)
     assert np.sum(np.abs(w)) == pytest.approx(ref[1], abs=1e-7)
     assert dantzig_residual(t_mat, 2, w) <= lam + 1e-8
@@ -227,31 +229,31 @@ def test_working_set_matches_full_lp_on_mr_curvature():
     assert np.max(np.abs(w - ref)) <= 1e-9
 
 
-def test_working_set_widens_columns_when_start_block_is_singular(monkeypatch):
+def test_homotopy_enters_off_diagonal_column_when_start_diagonal_is_zero(monkeypatch):
     calls = counting_linprog(monkeypatch)
     a_mat = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     target = np.array([1.0, 0.0, 0.0])
     w = _l1_min_linf_residual(a_mat, target, 0.5)
-    # R = J = {0} with A[R, R] = 0 is infeasible; then J is every column
-    assert calls == [(2, 6)]
+    # row 0 binds first, and a_00 = 0, so column 1 enters the basis
+    assert calls == []
     assert np.allclose(w, full_l1_linf_lp(a_mat, target, 0.5), atol=1e-12)
     assert np.sum(np.abs(w)) == pytest.approx(l1_linf_oracle(a_mat, target, 0.5)[1])
 
 
-def test_working_set_finds_support_outside_start_rows(monkeypatch):
+def test_homotopy_finds_support_outside_start_rows(monkeypatch):
     calls = counting_linprog(monkeypatch)
     a_mat = np.array([[0.1, 1.0], [1.0, 1.0]])
     target = np.array([1.0, 0.0])
     w = _l1_min_linf_residual(a_mat, target, 0.1)
-    # R = J = {0}; column 1 prices out, then w violates row 1
-    assert calls == [(2, 4), (4, 4)]
+    # row 0 binds first and column 1 enters; later row 1 binds too
+    assert calls == []
     assert w[1] != 0.0
     assert np.allclose(w, full_l1_linf_lp(a_mat, target, 0.1), atol=1e-12)
     assert np.sum(np.abs(w)) == pytest.approx(l1_linf_oracle(a_mat, target, 0.1)[1])
 
 
 def split_lp(block, t_r, lam):
-    """The restricted LP of a working-set block, always through ``solve_lp``."""
+    """The Dantzig LP of a small block on its split form, through ``solve_lp``."""
     return solve_lp(
         np.ones(2 * block.shape[1]),
         np.block([[block, -block], [-block, block]]),
@@ -259,32 +261,32 @@ def split_lp(block, t_r, lam):
     )
 
 
-def test_one_by_one_block_closed_form_matches_solve_lp(rng):
+def test_one_by_one_lp_matches_solve_lp(rng, monkeypatch):
+    calls = counting_linprog(monkeypatch)
     for a_abs in np.logspace(-3, 3, 13):
         for a_sign in (1.0, -1.0):
             for t_sign in (1.0, -1.0):
                 for lam in (0.0, *rng.uniform(0.0, 2.0, size=3)):
                     block = np.array([[a_sign * a_abs * rng.uniform(0.5, 2.0)]])
                     t_r = np.array([t_sign * (lam + rng.exponential())])
-                    got = _solve_block(block, t_r, lam)
+                    got = _l1_min_linf_residual(block, t_r, lam)
+                    assert calls == []
                     ref = split_lp(block, t_r, lam)
-                    assert np.array_equal(got.x, ref.x)
-                    assert got.objective == ref.objective
-                    assert np.array_equal(got.duals, ref.duals)
+                    calls.clear()
+                    assert got[0] == ref.x[0] - ref.x[1]
+                    assert abs(got[0]) == ref.objective
 
 
-def test_one_by_one_block_with_zero_diagonal_widens_as_before(monkeypatch):
+def test_zero_start_diagonal_matches_full_lp(monkeypatch):
     a_mat = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     target = np.array([1.0, 0.0, 0.0])
-    with pytest.raises(LpInfeasibleError):
-        _solve_block(a_mat[:1, :1], target[:1], 0.5)
+    # the start row's own column alone cannot meet it
     with pytest.raises(LpInfeasibleError):
         split_lp(a_mat[:1, :1], target[:1], 0.5)
-    w = _l1_min_linf_residual(a_mat, target, 0.5)
+    ref = full_l1_linf_lp(a_mat, target, 0.5)
     calls = counting_linprog(monkeypatch)
-    monkeypatch.setattr(lp, "_solve_block", split_lp)
-    assert np.array_equal(w, _l1_min_linf_residual(a_mat, target, 0.5))
-    assert calls == [(2, 2), (2, 6)]
+    assert np.array_equal(_l1_min_linf_residual(a_mat, target, 0.5), ref)
+    assert calls == []
 
 
 @pytest.mark.parametrize("d", [32, 64])
@@ -292,13 +294,143 @@ def test_clime_at_default_lambda_solves_no_lp(monkeypatch, d):
     cfg = ExperimentConfig(model="MR", d=d).resolve()
     model = gen_dataset(GenSpec("MR", n=cfg.n, d=d, beta_star=make_beta_star(d, cfg.beta_values),
                                 sigma=cfg.sigma, seed=0))
-    sigma_hat = model.design_covariance()
+    sigma_hat, lam = model.design_covariance(), model.clime_lambda
     calls = counting_linprog(monkeypatch)
-    theta = clime_inverse(sigma_hat, model.clime_lambda)
+    theta = clime_inverse(sigma_hat, lam)
     assert calls == []
-    monkeypatch.setattr(lp, "_solve_block", split_lp)
-    assert np.array_equal(theta, clime_inverse(sigma_hat, model.clime_lambda))
-    assert calls == [(2, 2)] * d
+    assert np.array_equal(theta, np.diag((1.0 - lam) / np.diag(sigma_hat)))
+
+
+# ---------------------------------------------------------------------------
+# the homotopy's path, certificate and fallback
+
+
+def mr_gram(x):
+    """Split the Gram matrix of the columns of x as an MR decorrelation LP:
+    A = G[1:, 1:], t = G[1:, 0].  With fewer rows than columns, A is
+    singular, as at the MR defaults."""
+    gram = x.T @ x / x.shape[0]
+    return gram[1:, 1:], gram[1:, 0]
+
+
+@st.composite
+def dantzig_lps(draw):
+    m = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 2 * m))
+    # entries on a 0.01 grid: far below it, HiGHS's absolute tolerances
+    # rather than the LP decide what is feasible
+    entries = st.integers(-200, 200).map(lambda k: k / 100)
+    x = np.array(draw(st.lists(entries, min_size=n * (m + 1),
+                               max_size=n * (m + 1)))).reshape(n, m + 1)
+    a_mat, target = mr_gram(x)
+    if draw(st.booleans()):
+        # one decimal creates ties among |target_i|, lam and the dual ratios
+        a_mat, target = np.round(a_mat, 1), np.round(target, 1)
+    assume(np.any(target))
+    frac = draw(st.floats(1e-3, 1.0))
+    return a_mat, target, frac * float(np.max(np.abs(target)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dantzig_lps())
+def test_homotopy_matches_full_lp_property(lp_data):
+    a_mat, target, lam = lp_data
+    try:
+        ref = full_l1_linf_lp(a_mat, target, lam)
+    except LpInfeasibleError:
+        with pytest.raises(LpInfeasibleError):
+            _l1_min_linf_residual(a_mat, target, lam)
+        return
+    w = _l1_min_linf_residual(a_mat, target, lam)
+    ref_l1 = float(np.sum(np.abs(ref)))
+    assert abs(np.sum(np.abs(w)) - ref_l1) <= 1e-9 * max(1.0, ref_l1)
+    assert np.max(np.abs(target - a_mat @ w)) <= lam + FEAS_TOL
+
+
+def test_mr_decorrelation_lps_call_no_solver(monkeypatch):
+    calls = counting_linprog(monkeypatch)
+    cfg = ExperimentConfig(model="MR").resolve()
+    nonzero = 0
+    for seed in range(5):
+        model, trace, _ = fit_replicate(cfg, seed)
+        beta = trace.estimate.copy()
+        beta[9] = 0.0
+        t_mat = model.curvature_matrix(beta)
+        lam = default_lambda(t_mat, model.n_samples)
+        w = dantzig_direction(t_mat, 9, lam)
+        nonzero += np.count_nonzero(w) > 0
+        assert dantzig_residual(t_mat, 9, w) <= lam + FEAS_TOL
+    assert calls == []
+    assert nonzero == 5
+
+
+def test_clime_column_with_dominant_off_diagonal_runs_homotopy(rng, monkeypatch):
+    a = rng.standard_normal((5, 5))
+    sigma = a @ a.T / 5 + 0.5 * np.eye(5)
+    sigma[0, :] *= 0.2
+    sigma[:, 0] *= 0.2
+    assert np.max(np.abs(sigma[0, 1:])) > abs(sigma[0, 0])
+    lam = 0.1
+    solved, homotopy = [], lp._l1_min_linf_residual
+
+    def recorded(a_mat, target, lam):
+        solved.append(int(np.argmax(target)))
+        return homotopy(a_mat, target, lam)
+
+    monkeypatch.setattr(lp, "_l1_min_linf_residual", recorded)
+    calls = counting_linprog(monkeypatch)
+    theta = clime_inverse(sigma, lam)
+    assert calls == [] and 0 in solved
+    for j in range(5):
+        target = np.eye(5)[j]
+        ref = full_l1_linf_lp(sigma, target, lam)
+        assert np.sum(np.abs(theta[:, j])) == pytest.approx(np.sum(np.abs(ref)), abs=1e-9)
+        assert np.max(np.abs(sigma @ theta[:, j] - target)) <= lam + FEAS_TOL
+        if j not in solved:
+            assert np.array_equal(theta[:, j], (1.0 - lam) / sigma[j, j] * target)
+
+
+def test_certificate_rejects_suboptimal_or_dual_infeasible_points():
+    a_mat = np.array([[0.1, 1.0], [1.0, 1.0]])
+    target = np.array([1.0, 0.0])
+    w = full_l1_linf_lp(a_mat, target, 0.1)
+    # both rows bind at the optimum; u solves A^T u = sign(w)
+    u = np.linalg.solve(a_mat.T, np.sign(w))
+    assert _certified(a_mat, target, 0.1, w, [0, 1], u)
+    # another vertex of the feasible set, with a larger l1 norm
+    vertex = np.linalg.solve(a_mat, target - 0.1)
+    assert np.max(np.abs(target - a_mat @ vertex)) <= 0.1 + FEAS_TOL
+    assert np.sum(np.abs(vertex)) > np.sum(np.abs(w)) + 0.1
+    assert not _certified(a_mat, target, 0.1, vertex, [0, 1], u)
+    # scaled up until its dual objective meets the vertex's l1 norm, u
+    # leaves ||A^T u||_inf <= 1
+    assert not _certified(a_mat, target, 0.1, vertex, [0, 1],
+                          u * np.sum(np.abs(vertex)) / np.sum(np.abs(w)))
+    # an infeasible w with the optimal l1 norm
+    assert np.max(np.abs(target - a_mat @ w[::-1])) > 0.1 + FEAS_TOL
+    assert not _certified(a_mat, target, 0.1, w[::-1], [0, 1], u)
+
+
+def test_infeasible_lp_is_certified_by_a_ray(monkeypatch):
+    # the rows ask for w_0 + w_1 near 1 and near -1 at once
+    a_mat = np.ones((2, 2))
+    target = np.array([1.0, -1.0])
+    with pytest.raises(LpInfeasibleError):
+        full_l1_linf_lp(a_mat, target, 0.5)
+    calls = counting_linprog(monkeypatch)
+    with pytest.raises(LpInfeasibleError):
+        _l1_min_linf_residual(a_mat, target, 0.5)
+    assert calls == []
+
+
+def test_failed_certificate_falls_back_to_one_full_lp(monkeypatch):
+    a_mat = np.array([[0.1, 1.0], [1.0, 1.0]])
+    target = np.array([1.0, 0.0])
+    ref = full_l1_linf_lp(a_mat, target, 0.1)
+    monkeypatch.setattr(lp, "_certified", lambda *args: False)
+    calls = counting_linprog(monkeypatch)
+    assert np.array_equal(_l1_min_linf_residual(a_mat, target, 0.1), ref)
+    assert calls == [(4, 4)]
 
 
 def test_working_set_rejects_nonfinite_data_outside_start_block():
