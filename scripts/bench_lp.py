@@ -24,11 +24,12 @@ all 2m rows and 2m columns into one ``solve_lp`` call.  It replaces
 ``lp._l1_min_linf_residual`` for the full runs, so both sides of the MR
 row run the same public function; the full side of a CLIME row calls it
 once per column, since ``clime_inverse`` finishes the columns that end at
-their first breakpoint without it.  Each side reports the median and quartiles of its wall
-time per run and per LP, ``linprog`` calls per LP and the mean ``A_ub``
-shape per call (0 calls and a 0 x 0 shape when no LP falls back to
-HiGHS, and when CLIME finishes every column at its first breakpoint);
-each row reports the max |w_native - w_full| and the ratio of the medians.
+their first breakpoint without it.  Each side reports the median and
+quartiles of its wall time per run and per LP, ``linprog`` calls per LP
+and the mean ``A_ub`` shape per call (0 calls and a 0 x 0 shape when no
+LP falls back to HiGHS, and when CLIME finishes every column at its first
+breakpoint); each row reports the max |w_native - w_full| and the ratio
+of the medians.
 """
 
 import os
@@ -178,9 +179,9 @@ def main(argv=None):
     for name, n_lps, native, full in cases:
         row = bench_case(name, n_lps, native, full, args.repeats)
         rows.append(row)
-        native, full = row["native"], row["full"]
-        print(f"{name}: native {native['ms_p50']:.1f} ms ({native['linprog_calls_per_lp']:.2f} "
-              f"calls/LP), full {full['ms_p50']:.1f} ms, {row['speedup_p50']:.1f}x, "
+        got, ref = row["native"], row["full"]
+        print(f"{name}: native {got['ms_p50']:.1f} ms ({got['linprog_calls_per_lp']:.2f} "
+              f"calls/LP), full {ref['ms_p50']:.1f} ms, {row['speedup_p50']:.1f}x, "
               f"max |dw| {row['max_abs_dw']:.1e}", flush=True)
     out = {"provenance": provenance(args.repeats), "rows": rows}
     pathlib.Path(args.out).write_text(json.dumps(out, indent=2) + "\n")

@@ -92,7 +92,7 @@ def full_l1_linf_lp(a_mat, target, lam):
 
     Every residual row and every split column ``w = w+ - w-`` enters a
     single ``solve_lp`` call: the 2m-row, 2m-column program that the
-    working-set solver in ``truncem.lp`` must reproduce.  Raises
+    native solver in ``truncem.lp`` must reproduce.  Raises
     ``LpInfeasibleError`` when no w is feasible.
     """
     a_mat = np.asarray(a_mat, dtype=float)

@@ -344,7 +344,7 @@ def test_score_then_wald_decorrelates_once_per_point(rng, monkeypatch, change, s
 
 
 # ---------------------------------------------------------------------------
-# working-set LP against the full LP, end to end
+# the native LP solver against the full LP, end to end
 
 
 def test_statistics_match_full_lp_reference(monkeypatch):

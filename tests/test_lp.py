@@ -182,7 +182,7 @@ def test_dantzig_invalid_arguments(rng):
 
 
 # ---------------------------------------------------------------------------
-# working set of rows and columns against the full LP
+# the native solver against the full LP
 
 
 @pytest.mark.parametrize("kind", ["symmetric", "rank_deficient", "rounded"])
