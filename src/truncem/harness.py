@@ -64,9 +64,10 @@ class ExperimentConfig:
     data_csv: str | None = None
 
     def resolve(self):
-        for key in ("replicates", "scaling_replicates"):
-            if not getattr(self, key) >= 1:
-                raise ValueError(f"{key} must be >= 1")
+        for key in ("replicates", "scaling_replicates", "s_star_grid", "n_grid"):
+            values = np.ravel(getattr(self, key))
+            if not (values.size and (values >= 1).all()):
+                raise ValueError(f"{key} must be >= 1 (a grid needs an entry)")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if self.sigma is None:

@@ -85,8 +85,7 @@ def score_function(model, beta, w, cfg: InferenceConfig):
     w = np.asarray(w, dtype=float)
     if w.shape != (model.dim - 1,):
         raise ValueError(f"w must have shape ({model.dim - 1},)")
-    keep = np.delete(np.arange(model.dim), cfg.alpha_index)
-    return float(grad[cfg.alpha_index] - w @ grad[keep])
+    return float(grad[cfg.alpha_index] - w @ np.delete(grad, cfg.alpha_index))
 
 
 def info_quadratic_form(t_mat, w, alpha_index):
@@ -97,15 +96,13 @@ def info_quadratic_form(t_mat, w, alpha_index):
     w = np.asarray(w, dtype=float)
     if t_mat.shape != (d, d) or w.shape != (d - 1,):
         raise ValueError("inconsistent dimensions")
-    v = np.empty(d)
-    v[alpha_index] = 1.0
-    v[np.delete(np.arange(d), alpha_index)] = -w
+    v = np.insert(-w, alpha_index, 1.0)
     return float(v @ t_mat @ v)
 
 
 def default_lambda(t_mat, n):
     d = t_mat.shape[0]
-    return 0.5 * math.sqrt(math.log(d) / n) * float(np.max(np.abs(t_mat)))
+    return 0.5 * math.sqrt(math.log(d) / n) * float(max(t_mat.max(), -t_mat.min()))
 
 
 def _two_sided(statistic, delta):
@@ -186,8 +183,8 @@ def score_test(model, beta_hat, cfg: InferenceConfig):
 def _wald_pieces(model, beta_hat, cfg: InferenceConfig):
     beta_hat = np.asarray(beta_hat, dtype=float)
     t_mat, w = _decorrelate(model, beta_hat, cfg)
-    keep = np.delete(np.arange(model.dim), cfg.alpha_index)
-    denom = t_mat[cfg.alpha_index, cfg.alpha_index] - w @ t_mat[keep, cfg.alpha_index]
+    t_a = t_mat[:, cfg.alpha_index]
+    denom = t_a[cfg.alpha_index] - w @ np.delete(t_a, cfg.alpha_index)
     if denom == 0:
         raise DegenerateInformationError("zero curvature denominator")
     score = score_function(model, beta_hat, w, cfg)

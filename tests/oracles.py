@@ -160,6 +160,18 @@ def rmc_q_naive(x, mask, y, sigma, beta_prime, beta):
     return total / n
 
 
+def mr_curvature_two_products(model, beta):
+    """The mixture-of-regressions curvature matrix as two d x d products,
+    ``X^T diag(nu y^2) X / n - X^T X / n``, symmetrized out of place: the
+    reference for the one-product form in ``MixtureRegression``."""
+    x, y = model.x, model.y
+    w = model._weights(beta)
+    nu = (4.0 / model.sigma**2) * w * (1.0 - w)
+    weighted = (x * (nu * y**2)[:, None]).T @ x / model.n_samples
+    t_mat = weighted - x.T @ x / model.n_samples
+    return 0.5 * (t_mat + t_mat.T)
+
+
 # ---------------------------------------------------------------------------
 # finite differences
 

@@ -1,0 +1,51 @@
+"""Peak memory of the MR decorrelation path, in units of one d x d float64
+array at the MR defaults (d = 256, n = 100).
+
+The bounds are the measured peaks of the current code plus a small margin,
+far less than one d x d array, so that a reintroduced d x d temporary (an
+``np.abs`` copy of T, a second product in the curvature matrix) fails here.
+Measured: ``curvature_matrix`` 2.13 (its result, plus the copy numpy makes
+for the overlapping ``t += t.T``), ``default_lambda`` 0.00 and
+``infer_replicate`` 2.80 (the data, T, T_gg and the homotopy's row and
+column blocks).
+"""
+
+import tracemalloc
+
+import pytest
+
+from truncem.harness import ExperimentConfig, fit_replicate, infer_replicate
+from truncem.inference import default_lambda
+
+
+def peak_in_d2(fn, d):
+    fn()  # warm up lazy imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / (8.0 * d * d)
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def mr_fit():
+    cfg = ExperimentConfig(model="MR").resolve()
+    model, trace, _ = fit_replicate(cfg, 0)
+    return cfg, model, trace.estimate
+
+
+@pytest.mark.parametrize("name, bound", [
+    ("curvature_matrix", 2.2),
+    ("default_lambda", 0.05),
+    ("infer_replicate", 2.9),
+])
+def test_mr_decorrelation_peak_memory(mr_fit, name, bound):
+    cfg, model, beta = mr_fit
+    t_mat = model.curvature_matrix(beta)
+    fn = {
+        "curvature_matrix": lambda: model.curvature_matrix(beta),
+        "default_lambda": lambda: default_lambda(t_mat, model.n_samples),
+        "infer_replicate": lambda: infer_replicate(cfg, 0),
+    }[name]
+    assert peak_in_d2(fn, model.dim) <= bound

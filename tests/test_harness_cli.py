@@ -360,3 +360,28 @@ def test_cli_rejects_replicate_counts_below_one(command, flag, value, key, tmp_p
         run_cli(command, "--model", "GMM", "--d", "16", "--n", "40", "--s-star", "2",
                 "--alpha-index", "5", flag, value, "--out", str(out))
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("settings, flags, key", [
+    pytest.param({"n_grid": []}, (), "n_grid", id="empty-n-grid"),
+    pytest.param({"s_star_grid": []}, (), "s_star_grid", id="empty-s-star-grid"),
+    pytest.param({}, ("--n-grid", "0"), "n_grid", id="n-zero"),
+    pytest.param({}, ("--n-grid", "200", "-1"), "n_grid", id="n-negative"),
+    pytest.param({}, ("--s-star-grid", "2", "0"), "s_star_grid", id="s-star-zero"),
+])
+def test_cli_rejects_degenerate_scaling_grids_before_any_fit(settings, flags, key, tmp_path,
+                                                             monkeypatch, capsys):
+    # an empty grid crashed on printing no rows, n = 0 divided by zero, and
+    # s* = 0 failed only after the earlier cells had been fitted
+    from truncem import harness
+
+    def no_fit(cfg, seed):
+        raise AssertionError("ran before validating the grids")
+
+    monkeypatch.setattr(harness, "fit_replicate", no_fit)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(settings))
+    with pytest.raises(ValueError, match=f"{key} must be >= 1"):
+        run_cli("scaling", "--config", str(cfg_path), "--model", "GMM",
+                "--scaling-replicates", "1", *flags)
+    assert capsys.readouterr().out == ""

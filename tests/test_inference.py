@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_gmm
-from oracles import full_l1_linf_lp
+from oracles import full_l1_linf_lp, mr_curvature_two_products
 from truncem import inference, lp
 from truncem.errors import DegenerateInformationError
 from truncem.harness import ExperimentConfig, infer_replicate
@@ -22,7 +22,7 @@ from truncem.inference import (
     wald_estimator,
     wald_test,
 )
-from truncem.models import GaussianMixture
+from truncem.models import GaussianMixture, MixtureRegression
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +166,20 @@ def test_default_lambda_rule():
     assert default_lambda(t_mat, 50) == pytest.approx(
         0.5 * math.sqrt(math.log(2) / 50) * 3.0, abs=1e-15
     )
+
+
+@pytest.mark.parametrize("bad", [None, np.nan, np.inf, -np.inf])
+def test_default_lambda_is_max_abs_exactly(rng, bad):
+    # the scale is max(max T, -min T), which allocates no |T| copy and
+    # equals the max-abs entry bit for bit, NaN and inf included
+    mats = [rng.standard_normal((7, 7)), -np.abs(rng.standard_normal((7, 7))),
+            np.abs(rng.standard_normal((7, 7))), np.zeros((3, 3))]
+    for t_mat in mats:
+        if bad is not None:
+            t_mat[1, 2] = bad
+        scale = 0.5 * math.sqrt(math.log(t_mat.shape[0]) / 50)
+        np.testing.assert_equal(default_lambda(t_mat, 50),
+                                scale * float(np.max(np.abs(t_mat))))
 
 
 # ---------------------------------------------------------------------------
@@ -369,3 +383,19 @@ def test_statistics_match_full_lp_reference(monkeypatch):
             assert got[key] == expect[key]
         for key in ("score_stat", "score_p", "wald_stat", "wald_p", "ci_lo", "ci_hi"):
             assert got[key] == pytest.approx(expect[key], rel=1e-9), key
+
+
+def test_statistics_match_two_product_curvature(monkeypatch):
+    # the one-product MR curvature matrix agrees with the two-product form
+    # to rounding; the statistics it feeds must agree to rel 1e-12
+    cfg = ExperimentConfig(model="MR").resolve()
+    fast = [infer_replicate(cfg, seed) for seed in range(20)]
+    monkeypatch.setattr(MixtureRegression, "curvature_matrix",
+                        mr_curvature_two_products)
+    ref = [infer_replicate(cfg, seed) for seed in range(20)]
+    for got, expect in zip(fast, ref):
+        assert got["degenerate"] == expect["degenerate"] == 0
+        for key in ("score_reject", "wald_reject"):
+            assert got[key] == expect[key]
+        for key in ("score_stat", "score_p", "wald_stat", "wald_p", "ci_lo", "ci_hi"):
+            assert got[key] == pytest.approx(expect[key], rel=1e-12, abs=0.0), key

@@ -216,6 +216,64 @@ def test_working_set_matches_full_lp(rng, kind):
     assert feasible >= 10
 
 
+def mr_curvature_at_defaults():
+    model, trace, _ = fit_replicate(ExperimentConfig(model="MR").resolve(), 0)
+    return model.curvature_matrix(trace.estimate)
+
+
+@pytest.mark.parametrize("kind", ["mr", "random"])
+def test_dantzig_block_copies_match_ix_reference(rng, monkeypatch, kind):
+    # T_gg is built from four block slices; it and w must equal the
+    # np.ix_ gather and its solution bit for bit, at either edge too
+    t_mat = mr_curvature_at_defaults() if kind == "mr" else random_symmetric(rng, 40)
+    d = t_mat.shape[0]
+    solve, blocks = _l1_min_linf_residual, []
+
+    def recording_solve(a_mat, target, lam):
+        blocks.append(a_mat)
+        return solve(a_mat, target, lam)
+
+    monkeypatch.setattr(lp, "_l1_min_linf_residual", recording_solve)
+    for alpha in (0, 1, 9, d - 2, d - 1):
+        keep = np.delete(np.arange(d), alpha)
+        t_gg, t_ga = t_mat[np.ix_(keep, keep)], t_mat[keep, alpha]
+        lam = 0.5 * float(np.max(np.abs(t_ga)))
+        w = dantzig_direction(t_mat, alpha, lam)
+        assert np.array_equal(blocks.pop(), t_gg)
+        assert np.any(w)
+        assert np.array_equal(w, solve(t_gg, t_ga, lam))
+
+
+def test_homotopy_scale_is_max_abs_entry(rng, monkeypatch):
+    # a_max is max(max A, -min A): no |A| copy, the same value bit for bit
+    homotopy, seen = lp._homotopy, []
+
+    def recording_homotopy(a_mat, target, lam, a_max):
+        seen.append(a_max)
+        return homotopy(a_mat, target, lam, a_max)
+
+    monkeypatch.setattr(lp, "_homotopy", recording_homotopy)
+    for a_mat in (random_symmetric(rng, 8), -np.abs(random_symmetric(rng, 8)) - np.eye(8),
+                  mr_curvature_at_defaults()[1:, 1:]):
+        target = a_mat[:, 0] + 0.1
+        _l1_min_linf_residual(a_mat, target, 0.5 * float(np.max(np.abs(target))))
+        assert seen.pop() == np.max(np.abs(a_mat))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["t_gg", "t_ga"])
+def test_dantzig_rejects_nonfinite_curvature(rng, bad, where):
+    t_mat = random_symmetric(rng, 6)
+    i, j = (3, 4) if where == "t_gg" else (0, 4)  # T_gg and T_ga at alpha 0
+    t_mat[i, j] = t_mat[j, i] = bad
+    with pytest.raises(ValueError, match="LP data must be finite"):
+        dantzig_direction(t_mat, 0, 1e-3)
+    if np.isnan(bad):
+        # the default lambda is then NaN too, which the lam check rejects
+        with pytest.raises(ValueError, match="lam must be nonnegative"):
+            dantzig_direction(t_mat, 0, default_lambda(t_mat, 50))
+
+
 def test_working_set_matches_full_lp_on_mr_curvature():
     model, trace, _ = fit_replicate(ExperimentConfig(model="MR").resolve(), 0)
     beta = trace.estimate.copy()

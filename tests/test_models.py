@@ -8,10 +8,12 @@ from oracles import (
     fd_directional,
     fd_gradient,
     gmm_q_naive,
+    mr_curvature_two_products,
     mr_q_naive,
     rmc_q_naive,
 )
 from truncem.errors import UnsupportedOperationError
+from truncem.harness import ExperimentConfig, fit_replicate
 from truncem.models import GaussianMixture, MissingCovariateRegression, MixtureRegression
 
 
@@ -223,6 +225,21 @@ def test_curvature_symmetry_and_fd(rng):
             v /= np.linalg.norm(v)
             fd = fd_directional(model.grad_q, beta, v, h=1e-6)
             assert rel_err(t_mat @ v, fd) < 1e-4
+
+
+def test_mr_curvature_matches_two_product_form(rng):
+    # one product sums in another order, so it agrees to rounding only;
+    # the in-place symmetrization must still be exact
+    fitted, trace, _ = fit_replicate(ExperimentConfig(model="MR").resolve(), 0)
+    small = random_mr(rng, sigma=0.6)
+    cases = [(fitted, trace.estimate), (fitted, np.zeros(fitted.dim)),
+             (fitted, rng.standard_normal(fitted.dim)),
+             (small, rng.standard_normal(small.dim))]
+    for model, beta in cases:
+        t_mat = model.curvature_matrix(beta)
+        ref = mr_curvature_two_products(model, beta)
+        assert np.array_equal(t_mat, t_mat.T)
+        assert np.max(np.abs(t_mat - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_gmm_curvature_at_zero_closed_form(rng):
