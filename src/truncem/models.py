@@ -146,8 +146,9 @@ class MixtureRegression(_Mixture):
     ``y[i] = Z * <x[i], beta> + noise``, Z a random sign.
 
     The exact M-step premultiplies by a CLIME estimate of the inverse
-    covariance of the design; the estimate is computed once per
-    model and cached.
+    covariance of the design, computed once per model and cached.  The
+    curvature matrix is one product, ``X^T diag((nu y^2 - 1) / n) X``,
+    symmetrized in place: within 1e-12 max|T| of the two-product form.
 
     The default ``clime_lambda = 2 sqrt(log d / n)`` over-shrinks at
     small n: at n=100 and d=64 (lambda 0.41) every CLIME column is a
@@ -155,9 +156,6 @@ class MixtureRegression(_Mixture):
     0.31-0.56 over seeds 0-5, against 0.0013-0.0027 for the gradient
     M-step.  That is why the gradient M-step is the default for MR
     fitting and inference.
-
-    The curvature matrix is one product, ``X^T diag((nu y^2 - 1) / n) X``,
-    symmetrized in place: within 1e-12 max|T| of the two-product form.
     """
 
     tag = MR
