@@ -83,6 +83,10 @@ class ExperimentConfig:
         # an external dataset sets its own dimension, checked once loaded
         if self.data_csv is None:
             _check_alpha_index(self.alpha_index, self.d)
+            if max(self.s_star, self.s_hat) > self.d:
+                raise ValueError(f"s_star and s_hat must be <= d = {self.d}")
+            if max(self.s_star_grid) > self.scaling_d:
+                raise ValueError(f"s_star_grid must be <= scaling_d = {self.scaling_d}")
         return self
 
     def echo(self):

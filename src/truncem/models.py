@@ -240,8 +240,12 @@ class MissingCovariateRegression(_Model):
     well posed in high dimensions, and no curvature matrix is defined for
     this model, so inference is unavailable.
 
-    ``mask[i, j] == 1`` iff ``x[i, j]`` was observed; values of ``x`` at
-    unobserved coordinates are ignored.
+    ``mask[i, j] == 1`` iff ``x[i, j]`` was observed; ``x`` is never read
+    where the mask is 0, so it may be non-finite there.  The E-step forms no
+    (n, d) array: x_i has posterior mean x_obs,i + (r_i / tau2_i) beta_miss,i
+    (beta_miss,i: beta on the coordinates sample i misses), built from the
+    n-vectors ``r = y - x_obs @ beta`` and ``tau2 = sigma^2 + miss @ beta^2``;
+    ``x_obs`` (x, zero where unobserved) and ``miss = 1 - mask`` are cached.
     """
 
     tag = RMC
@@ -260,6 +264,8 @@ class MissingCovariateRegression(_Model):
             raise ValueError("observed x entries must be finite")
         super().__init__(y, sigma)
         self.x, self.mask = x, mask
+        self.x_obs = np.where(mask == 1, x, 0.0)
+        self.miss = 1.0 - mask
         self.dim = x.shape[1]
 
     def subset(self, indices):
@@ -268,16 +274,9 @@ class MissingCovariateRegression(_Model):
         )
 
     def _conditional_moments(self, beta):
-        """Per-sample posterior mean m_i of x_i and the pieces of its
-        second moment, given the observed coordinates and y_i."""
+        """The checked ``beta`` with the n-vectors ``tau2`` and ``r``."""
         beta = _check_vector(beta, self.dim)
-        z = self.mask
-        x_obs = z * self.x
-        beta_miss = (1.0 - z) * beta  # (n, d)
-        tau2 = self.sigma**2 + np.sum(beta_miss**2, axis=1)  # (n,)
-        resid = self.y - x_obs @ beta  # (n,)
-        m = x_obs + (resid / tau2)[:, None] * beta_miss
-        return m, beta_miss, tau2, resid
+        return beta, self.sigma**2 + self.miss @ beta**2, self.y - self.x_obs @ beta
 
     def posterior_weight(self, beta, i):
         raise UnsupportedOperationError(
@@ -287,25 +286,19 @@ class MissingCovariateRegression(_Model):
 
     def q_value(self, beta_prime, beta):
         beta_prime = _check_vector(beta_prime, self.dim, "beta_prime")
-        m, beta_miss, tau2, _ = self._conditional_moments(beta)
-        z = self.mask
-        lin = self.y * (m @ beta_prime)
+        beta, tau2, resid = self._conditional_moments(beta)
+        cross = self.miss @ (beta * beta_prime)  # <beta_miss,i, beta'>
+        fit = self.x_obs @ beta_prime + resid / tau2 * cross  # <m_i, beta'>
         # quadratic form in the conditional second moment of x
-        quad = (
-            (1.0 - z) @ (beta_prime**2)
-            + (m @ beta_prime) ** 2
-            - (beta_miss @ beta_prime) ** 2 / tau2
-        )
-        return float(np.mean(lin - 0.5 * quad))
+        quad = self.miss @ beta_prime**2 + fit**2 - cross**2 / tau2
+        return float(np.mean(self.y * fit - 0.5 * quad))
 
     def grad_q(self, beta):
-        m, beta_miss, tau2, _ = self._conditional_moments(beta)
-        k_beta = (
-            beta_miss
-            + m * (m @ beta)[:, None]
-            - beta_miss * ((beta_miss @ beta) / tau2)[:, None]
-        )
-        return np.mean(self.y[:, None] * m - k_beta, axis=0)
+        # mean_i(y_i m_i - E[x_i x_i^T] beta), using y_i - <m_i, beta> = sigma^2 a_i
+        beta, tau2, resid = self._conditional_moments(beta)
+        a = resid / tau2
+        miss_coef = self.miss.T @ (a * a - 1.0 / tau2)
+        return (self.x_obs.T @ a + beta * miss_coef) * (self.sigma**2 / self.n_samples)
 
     def m_step_exact(self, beta):
         raise UnsupportedOperationError(
@@ -321,5 +314,5 @@ class MissingCovariateRegression(_Model):
     def loglik(self, beta):
         # y_i | observed x_i is Gaussian with mean <beta, x_obs> and
         # variance sigma^2 + ||beta restricted to the missing coords||^2
-        _, _, tau2, resid = self._conditional_moments(beta)
+        _, tau2, resid = self._conditional_moments(beta)
         return float(np.sum(-0.5 * np.log(2.0 * np.pi * tau2) - resid**2 / (2.0 * tau2)))

@@ -160,6 +160,49 @@ def rmc_q_naive(x, mask, y, sigma, beta_prime, beta):
     return total / n
 
 
+def _rmc_moments_materialized(model, beta):
+    """Per-sample posterior mean m_i of x_i with every (n, d) array formed,
+    plus beta restricted to each sample's missing coordinates, tau2 and the
+    residual.  Needs finite x, also where the mask is 0."""
+    z = model.mask
+    x_obs = z * model.x
+    beta_miss = (1.0 - z) * beta
+    tau2 = model.sigma**2 + np.sum(beta_miss**2, axis=1)
+    resid = model.y - x_obs @ beta
+    m = x_obs + (resid / tau2)[:, None] * beta_miss
+    return m, beta_miss, tau2, resid
+
+
+def rmc_grad_q_materialized(model, beta):
+    """The missing-covariate ``grad_q`` as
+    ``mean_i(y_i m_i - K_i beta)`` with the conditional second moment
+    ``K_i = diag(1 - z_i) + m_i m_i^T - beta_miss,i beta_miss,i^T / tau2_i``
+    applied row by row: the reference for the n-vector E-step."""
+    m, beta_miss, tau2, _ = _rmc_moments_materialized(model, beta)
+    k_beta = (
+        beta_miss
+        + m * (m @ beta)[:, None]
+        - beta_miss * ((beta_miss @ beta) / tau2)[:, None]
+    )
+    return np.mean(model.y[:, None] * m - k_beta, axis=0)
+
+
+def rmc_q_value_materialized(model, beta_prime, beta):
+    m, beta_miss, tau2, _ = _rmc_moments_materialized(model, beta)
+    lin = model.y * (m @ beta_prime)
+    quad = (
+        (1.0 - model.mask) @ (beta_prime**2)
+        + (m @ beta_prime) ** 2
+        - (beta_miss @ beta_prime) ** 2 / tau2
+    )
+    return float(np.mean(lin - 0.5 * quad))
+
+
+def rmc_loglik_materialized(model, beta):
+    _, _, tau2, resid = _rmc_moments_materialized(model, beta)
+    return float(np.sum(-0.5 * np.log(2.0 * np.pi * tau2) - resid**2 / (2.0 * tau2)))
+
+
 def mr_curvature_two_products(model, beta):
     """The mixture-of-regressions curvature matrix as two d x d products,
     ``X^T diag(nu y^2) X / n - X^T X / n``, symmetrized out of place: the

@@ -1,5 +1,5 @@
 """Peak memory of the MR decorrelation path, in units of one d x d float64
-array at the MR defaults (d = 256, n = 100).
+array at the MR defaults (d = 256, n = 100), and of the RMC E-step.
 
 The bounds are the measured peaks of the current code plus a small margin,
 far less than one d x d array, so that a reintroduced d x d temporary (an
@@ -7,7 +7,8 @@ far less than one d x d array, so that a reintroduced d x d temporary (an
 Measured: ``curvature_matrix`` 2.13 (its result, plus the copy numpy makes
 for the overlapping ``t += t.T``), ``default_lambda`` 0.00 and
 ``infer_replicate`` 2.80 (the data, T, T_gg and the homotopy's row and
-column blocks).
+column blocks).  The RMC ``grad_q`` at its defaults (d = 256, n = 100)
+peaks at 0.06 of one (n, d) float64 array.
 """
 
 import tracemalloc
@@ -49,3 +50,13 @@ def test_mr_decorrelation_peak_memory(mr_fit, name, bound):
         "infer_replicate": lambda: infer_replicate(cfg, 0),
     }[name]
     assert peak_in_d2(fn, model.dim) <= bound
+
+
+def test_rmc_grad_q_allocates_no_n_by_d_array():
+    # the E-step works on n-vectors over the cached observed design; a
+    # single (n, d) temporary (such as mask * x) would reach 1.0 here
+    cfg = ExperimentConfig(model="RMC").resolve()
+    model, trace, _ = fit_replicate(cfg, 0)
+    beta = trace.estimate
+    peak = peak_in_d2(lambda: model.grad_q(beta), model.dim)
+    assert peak * model.dim / model.n_samples < 0.5  # in (n, d) arrays

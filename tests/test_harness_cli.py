@@ -174,6 +174,27 @@ def test_fit_on_external_csv(tmp_path):
     assert external["beta_hat"] == generated["beta_hat"]
 
 
+def test_cli_fit_rmc_csv_with_nonfinite_unobserved_x(tmp_path, capsys):
+    # NaN and inf where the mask is 0 fit as if those entries were zero
+    from truncem.datagen import GenSpec, dataset_to_csv, gen_dataset, make_beta_star
+    from truncem.models import MissingCovariateRegression
+
+    model = gen_dataset(GenSpec("RMC", 60, 16, make_beta_star(16, (4, 4)), 1.0,
+                                p_missing=0.2, seed=41))
+    fills = np.where(np.arange(model.x.size).reshape(model.x.shape) % 2, np.nan, np.inf)
+    estimates = []
+    for name, fill in (("dirty", fills), ("zero", 0.0)):
+        x = np.where(model.mask == 1, model.x, fill)
+        path = tmp_path / f"{name}.csv"
+        dataset_to_csv(MissingCovariateRegression(x, model.mask, model.y, 1.0), path)
+        run_cli("fit", "--model", "RMC", "--s-star", "2", "--data", str(path))
+        out = json.loads(capsys.readouterr().out)
+        assert np.all(np.isfinite(out["beta_hat"]))
+        assert math.isfinite(out["final_loglik"])
+        estimates.append(out["beta_hat"])
+    assert estimates[0] == estimates[1]
+
+
 def test_infer_data_checks_alpha_index_before_fit(tmp_path, monkeypatch):
     from truncem import harness
     from truncem.datagen import GenSpec, dataset_to_csv, gen_dataset, make_beta_star
@@ -285,6 +306,28 @@ def test_cli_alpha_index_out_of_range(command, monkeypatch):
     with pytest.raises((ValueError, SystemExit)):
         run_cli(command, "--model", "GMM", "--d", "16", "--n", "60",
                 "--s-star", "2", "--alpha-index", "16", "--replicates", "2")
+
+
+@pytest.mark.parametrize("command, flags, key", [
+    pytest.param("fit", ("--d", "16", "--s-star", "20"), "s_star", id="fit-s-star"),
+    pytest.param("fit", ("--d", "16", "--s-hat", "20"), "s_hat", id="fit-s-hat"),
+    pytest.param("scaling", ("--s-star-grid", "2", "200", "--n-grid", "200",
+                             "--scaling-replicates", "1"), "s_star_grid",
+                 id="scaling-grid"),
+])
+def test_cli_sparsity_above_dimension_rejected_before_any_fit(command, flags, key,
+                                                              monkeypatch, capsys):
+    # each failed mid-run: in make_beta_star, in run_em, or after the
+    # earlier scaling cells had been fitted
+    from truncem import harness
+
+    def no_fit(cfg, seed):
+        raise AssertionError("fitted before validating the sparsity levels")
+
+    monkeypatch.setattr(harness, "fit_replicate", no_fit)
+    with pytest.raises(ValueError, match=key):
+        run_cli(command, "--model", "GMM", *flags)
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("command", ["trace", "scaling", "typeone"])

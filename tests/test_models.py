@@ -10,8 +10,13 @@ from oracles import (
     gmm_q_naive,
     mr_curvature_two_products,
     mr_q_naive,
+    rmc_grad_q_materialized,
+    rmc_loglik_materialized,
     rmc_q_naive,
+    rmc_q_value_materialized,
 )
+from truncem.datagen import GenSpec, gen_dataset, make_beta_star
+from truncem.em import EmConfig, run_em
 from truncem.errors import UnsupportedOperationError
 from truncem.harness import ExperimentConfig, fit_replicate
 from truncem.models import GaussianMixture, MissingCovariateRegression, MixtureRegression
@@ -185,6 +190,52 @@ def test_rmc_full_mask_complete_data_reduction(rng):
     b = rng.standard_normal(d)
     ols = x.T @ (y - x @ b) / n
     assert np.allclose(model.grad_q(b), ols, atol=1e-12)
+
+
+def _assert_rmc_matches_materialized(model, beta, beta_prime):
+    assert rel_err(model.grad_q(beta), rmc_grad_q_materialized(model, beta)) <= 1e-12
+    assert model.q_value(beta_prime, beta) == pytest.approx(
+        rmc_q_value_materialized(model, beta_prime, beta), rel=1e-12
+    )
+    assert model.loglik(beta) == pytest.approx(
+        rmc_loglik_materialized(model, beta), rel=1e-12
+    )
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_rmc_estep_matches_materialized_moments(seed):
+    # the n-vector E-step against the (n, d) posterior-moment formulas, at
+    # the RMC defaults: on a sparse and a dense beta, and on every block
+    # that a resampled fit sees, at its iterates
+    d = 256
+    model = gen_dataset(GenSpec("RMC", 100, d, make_beta_star(d, [4, 4, 4, 6, 6]),
+                                1.0, p_missing=0.1, seed=seed))
+    rng = np.random.default_rng(seed)
+    sparse = np.zeros(d)
+    sparse[rng.choice(d, 5, replace=False)] = 4.0 * rng.standard_normal(5)
+    for beta in (sparse, rng.standard_normal(d)):
+        _assert_rmc_matches_materialized(model, beta, rng.standard_normal(d))
+    cfg = EmConfig(s_hat=5, n_iter=10, m_step="gradient", resample=True)
+    trace = run_em(model, sparse, cfg)
+    for t, beta in enumerate(trace.iterates[:-1]):
+        block = model.subset(np.arange(10 * t, 10 * (t + 1)))
+        _assert_rmc_matches_materialized(block, beta, trace.iterates[t + 1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rmc_nonfinite_unobserved_x_is_ignored(rng, bad):
+    # 0 * inf is NaN, so the E-step must not multiply x by the mask
+    model = random_rmc(rng, n=30, d=6)
+    x_bad = np.where(model.mask == 1, model.x, bad)
+    x_zero = np.where(model.mask == 1, model.x, 0.0)
+    dirty = MissingCovariateRegression(x_bad, model.mask, model.y, model.sigma)
+    clean = MissingCovariateRegression(x_zero, model.mask, model.y, model.sigma)
+    for _ in range(3):
+        beta, beta_prime = rng.standard_normal(6), rng.standard_normal(6)
+        assert np.all(np.isfinite(dirty.grad_q(beta)))
+        assert np.array_equal(dirty.grad_q(beta), clean.grad_q(beta))
+        assert dirty.q_value(beta_prime, beta) == clean.q_value(beta_prime, beta)
+        assert dirty.loglik(beta) == clean.loglik(beta)
 
 
 # ---------------------------------------------------------------------------
