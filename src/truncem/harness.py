@@ -63,7 +63,11 @@ class ExperimentConfig:
     out: str | None = None
     data_csv: str | None = None
 
-    def resolve(self):
+    def resolve(self, scaling=False):
+        """Fill the model-dependent defaults and check the settings before
+        any fit.  ``scaling`` checks only what the scaling grid uses: its
+        cells have d = ``scaling_d`` and test no coordinate, so ``d``,
+        ``alpha_index``, ``s_star`` and ``s_hat`` are not checked."""
         for key in ("replicates", "scaling_replicates", "s_star_grid", "n_grid"):
             values = np.ravel(getattr(self, key))
             if not (values.size and (values >= 1).all()):
@@ -81,12 +85,15 @@ class ExperimentConfig:
         if self.beta_values is None:
             self.beta_values = default_beta_values(self.s_star)
         # an external dataset sets its own dimension, checked once loaded
-        if self.data_csv is None:
+        if self.data_csv is not None:
+            return self
+        if scaling:
+            if max(self.s_star_grid) > self.scaling_d:
+                raise ValueError(f"s_star_grid must be <= scaling_d = {self.scaling_d}")
+        else:
             _check_alpha_index(self.alpha_index, self.d)
             if max(self.s_star, self.s_hat) > self.d:
                 raise ValueError(f"s_star and s_hat must be <= d = {self.d}")
-            if max(self.s_star_grid) > self.scaling_d:
-                raise ValueError(f"s_star_grid must be <= scaling_d = {self.scaling_d}")
         return self
 
     def echo(self):
@@ -181,13 +188,13 @@ def run_trace(cfg: ExperimentConfig):
 def run_scaling(cfg: ExperimentConfig):
     """Error-vs-rate grid: per-replicate rows plus per-cell mean rows."""
     _generated_only(cfg, "scaling")
-    cfg.resolve()
+    cfg.resolve(scaling=True)
     rows = []
     for s_star in cfg.s_star_grid:
         for n in cfg.n_grid:
             cell = replace(
                 cfg, d=cfg.scaling_d, n=n, s_star=s_star, s_hat=None, beta_values=None
-            ).resolve()
+            ).resolve(scaling=True)
             x = math.sqrt(s_star * math.log(cfg.scaling_d) / n)
             errs = []
             for r in range(cfg.scaling_replicates):

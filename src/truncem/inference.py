@@ -3,17 +3,33 @@
 Both tests remove the influence of the (d-1)-dimensional nuisance block
 by projecting its score out of the coordinate of interest; the
 projection direction is an l1-minimizing solution of an approximate
-linear system in the curvature matrix, fitted by ``dantzig_direction``.
-One evaluation point is decorrelated once: the model keeps its last
-curvature matrix and direction, so the Wald test at an estimate whose
-tested coordinate already equals the null value reuses the score test's
-solve, and both results share one read-only ``w_hat``.
+linear system in the curvature matrix T, fitted by ``dantzig_direction``.
 
-The model classes expose ``grad_q`` and ``curvature_matrix`` in the
-sigma^2-scaled surrogate normalization (see ``models``); the statistics
-here divide by sigma^2 so that the plug-in information is on the Fisher
-scale and the statistics are asymptotically standard normal for every
-noise level.
+The direction is certified zero from one column of T before the d x d
+matrix is formed.  ``dantzig_direction`` returns w = 0 exactly when the
+cross column T_ga lies within lam of zero, and any entry of T bounds
+max|T| from below, so ``0.5 sqrt(log d / n) max|T[:, alpha]|`` is at most
+the default lam (with a lam set by the caller, lam itself is the bound).
+If ``max|T_ga|`` from ``curvature_column`` lies below that bound by a
+relative margin of ``_CERTIFICATE_MARGIN`` (1e-9, against a rounding gap
+of about n eps between a matrix-vector column and the matrix product),
+w = 0, and both statistics need only T_aa.  Otherwise, the column within
+the margin included, the whole matrix, its default lam, the LP and the
+quadratic form run as they would without the certificate.  The two paths
+agree to rel 1e-12 (a test holds them to it); at the command-line
+defaults every Gaussian-mixture replicate is certified, and the
+mixture-of-regressions replicates are not.
+
+One evaluation point is decorrelated once: the model keeps its last
+curvature column, direction and quadratic form, so the Wald test at an
+estimate whose tested coordinate already equals the null value reuses
+the score test's work, and both results share one read-only ``w_hat``.
+
+The model classes expose ``grad_q``, ``curvature_column`` and
+``curvature_matrix`` in the sigma^2-scaled surrogate normalization (see
+``models``); the statistics here divide by sigma^2 so that the plug-in
+information is on the Fisher scale and the statistics are asymptotically
+standard normal for every noise level.
 """
 
 import math
@@ -26,6 +42,9 @@ from .errors import DegenerateInformationError
 from .lp import dantzig_direction
 
 _SQRT2 = math.sqrt(2.0)
+#: relative margin by which the cross column must clear lam for the
+#: column certificate of w = 0
+_CERTIFICATE_MARGIN = 1e-9
 
 
 def std_normal_cdf(x):
@@ -101,8 +120,11 @@ def info_quadratic_form(t_mat, w, alpha_index):
 
 
 def default_lambda(t_mat, n):
-    d = t_mat.shape[0]
-    return 0.5 * math.sqrt(math.log(d) / n) * float(max(t_mat.max(), -t_mat.min()))
+    return _scaled_lambda(max(t_mat.max(), -t_mat.min()), t_mat.shape[0], n)
+
+
+def _scaled_lambda(max_abs, d, n):
+    return 0.5 * math.sqrt(math.log(d) / n) * float(max_abs)
 
 
 def _two_sided(statistic, delta):
@@ -113,29 +135,43 @@ def _two_sided(statistic, delta):
 
 
 def _decorrelate(model, beta, cfg: InferenceConfig):
-    """Curvature matrix at ``beta`` and the decorrelation direction w.
+    """Column alpha of the curvature matrix T at ``beta``, the
+    decorrelation direction w and the quadratic form ``v.T @ T @ v`` (see
+    ``info_quadratic_form``), by the column certificate of w = 0 or from
+    the whole matrix (see the module docstring).
 
-    Both are read-only and memoized on the model for one key: the exact
-    bytes of ``beta``, ``alpha_index`` and ``lam``.
+    All three are read-only and memoized on the model for one key: the
+    exact bytes of ``beta``, ``alpha_index`` and ``lam``.
     """
-    if not 0 <= cfg.alpha_index < model.dim:
+    a = cfg.alpha_index
+    if not 0 <= a < model.dim:
         raise ValueError("alpha_index out of range")
-    key = (beta.tobytes(), cfg.alpha_index, cfg.lam)
+    key = (beta.tobytes(), a, cfg.lam)
     memo = getattr(model, "_decorrelated", None)
     if memo is not None and memo[0] == key:
-        return memo[1], memo[2]
-    t_mat = model.curvature_matrix(beta)
-    lam = cfg.lam if cfg.lam is not None else default_lambda(t_mat, model.n_samples)
-    w = dantzig_direction(t_mat, cfg.alpha_index, lam)
-    t_mat.flags.writeable = False
+        return memo[1:]
+    col = model.curvature_column(beta, a)
+    bound = cfg.lam
+    if bound is None:
+        bound = _scaled_lambda(np.max(np.abs(col)), model.dim, model.n_samples)
+    cross = np.max(np.abs(np.delete(col, a)), initial=0.0)
+    if cross < bound * (1.0 - _CERTIFICATE_MARGIN):
+        w, quad = np.zeros(model.dim - 1), float(col[a])
+    else:
+        t_mat = model.curvature_matrix(beta)
+        lam = cfg.lam if cfg.lam is not None else default_lambda(t_mat, model.n_samples)
+        w = dantzig_direction(t_mat, a, lam)
+        col, quad = t_mat[:, a].copy(), info_quadratic_form(t_mat, w, a)
+    col.flags.writeable = False
     w.flags.writeable = False
-    model._decorrelated = (key, t_mat, w)
-    return t_mat, w
+    model._decorrelated = (key, col, w, quad)
+    return col, w, quad
 
 
-def _information(model, t_mat, w, cfg: InferenceConfig):
-    """Fisher-scaled plug-in partial information of the tested coordinate."""
-    info = -info_quadratic_form(t_mat, w, cfg.alpha_index) / model.sigma**2
+def _information(model, quad):
+    """Fisher-scaled plug-in partial information of the tested coordinate,
+    from the quadratic form returned by ``_decorrelate``."""
+    info = -quad / model.sigma**2
     if info <= 0:
         raise DegenerateInformationError(
             "plug-in partial information is not positive; statistic undefined"
@@ -171,8 +207,8 @@ def score_test(model, beta_hat, cfg: InferenceConfig):
     beta_eval = np.array(beta_hat, dtype=float)
     # a slice, so an out-of-range index reaches the check in _decorrelate
     beta_eval[cfg.alpha_index : cfg.alpha_index + 1] = cfg.null_value
-    t_mat, w = _decorrelate(model, beta_eval, cfg)
-    info = _information(model, t_mat, w, cfg)
+    _, w, quad = _decorrelate(model, beta_eval, cfg)
+    info = _information(model, quad)
     score = score_function(model, beta_eval, w, cfg) / model.sigma**2
     statistic = math.sqrt(model.n_samples) * score / math.sqrt(info)
     # score-style interval around the (unshifted) estimate is not defined
@@ -182,14 +218,13 @@ def score_test(model, beta_hat, cfg: InferenceConfig):
 
 def _wald_pieces(model, beta_hat, cfg: InferenceConfig):
     beta_hat = np.asarray(beta_hat, dtype=float)
-    t_mat, w = _decorrelate(model, beta_hat, cfg)
-    t_a = t_mat[:, cfg.alpha_index]
-    denom = t_a[cfg.alpha_index] - w @ np.delete(t_a, cfg.alpha_index)
+    col, w, quad = _decorrelate(model, beta_hat, cfg)
+    denom = col[cfg.alpha_index] - w @ np.delete(col, cfg.alpha_index)
     if denom == 0:
         raise DegenerateInformationError("zero curvature denominator")
     score = score_function(model, beta_hat, w, cfg)
     # the sigma^2 scalings of score and curvature cancel in the ratio
-    return float(beta_hat[cfg.alpha_index] - score / denom), w, t_mat
+    return float(beta_hat[cfg.alpha_index] - score / denom), w, quad
 
 
 def wald_estimator(model, beta_hat, cfg: InferenceConfig):
@@ -200,8 +235,8 @@ def wald_estimator(model, beta_hat, cfg: InferenceConfig):
 
 def wald_test(model, beta_hat, cfg: InferenceConfig):
     """Decorrelated Wald test and confidence interval for one coordinate."""
-    alpha_bar, w, t_mat = _wald_pieces(model, beta_hat, cfg)
-    info = _information(model, t_mat, w, cfg)
+    alpha_bar, w, quad = _wald_pieces(model, beta_hat, cfg)
+    info = _information(model, quad)
     statistic = (
         math.sqrt(model.n_samples) * (alpha_bar - cfg.null_value) * math.sqrt(info)
     )

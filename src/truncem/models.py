@@ -8,6 +8,13 @@ surrogate ``q_value``, its first-slot gradient ``grad_q`` evaluated on
 the diagonal, exact and gradient M-steps, the curvature matrix used for
 inference, and the observed-data log likelihood.
 
+The two mixtures also give one column of the curvature matrix,
+``curvature_column(beta, alpha)``: one O(nd) matrix-vector product
+instead of the O(nd^2) matrix, equal to ``curvature_matrix(beta)[:,
+alpha]`` up to rounding.  Both read the same per-sample weights, which
+the model keeps for one ``beta``, so a column and then the whole matrix
+at one point compute them once.
+
 Normalization convention
 ------------------------
 The surrogate is the conditional expectation of the complete-data log
@@ -35,12 +42,20 @@ GMM = "GMM"
 MR = "MR"
 RMC = "RMC"
 
+#: rows per strip of the in-place symmetrization of the MR curvature matrix
+_STRIP = 16
+
 
 def _check_vector(beta, d, name="beta"):
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (d,):
         raise ValueError(f"{name} must have shape ({d},), got {beta.shape}")
     return beta
+
+
+def _check_index(i, size, name):
+    if not 0 <= i < size:
+        raise ValueError(f"{name} out of range")
 
 
 def _check_matrix(a, name):
@@ -79,12 +94,25 @@ class _Model:
 
 class _Mixture(_Model):
     """A symmetric two-component mixture; ``_weights`` gives the posterior
-    probability of the positive component for every sample."""
+    probability of the positive component for every sample, and
+    ``_curvature_weights_at`` the per-sample weights of the curvature
+    matrix."""
+
+    _curvature_memo = (None, None)
 
     def posterior_weight(self, beta, i):
-        if not 0 <= i < self.n_samples:
-            raise ValueError("sample index out of range")
+        _check_index(i, self.n_samples, "sample index")
         return float(self._weights(beta)[i])
+
+    def _curvature_weights(self, beta):
+        """``_curvature_weights_at(beta)``, kept for the last ``beta``."""
+        beta = _check_vector(beta, self.dim)
+        key = beta.tobytes()
+        if self._curvature_memo[0] != key:
+            weights = self._curvature_weights_at(beta)
+            weights.flags.writeable = False
+            self._curvature_memo = (key, weights)
+        return self._curvature_memo[1]
 
 
 class GaussianMixture(_Mixture):
@@ -125,10 +153,20 @@ class GaussianMixture(_Mixture):
         w = self._weights(beta)
         return (2.0 * w - 1.0) @ self.y / self.n_samples
 
+    def _curvature_weights_at(self, beta):
+        w = self._weights(beta)
+        return (4.0 / self.sigma**2) * w * (1.0 - w)
+
+    def curvature_column(self, beta, alpha):
+        _check_index(alpha, self.dim, "alpha")
+        nu = self._curvature_weights(beta)
+        col = self.y.T @ (nu * self.y[:, alpha]) / self.n_samples
+        col[alpha] -= 1.0
+        return col
+
     def curvature_matrix(self, beta):
         y = self.y
-        w = self._weights(beta)
-        nu = (4.0 / self.sigma**2) * w * (1.0 - w)
+        nu = self._curvature_weights(beta)
         t_mat = (y * nu[:, None]).T @ y / self.n_samples - np.eye(self.dim)
         return 0.5 * (t_mat + t_mat.T)
 
@@ -213,12 +251,25 @@ class MixtureRegression(_Mixture):
         moment = self.x.T @ ((2.0 * w - 1.0) * self.y) / self.n_samples
         return self.clime_theta() @ moment
 
-    def curvature_matrix(self, beta):
+    def _curvature_weights_at(self, beta):
         w = self._weights(beta)
-        v = ((4.0 / self.sigma**2) * w * (1.0 - w) * self.y**2 - 1.0) / self.n_samples
-        t_mat = self.x.T @ (self.x * v[:, None])
-        t_mat += t_mat.T
-        t_mat *= 0.5
+        return ((4.0 / self.sigma**2) * w * (1.0 - w) * self.y**2 - 1.0) / self.n_samples
+
+    def curvature_column(self, beta, alpha):
+        _check_index(alpha, self.dim, "alpha")
+        return self.x.T @ (self._curvature_weights(beta) * self.x[:, alpha])
+
+    def curvature_matrix(self, beta):
+        t_mat = self.x.T @ (self.x * self._curvature_weights(beta)[:, None])
+        # (t + t^T) / 2 a strip of rows at a time: each entry is the
+        # (t_ij + t_ji) * 0.5 of ``t += t.T; t *= 0.5``, without the d x d
+        # copy of t.T that numpy makes for that overlapping update
+        for lo in range(0, self.dim, _STRIP):
+            hi = lo + _STRIP
+            strip = t_mat[lo:hi, lo:] + t_mat[lo:, lo:hi].T
+            strip *= 0.5
+            t_mat[lo:hi, lo:] = strip
+            t_mat[lo:, lo:hi] = strip.T
         return t_mat
 
     def loglik(self, beta):
@@ -249,6 +300,7 @@ class MissingCovariateRegression(_Model):
     """
 
     tag = RMC
+    _NO_CURVATURE = "no curvature matrix is defined for missing-covariate regression"
 
     def __init__(self, x, mask, y, sigma):
         x = _check_matrix(x, "x")
@@ -307,9 +359,10 @@ class MissingCovariateRegression(_Model):
         )
 
     def curvature_matrix(self, beta):
-        raise UnsupportedOperationError(
-            "no curvature matrix is defined for missing-covariate regression"
-        )
+        raise UnsupportedOperationError(self._NO_CURVATURE)
+
+    def curvature_column(self, beta, alpha):
+        raise UnsupportedOperationError(self._NO_CURVATURE)
 
     def loglik(self, beta):
         # y_i | observed x_i is Gaussian with mean <beta, x_obs> and

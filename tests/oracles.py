@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-from truncem.lp import solve_lp
+from truncem.inference import default_lambda
+from truncem.lp import dantzig_direction, solve_lp
 
 FEAS_TOL = 1e-8
 
@@ -213,6 +214,20 @@ def mr_curvature_two_products(model, beta):
     weighted = (x * (nu * y**2)[:, None]).T @ x / model.n_samples
     t_mat = weighted - x.T @ x / model.n_samples
     return 0.5 * (t_mat + t_mat.T)
+
+
+def decorrelate_full_matrix(model, beta, cfg):
+    """Decorrelation from the whole curvature matrix, with no column
+    certificate: T, its default lam, the Dantzig LP and ``v^T T v`` with v
+    equal to 1 at alpha and -w elsewhere, returned as
+    ``inference._decorrelate`` returns them (column alpha of T, w, the
+    quadratic form).  The reference for the certified w = 0 path."""
+    a = cfg.alpha_index
+    t_mat = model.curvature_matrix(beta)
+    lam = cfg.lam if cfg.lam is not None else default_lambda(t_mat, model.n_samples)
+    w = dantzig_direction(t_mat, a, lam)
+    v = np.insert(-w, a, 1.0)
+    return t_mat[:, a], w, float(v @ t_mat @ v)
 
 
 # ---------------------------------------------------------------------------

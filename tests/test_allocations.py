@@ -1,14 +1,19 @@
-"""Peak memory of the MR decorrelation path, in units of one d x d float64
-array at the MR defaults (d = 256, n = 100), and of the RMC E-step.
+"""Peak memory of the decorrelation paths, in units of one d x d float64
+array at the model defaults (d = 256, n = 100), and of the RMC E-step.
 
 The bounds are the measured peaks of the current code plus a small margin,
 far less than one d x d array, so that a reintroduced d x d temporary (an
-``np.abs`` copy of T, a second product in the curvature matrix) fails here.
-Measured: ``curvature_matrix`` 2.13 (its result, plus the copy numpy makes
-for the overlapping ``t += t.T``), ``default_lambda`` 0.00 and
-``infer_replicate`` 2.80 (the data, T, T_gg and the homotopy's row and
-column blocks).  The RMC ``grad_q`` at its defaults (d = 256, n = 100)
-peaks at 0.06 of one (n, d) float64 array.
+``np.abs`` copy of T, a second product in the curvature matrix, a copy of
+T for its symmetrization) fails here.  Measured for MR: ``curvature_matrix``
+1.39 (its result and the weighted (n, d) design of the product; the
+strip-wise symmetrization adds 0.24 after that design is freed),
+``default_lambda`` 0.00 and ``infer_replicate`` 2.81 (the data, T, T_gg and
+the homotopy's row and column blocks).  A GMM replicate at the defaults
+certifies w = 0 from one curvature column: its score and Wald tests peak at
+0.03, and its ``infer_replicate`` at the 1.57 of ``fit_replicate`` (the
+four (n, d) arrays of 0.39 each that ``gen_dataset`` holds at once).  The
+RMC ``grad_q`` at its defaults (d = 256, n = 100) peaks at 0.06 of one
+(n, d) float64 array.
 """
 
 import tracemalloc
@@ -16,7 +21,8 @@ import tracemalloc
 import pytest
 
 from truncem.harness import ExperimentConfig, fit_replicate, infer_replicate
-from truncem.inference import default_lambda
+from truncem.inference import InferenceConfig, default_lambda, score_test, wald_test
+from truncem.models import GaussianMixture
 
 
 def peak_in_d2(fn, d):
@@ -37,7 +43,7 @@ def mr_fit():
 
 
 @pytest.mark.parametrize("name, bound", [
-    ("curvature_matrix", 2.2),
+    ("curvature_matrix", 1.45),
     ("default_lambda", 0.05),
     ("infer_replicate", 2.9),
 ])
@@ -50,6 +56,23 @@ def test_mr_decorrelation_peak_memory(mr_fit, name, bound):
         "infer_replicate": lambda: infer_replicate(cfg, 0),
     }[name]
     assert peak_in_d2(fn, model.dim) <= bound
+
+
+def test_gmm_inference_allocates_no_d_by_d_array():
+    # a d x d curvature matrix alone would reach 1.0 in the tests and
+    # lift infer_replicate above fit_replicate
+    cfg = ExperimentConfig(model="GMM").resolve()
+    model, trace, _ = fit_replicate(cfg, 0)
+    icfg = InferenceConfig(alpha_index=cfg.alpha_index)
+
+    def tests():
+        fresh = GaussianMixture(model.y, model.sigma)  # no memoized decorrelation
+        score_test(fresh, trace.estimate, icfg)
+        wald_test(fresh, trace.estimate, icfg)
+
+    assert peak_in_d2(tests, model.dim) < 0.5
+    fit = peak_in_d2(lambda: fit_replicate(cfg, 0), model.dim)
+    assert peak_in_d2(lambda: infer_replicate(cfg, 0), model.dim) <= fit + 0.05
 
 
 def test_rmc_grad_q_allocates_no_n_by_d_array():

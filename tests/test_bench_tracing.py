@@ -26,25 +26,27 @@ def test_tracer_covers_one_replicate_and_uninstalls():
     originals = [getattr(owner, attr) for owner, attr, _, _ in tracing.TRACE_POINTS]
     assert all(callable(fn) for fn in originals)
 
-    cfg = harness.ExperimentConfig(model="GMM", d=16, n=40, s_star=2,
-                                   alpha_index=5).resolve()
+    # the GMM replicate certifies w = 0 from one curvature column; the MR
+    # replicate builds the curvature matrix and solves the LP
+    configs = [harness.ExperimentConfig(model=model, d=16, n=40, s_star=2,
+                                        alpha_index=5).resolve()
+               for model in ("GMM", "MR")]
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        tracer.begin_replicate(0)
-        harness.infer_replicate(cfg, 0)
-        tracer.end_replicate()
+        for replicate, cfg in enumerate(configs):
+            tracer.begin_replicate(replicate)
+            harness.infer_replicate(cfg, 0)
+            tracer.end_replicate()
     finally:
         tracer.uninstall()
 
-    names = {span.name for span in tracer.spans}
-    assert {
-        "harness.infer_replicate",
-        "em.run_em",
-        "inference.score_test",
-        "inference.wald_test",
-        "models.curvature_matrix",
-    } <= names
-    assert tracer.replicates == [0]
+    names = [{span.name for span in tracer.spans if span.replicate == r} for r in (0, 1)]
+    common = {"harness.infer_replicate", "em.run_em", "inference.score_test",
+              "inference.wald_test"}
+    assert common <= names[0]
+    assert not {"models.curvature_matrix", "lp.dantzig_direction"} & names[0]
+    assert common | {"models.curvature_matrix", "lp.dantzig_direction"} <= names[1]
+    assert tracer.replicates == [0, 1]
     restored = [getattr(owner, attr) for owner, attr, _, _ in tracing.TRACE_POINTS]
     assert all(now is before for now, before in zip(restored, originals))

@@ -330,6 +330,22 @@ def test_cli_sparsity_above_dimension_rejected_before_any_fit(command, flags, ke
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("flags", [
+    pytest.param(("--d", "4"), id="d-below-alpha-and-s-star"),
+    pytest.param(("--scaling-d", "8"), id="scaling-d-below-alpha"),
+    pytest.param(("--d", "4", "--s-star", "9", "--s-hat", "9"), id="d-below-s-hat"),
+])
+def test_cli_scaling_ignores_the_inference_dimension(flags, capsys):
+    # scaling fits at scaling_d and tests no coordinate; --d, alpha_index,
+    # s_star and s_hat were checked against --d all the same
+    run_cli("scaling", "--model", "GMM", "--s-star-grid", "2", "--n-grid", "60",
+            "--scaling-replicates", "1", "--T", "2", "--scaling-d", "16", *flags)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "kind,s_star,n,replicate,x,err"
+    assert [line.split(",")[:4] for line in lines[1:]] == [["rep", "2", "60", "0"],
+                                                           ["mean", "2", "60", "-1"]]
+
+
 @pytest.mark.parametrize("command", ["trace", "scaling", "typeone"])
 def test_cli_generating_commands_reject_data_csv(command, tmp_path, monkeypatch):
     from truncem import harness

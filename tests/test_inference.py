@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_gmm
-from oracles import full_l1_linf_lp, mr_curvature_two_products
+from oracles import decorrelate_full_matrix, full_l1_linf_lp, mr_curvature_two_products
 from truncem import inference, lp
 from truncem.errors import DegenerateInformationError
 from truncem.harness import ExperimentConfig, infer_replicate
@@ -322,9 +322,13 @@ def assert_same_result(got, expect):
 
 @pytest.mark.parametrize(
     "change, solves",
-    [("none", 1), ("estimate_off_null", 2), ("alpha_index", 2), ("lam", 2)],
+    [("none", 1), ("estimate_off_null", 2), ("alpha_index", 2), ("lam", 2),
+     ("lam_below_cross", 1)],
 )
 def test_score_then_wald_decorrelates_once_per_point(rng, monkeypatch, change, solves):
+    # each evaluation point computes its curvature weights once, and each
+    # (point, alpha, lam) one column; the matrix and the LP run only where
+    # the column does not certify w = 0, here only with lam below T_ga
     model, beta_hat = gmm_instance(rng)
     score_cfg = wald_cfg = InferenceConfig(alpha_index=4)
     if change == "estimate_off_null":
@@ -333,23 +337,28 @@ def test_score_then_wald_decorrelates_once_per_point(rng, monkeypatch, change, s
         wald_cfg = InferenceConfig(alpha_index=5)
     elif change == "lam":
         wald_cfg = InferenceConfig(alpha_index=4, lam=0.05)
+    elif change == "lam_below_cross":
+        score_cfg = wald_cfg = InferenceConfig(alpha_index=4, lam=1e-9)
 
     counts = Counter()
-    curvature, dantzig = GaussianMixture.curvature_matrix, inference.dantzig_direction
 
-    def counted_curvature(self, beta):
-        counts["curvature_matrix"] += 1
-        return curvature(self, beta)
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
 
-    def counted_dantzig(*args):
-        counts["dantzig_direction"] += 1
-        return dantzig(*args)
-
-    monkeypatch.setattr(GaussianMixture, "curvature_matrix", counted_curvature)
-    monkeypatch.setattr(inference, "dantzig_direction", counted_dantzig)
+    for name in ("_curvature_weights_at", "curvature_column", "curvature_matrix"):
+        monkeypatch.setattr(GaussianMixture, name,
+                            counted(name, getattr(GaussianMixture, name)))
+    monkeypatch.setattr(inference, "dantzig_direction",
+                        counted("dantzig_direction", inference.dantzig_direction))
     sres = score_test(model, beta_hat, score_cfg)
     wres = wald_test(model, beta_hat, wald_cfg)
-    assert counts == {"curvature_matrix": solves, "dantzig_direction": solves}
+    points = 2 if change == "estimate_off_null" else 1
+    full = solves if change == "lam_below_cross" else 0
+    assert counts == Counter(_curvature_weights_at=points, curvature_column=solves,
+                             curvature_matrix=full, dantzig_direction=full)
     assert (sres.w_hat is wres.w_hat) == (solves == 1)
     assert not sres.w_hat.flags.writeable
     assert not wres.w_hat.flags.writeable
@@ -399,3 +408,69 @@ def test_statistics_match_two_product_curvature(monkeypatch):
             assert got[key] == expect[key]
         for key in ("score_stat", "score_p", "wald_stat", "wald_p", "ci_lo", "ci_hi"):
             assert got[key] == pytest.approx(expect[key], rel=1e-12, abs=0.0), key
+
+
+# ---------------------------------------------------------------------------
+# the column certificate of w = 0 against the whole curvature matrix
+
+
+def count_curvature_matrices(monkeypatch):
+    counts = Counter()
+    for cls in (GaussianMixture, MixtureRegression):
+        def counted(self, beta, matrix=cls.curvature_matrix):
+            counts[self.tag] += 1
+            return matrix(self, beta)
+        monkeypatch.setattr(cls, "curvature_matrix", counted)
+    return counts
+
+
+def test_column_certificate_matches_full_matrix(monkeypatch):
+    # every GMM replicate at the defaults is certified from one column and
+    # no MR replicate is; both must give the full-matrix statistics
+    runs = [("GMM", seed) for seed in range(20)] + [("MR", seed) for seed in range(5)]
+    configs = {m: ExperimentConfig(model=m).resolve() for m in ("GMM", "MR")}
+    counts = count_curvature_matrices(monkeypatch)
+    fast = [infer_replicate(configs[m], seed) for m, seed in runs]
+    assert counts == Counter(MR=5)
+    monkeypatch.setattr(inference, "_decorrelate", decorrelate_full_matrix)
+    ref = [infer_replicate(configs[m], seed) for m, seed in runs]
+    for got, expect in zip(fast, ref):
+        assert got["degenerate"] == expect["degenerate"] == 0
+        for key in ("score_reject", "wald_reject"):
+            assert got[key] == expect[key]
+        for key in ("score_stat", "score_p", "wald_stat", "wald_p", "ci_lo", "ci_hi"):
+            assert got[key] == pytest.approx(expect[key], rel=1e-12, abs=0.0), key
+
+
+@pytest.mark.parametrize("factor, matrices", [(1.0, 1), (1.0 + 1e-8, 0)])
+def test_certificate_margin_at_the_cross_column(rng, monkeypatch, factor, matrices):
+    # lam equal to max|T_ga| is within the margin: the full path runs, and
+    # the LP's own shortcut still gives w = 0; 1e-8 above it, the column
+    # certifies w = 0 alone
+    model, beta = gmm_instance(rng)
+    t_mat = model.curvature_matrix(beta)
+    lam = float(np.max(np.abs(np.delete(t_mat[:, 4], 4)))) * factor
+    cfg = InferenceConfig(alpha_index=4, lam=lam)
+    counts = count_curvature_matrices(monkeypatch)
+    res = score_test(model, beta, cfg)
+    assert counts["GMM"] == matrices
+    assert not res.w_hat.any()
+    monkeypatch.setattr(inference, "_decorrelate", decorrelate_full_matrix)
+    ref = score_test(GaussianMixture(model.y, model.sigma), beta, cfg)
+    assert res.statistic == pytest.approx(ref.statistic, rel=1e-12, abs=0.0)
+    assert res.info_scalar == pytest.approx(ref.info_scalar, rel=1e-12, abs=0.0)
+
+
+def test_nonfinite_curvature_column_takes_the_full_path(rng, monkeypatch):
+    model, beta = gmm_instance(rng)
+    column = GaussianMixture.curvature_column
+
+    def poisoned(self, beta, alpha):
+        col = column(self, beta, alpha)
+        col[0] = np.nan
+        return col
+
+    monkeypatch.setattr(GaussianMixture, "curvature_column", poisoned)
+    counts = count_curvature_matrices(monkeypatch)
+    score_test(model, beta, InferenceConfig(alpha_index=4))
+    assert counts["GMM"] == 1

@@ -301,9 +301,62 @@ def test_gmm_curvature_at_zero_closed_form(rng):
                        atol=1e-12)
 
 
+@pytest.mark.parametrize("d", [1, 5, 16, 17, 40])
+def test_mr_strip_symmetrization_is_bit_identical(rng, d):
+    # strips of 16 rows, so d = 1, 16 and 17 cover a lone, an exact and a
+    # ragged last strip
+    model = random_mr(rng, n=30, d=d, sigma=0.6)
+    beta = rng.standard_normal(d)
+    v = model._curvature_weights_at(beta)
+    expect = model.x.T @ (model.x * v[:, None])
+    expect += expect.T
+    expect *= 0.5
+    np.testing.assert_array_equal(model.curvature_matrix(beta), expect)
+
+
+def test_curvature_column_matches_matrix(rng):
+    for model in (random_gmm(rng, sigma=0.6), random_mr(rng, sigma=0.6)):
+        for beta in (np.zeros(model.dim), rng.standard_normal(model.dim)):
+            t_mat = model.curvature_matrix(beta)
+            for alpha in range(model.dim):
+                col = model.curvature_column(beta, alpha)
+                assert np.max(np.abs(col - t_mat[:, alpha])) <= 1e-14 * np.max(np.abs(t_mat))
+        for alpha in (-1, model.dim):
+            with pytest.raises(ValueError, match="alpha out of range"):
+                model.curvature_column(np.zeros(model.dim), alpha)
+
+
+def test_curvature_weights_computed_once_per_point(rng, monkeypatch):
+    model = random_mr(rng, sigma=0.6)
+    calls = []
+    weights_at = MixtureRegression._curvature_weights_at
+
+    def counted(self, beta):
+        calls.append(beta.copy())
+        return weights_at(self, beta)
+
+    monkeypatch.setattr(MixtureRegression, "_curvature_weights_at", counted)
+    beta = rng.standard_normal(model.dim)
+    model.curvature_column(beta, 0)
+    model.curvature_matrix(beta)
+    model.curvature_column(list(beta), 3)
+    assert len(calls) == 1
+    model.curvature_matrix(beta + 1.0)
+    assert len(calls) == 2
+
+
 def test_rmc_curvature_unsupported(rng):
     with pytest.raises(UnsupportedOperationError):
         random_rmc(rng).curvature_matrix(np.zeros(5))
+
+
+def test_rmc_curvature_column_unsupported(rng):
+    model = random_rmc(rng)
+    with pytest.raises(UnsupportedOperationError) as column:
+        model.curvature_column(np.zeros(5), 0)
+    with pytest.raises(UnsupportedOperationError) as matrix:
+        model.curvature_matrix(np.zeros(5))
+    assert str(column.value) == str(matrix.value)
 
 
 # ---------------------------------------------------------------------------
