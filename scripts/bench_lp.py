@@ -22,14 +22,16 @@ with HiGHS only as its fallback.  The full LP is ``full_l1_linf_lp`` from
 ``tests/oracles.py``, the reference the tests compare against, which puts
 all 2m rows and 2m columns into one ``solve_lp`` call.  It replaces
 ``lp._l1_min_linf_residual`` for the full runs, so both sides of the MR
-row run the same public function; the full side of a CLIME row calls it
-once per column, since ``clime_inverse`` finishes the columns that end at
-their first breakpoint without it.  Each side reports the median and
-quartiles of its wall time per run and per LP, ``linprog`` calls per LP
-and the mean ``A_ub`` shape per call (0 calls and a 0 x 0 shape when no
-LP falls back to HiGHS, and when CLIME finishes every column at its first
-breakpoint); each row reports the max |w_native - w_full| and the ratio
-of the medians.
+row run the same public function: ``dantzig_direction`` hands that seam
+the whole curvature matrix with row and column alpha masked out, and the
+full LP drops them, solves on T_gg and re-inserts the 0.  The full side
+of a CLIME row calls it once per column, since ``clime_inverse``
+finishes the columns that end at their first breakpoint without it.
+Each side reports the median and quartiles of its wall time per run and
+per LP, ``linprog`` calls per LP and the mean ``A_ub`` shape per call (0
+calls and a 0 x 0 shape when no LP falls back to HiGHS, and when CLIME
+finishes every column at its first breakpoint); each row reports the max
+|w_native - w_full| and the ratio of the medians.
 """
 
 import os

@@ -37,25 +37,58 @@ JRSS-B 2009), written in numpy:
    breakpoint, so it is optimal there, and the path is exact: no lam is
    skipped and nothing is approximated between breakpoints.
 4. When the next breakpoint is at or below the target lam, the answer
-   is ``w_J = A[S, J]^-1 (t_S - lam s)`` from the final basis.  If the
-   ratio test finds no usable pivot, delta may be a ray with
-   ``A^T delta = 0`` and ``t.delta = lam_b ||delta||_1`` at the
-   breakpoint lam_b; then ``delta.(t - A w) = t.delta`` gives
+   is ``w_J = A[S, J]^-1 (t_S - lam s)`` from the final basis, by a fresh
+   ``np.linalg.solve``.  If the ratio test finds no usable pivot, delta
+   may be a ray with ``A^T delta = 0`` and ``t.delta = lam_b ||delta||_1``
+   at the breakpoint lam_b; then ``delta.(t - A w) = t.delta`` gives
    ``||t - A w||_inf >= lam_b`` for every w.  When that holds up to
    rounding and lam_b exceeds ``lam + FEAS_TOL``, it certifies that the
    LP is infeasible, and ``LpInfeasibleError`` is raised.
 
+The basis is never re-gathered or re-inverted (Vanderbei, *Linear
+Programming*, ch. 8).  A[S, :], A[:, J] (stored as rows), (t_S, s) and z
+live in buffers that start at 16 rows and double when full, in the
+order the rows and columns joined, and ``inv = A[S, J]^-1`` changes with
+them by one row or column per pivot:
+
+- a row i and a column j join: bordering.  With ``y = a_{i,J} inv`` (the
+  ray's own product), ``x = inv a_{S,j}`` and the Schur complement
+  ``sigma = a_ij - y.a_{S,j}``, the new inverse is ``[[inv + x y^T /
+  sigma, -x / sigma], [-y^T / sigma, 1 / sigma]]``;
+- row i replaces row l of S: Sherman-Morrison, ``inv - inv[:, l] (y -
+  e_l)^T / y_l``;
+- column j replaces support coordinate p: Sherman-Morrison, ``inv - (x -
+  e_p) inv[p] / x_p``; when j is p itself only its sign flips;
+- row l and coordinate p leave together: the Schur downdate ``inv -
+  inv[:, l] inv[p] / inv[p, l]``, then row p and column l are deleted.
+
+The event scan is fused over the rows: with the residual ``r = c + lam
+e`` along the stretch, a free row i binds at ``|c_i| / (1 - sign(c_i)
+e_i)`` when that denominator is positive.  The column ratio is
+``max((sign(h) - g) / h, 0)`` with ``g = A^T u`` and ``h = A^T delta``.
+Since the final solve starts afresh, w is bit-identical to that of a
+basis re-inverted at every pivot whenever the two take the same pivots.
+
+``dantzig_direction`` poses its LP on the curvature matrix T itself:
+target ``T[:, alpha]`` with entry alpha set to 0, and row and column
+alpha masked out.  Row alpha never binds (its hit is -inf), column alpha
+never enters (its ratio is +inf), the certificate and the infeasible ray
+ignore both, and ``a_max`` is ``max |T_gg|`` read from T's blocks; no
+block of T is copied, except by the HiGHS fallback.
+
 Before it returns, the answer is certified: ``||t - A w||_inf <= lam +
 FEAS_TOL``, ``||A^T u||_inf <= 1 + tol`` and a closed duality gap,
 ``||w||_1 = t.u - lam ||u||_1``; by weak duality no feasible point has
-a smaller l1 norm.  If the certificate fails, a pivot falls below a
-fixed threshold, the basis is singular or the pivot count reaches a
-fixed cap (ties and degenerate vertices can make a path stall), the
-whole LP goes to HiGHS in one ``solve_lp`` call on its positive/negative
-split ``w = w+ - w-``, with one pair of rows ``+-(t_i - a_i w) <= lam``
-per residual.  That call is the only solver call left; the MR
-decorrelation LPs at the command-line defaults and the CLIME inputs of
-``scripts/bench_lp.py`` never take it.
+a smaller l1 norm.  The whole LP goes to HiGHS in one ``solve_lp`` call
+on its positive/negative split ``w = w+ - w-``, with one pair of rows
+``+-(t_i - a_i w) <= lam`` per residual, when the certificate fails, when
+a pivot of the ratio test or of a basis update is not above
+``_PIVOT_TOL`` (relative to ``max |a_ij|`` where it has that scale),
+when the final basis is singular, or when the pivot count reaches a
+fixed cap (ties and degenerate vertices can make a path stall).  That
+call is the only solver call left; the MR decorrelation LPs at the
+command-line defaults and the CLIME inputs of ``scripts/bench_lp.py``
+never take it.
 
 ``clime_inverse`` takes the first breakpoint of all d columns at once.
 Column j starts at lam_0 = 1 with row j active; if ``sigma_jj != 0`` and
@@ -83,6 +116,8 @@ _CERT_TOL = 1e-9
 #: smallest pivot the homotopy takes, relative to max |a_ij| for a column
 #: and to max |delta| = 1 for a row; below it, (A^T delta)_k counts as 0
 _PIVOT_TOL = 1e-11
+#: rows of the homotopy's basis buffers at the start; they double when full
+_BASIS_ROWS = 16
 
 
 @dataclass
@@ -118,113 +153,246 @@ def solve_lp(c, a_ub, b_ub):
     return LpSolution(x=np.asarray(res.x, dtype=float), objective=float(res.fun))
 
 
-def _homotopy(a_mat, target, lam, a_max):
+class _Basis:
+    """The homotopy's basis: active rows S with signs s and support
+    columns J with signs z, in the order they joined.  ``a_rows[:k]``
+    holds A[S, :], ``a_cols[:k]`` holds A[:, J] as rows, ``ts[:k]`` holds
+    (t_S, s), ``z[:k]`` holds z and ``inv[:k, :k]`` is A[S, J]^-1, for
+    k = |S| = |J|; ``free_rows`` and ``free_cols`` are 1 on the rows that
+    may bind and the columns that may enter, and 0 on S, on J and on the
+    masked row and column.  The buffers start at ``_BASIS_ROWS`` rows and
+    double when full; each pivot changes them by one row or column (see
+    the module docstring).  An update returns False, and changes nothing,
+    when its pivot is not above ``_PIVOT_TOL``, scaled by ``a_max`` for a
+    pivot in the units of A or of its inverse."""
+
+    def __init__(self, a_mat, target, a_max, masked):
+        self.a_mat, self.target, self.a_max = a_mat, target, a_max
+        self.rows, self.cols = [], []
+        m = a_mat.shape[1]
+        self.free_rows, self.free_cols = np.ones(m), np.ones(m)
+        if masked is not None:
+            self.free_rows[masked] = self.free_cols[masked] = 0.0
+        self._allocate(_BASIS_ROWS)
+
+    def _allocate(self, cap):
+        """Buffers of ``cap`` rows, holding the basis of the old ones."""
+        k, m = len(self.rows), self.a_mat.shape[1]
+        for name, shape in (("a_rows", (cap, m)), ("a_cols", (cap, m)), ("ts", (cap, 2)),
+                            ("z", (cap,)), ("inv", (cap, cap))):
+            buf = np.empty(shape)
+            if k:
+                kept = np.s_[:k, :k] if name == "inv" else np.s_[:k]
+                buf[kept] = getattr(self, name)[kept]
+            setattr(self, name, buf)
+
+    def stage_row(self, i):
+        """Copy row i of A to ``a_rows[k]``, growing the buffers if full."""
+        k = len(self.rows)
+        if k == self.z.size:
+            self._allocate(2 * k)
+        self.a_rows[k] = self.a_mat[i]
+
+    def border(self, i, side, j, sign, y):
+        """Row i (staged) joins S with sign ``side`` and column j joins J
+        with sign ``sign``, by bordering; ``y = A[i, J] inv``."""
+        k = len(self.rows)
+        inv, b = self.inv[:k, :k], self.a_rows[:k, j]
+        sigma = self.a_mat[i, j] - np.dot(y, b)
+        if not abs(sigma) > _PIVOT_TOL * self.a_max:
+            return False
+        x, y = np.dot(inv, b), y / sigma
+        inv += np.multiply.outer(x, y)
+        self.inv[:k, k], self.inv[k, :k], self.inv[k, k] = x / -sigma, -y, 1.0 / sigma
+        self.a_cols[k] = self.a_mat[:, j]
+        self.ts[k] = self.target[i], side
+        self.z[k] = sign
+        self.rows.append(i)
+        self.cols.append(j)
+        self.free_rows[i] = self.free_cols[j] = 0.0
+        return True
+
+    def replace_row(self, leave, i, side, y):
+        """Row i (staged) takes the place of row ``leave`` of S, by
+        Sherman-Morrison; ``y = A[i, J] inv``."""
+        k, pivot = len(self.rows), y[leave]
+        if not abs(pivot) > _PIVOT_TOL:
+            return False
+        inv = self.inv[:k, :k]
+        y = y.copy()
+        y[leave] -= 1.0
+        inv -= np.multiply.outer(inv[:, leave] / pivot, y)
+        self.a_rows[leave] = self.a_rows[k]
+        self.ts[leave] = self.target[i], side
+        self.free_rows[self.rows[leave]], self.free_rows[i] = 1.0, 0.0
+        self.rows[leave] = i
+        return True
+
+    def replace_col(self, pos, j, sign):
+        """Column j takes the place of support coordinate ``pos``, by
+        Sherman-Morrison; if j is that coordinate, only its sign flips."""
+        if j != self.cols[pos]:
+            k = len(self.rows)
+            inv = self.inv[:k, :k]
+            x = np.dot(inv, self.a_rows[:k, j])
+            pivot = x[pos]
+            if not abs(pivot) > _PIVOT_TOL:
+                return False
+            x[pos] -= 1.0
+            inv -= np.multiply.outer(x, inv[pos] / pivot)
+            self.a_cols[pos] = self.a_mat[:, j]
+            self.free_cols[self.cols[pos]], self.free_cols[j] = 1.0, 0.0
+            self.cols[pos] = j
+        self.z[pos] = sign
+        return True
+
+    def downdate(self, leave, pos):
+        """Row ``leave`` of S and support coordinate ``pos`` leave
+        together, by the Schur downdate."""
+        k = len(self.rows)
+        inv = self.inv[:k, :k]
+        pivot = inv[pos, leave]
+        if not abs(pivot) * self.a_max > _PIVOT_TOL:
+            return False
+        inv -= np.multiply.outer(inv[:, leave], inv[pos] / pivot)
+        inv[pos:-1] = inv[pos + 1:]
+        inv[:, leave:-1] = inv[:, leave + 1:]
+        for buf, at in ((self.a_rows, leave), (self.ts, leave), (self.a_cols, pos),
+                        (self.z, pos)):
+            buf[at:k - 1] = buf[at + 1:k]
+        self.free_rows[self.rows.pop(leave)] = self.free_cols[self.cols.pop(pos)] = 1.0
+        return True
+
+
+def _homotopy(a_mat, target, lam, a_max, masked=None):
     """Follow the optimal basis from ``lam_0 = ||target||_inf > lam`` down
-    to lam (see the module docstring).  Returns the certified optimum, or
-    None when the path is not trusted and HiGHS must solve the LP; raises
+    to lam (see the module docstring), with row and column ``masked``, if
+    given, left out of the LP.  Returns the certified optimum, or None
+    when the path is not trusted and HiGHS must solve the LP; raises
     ``LpInfeasibleError`` on a certified infeasible ray."""
     m = a_mat.shape[1]
-    rows, row_signs, cols, col_signs = [], [], [], []
+    basis = _Basis(a_mat, target, a_max, masked)
+    rows, cols = basis.rows, basis.cols
+    hits, col_ratio, coord_hits, row_ratio = np.empty((4, m))
     lam_cur = np.max(np.abs(target))
     for _ in range(10 * m + 10):  # a cap against cycling on degenerate ties
-        s, z = np.array(row_signs), np.array(col_signs)
-        a_rows = a_mat[rows]
-        basis = a_rows[:, cols]
-        try:
-            inv = np.linalg.inv(basis)
-        except np.linalg.LinAlgError:
-            return None
-        p, q, u = inv @ target[rows], inv @ s, z @ inv
-        a_cols = a_mat[:, cols]
+        k = len(rows)
+        inv, s, z = basis.inv[:k, :k], basis.ts[:k, 1], basis.z[:k]
+        pq, u = np.dot(inv, basis.ts[:k]), np.dot(z, inv)
         # w_J = p - lam q and r = t - A w = c + lam e along this stretch
-        c, e = target - a_cols @ p, a_cols @ q
-        # each basic variable x0 + lam x1 that falls as lam falls, with
-        # the lam where it reaches 0: slack lam - r_i, slack lam + r_i,
-        # then z_j w_j
-        x0 = np.concatenate([-c, c, z * p])
-        x1 = np.concatenate([1.0 - e, 1.0 + e, -z * q])
-        x1[rows] = x1[m:][rows] = 0.0  # an active row's slacks are not basic
-        falling = x1 > 0.0
-        hits = np.full(x0.size, -np.inf)
-        np.divide(-x0, x1, out=hits, where=falling)
-        event = int(hits.argmax())
-        lam_cur = min(lam_cur, hits[event])
+        ce = np.dot(pq.T, basis.a_cols[:k])
+        c, e = target - ce[0], ce[1]
+        # a free row binds where |r_i| reaches lam, at |c_i| / (1 - sign(c_i)
+        # e_i) if that is positive; support coordinate j leaves where z_j w_j
+        # reaches 0, at p_j / q_j if z_j q_j < 0
+        falling = 1.0 - np.sign(c) * e
+        falling *= basis.free_rows
+        hits.fill(-np.inf)
+        np.divide(np.abs(c), falling, out=hits, where=falling > 0.0)
+        i = int(hits.argmax())
+        lam_next, row_event = hits[i], True
+        if k:
+            leaving = coord_hits[:k]
+            leaving.fill(-np.inf)
+            np.divide(pq[:, 0], pq[:, 1], out=leaving, where=z * pq[:, 1] < 0.0)
+            pos = int(leaving.argmax())
+            if leaving[pos] > lam_next:
+                lam_next, row_event = leaving[pos], False
+        lam_cur = min(lam_cur, lam_next)
         if lam_cur <= lam:
             w = np.zeros(m)
-            w[cols] = np.linalg.solve(basis, target[rows] - lam * s)
-            return w if _certified(a_mat, target, lam, w, rows, u) else None
+            try:
+                w[cols] = np.linalg.solve(basis.a_rows[:k][:, cols], basis.ts[:k, 0] - lam * s)
+            except np.linalg.LinAlgError:
+                return None
+            return w if _certified(a_mat, target, lam, w, rows, u, masked) else None
         # the dual moves along a ray over the rows that then carry it: row
         # i joins them, or coordinate pos gets a positive reduced cost
-        if event < 2 * m:
-            i, side = event % m, 1.0 if event < m else -1.0
-            ray_rows, keep_cols = rows + [i], cols
-            ray = np.concatenate([-side * (a_mat[i, cols] @ inv), [side]])
+        if row_event:
+            side = 1.0 if c[i] > 0.0 else -1.0
+            y = np.dot(basis.a_cols[:k, i], inv)  # A[i, J] inv
+            ray = np.concatenate((-side * y, (side,)))
+            basis.stage_row(i)
         else:
-            pos = event - 2 * m
-            ray_rows, keep_cols = rows, np.delete(cols, pos)
             ray = -z[pos] * inv[pos]
         ray /= np.abs(ray).max()
-        h = ray @ a_mat[ray_rows]
-        h[keep_cols] = 0.0
-        delta = ray[: len(rows)]
-        # ratio test: columns whose |(A^T u)_k| reaches 1, rows of S whose
-        # multiplier s_l u_l reaches 0, as u moves along the ray
-        col_ratio = np.full(m, np.inf)
-        np.divide(np.maximum(1.0 - np.sign(h) * (u @ a_rows), 0.0), np.abs(h),
-                  out=col_ratio, where=h != 0.0)
-        row_ratio = np.full(len(rows), np.inf)
-        sd = s * delta
-        np.divide(np.maximum(s * u, 0.0), -sd, out=row_ratio, where=sd < 0.0)
-        k = int(col_ratio.argmin())
-        leave = int(row_ratio.argmin()) if rows else -1
-        if rows and row_ratio[leave] < col_ratio[k]:
+        delta = ray[:k]
+        g, h = np.dot(u, basis.a_rows[:k]), np.dot(ray, basis.a_rows[:k + row_event])
+        # only free columns, and the leaving coordinate, may enter
+        h_pos = 0.0 if row_event else h[cols[pos]]
+        h *= basis.free_cols
+        if not row_event:
+            h[cols[pos]] = h_pos
+        # ratio test: columns whose |(A^T u)_j| = |g_j| reaches 1, rows of
+        # S whose multiplier s_l u_l reaches 0, as u moves along the ray
+        col_ratio.fill(np.inf)
+        np.divide(np.sign(h) - g, h, out=col_ratio, where=h != 0.0)
+        np.maximum(col_ratio, 0.0, out=col_ratio)
+        j = int(col_ratio.argmin())
+        if k:
+            emptying = row_ratio[:k]
+            emptying.fill(np.inf)
+            np.divide(-u, delta, out=emptying, where=s * delta < 0.0)
+            np.maximum(emptying, 0.0, out=emptying)
+            leave = int(emptying.argmin())
+        if k and emptying[leave] < col_ratio[j]:
             if abs(delta[leave]) < _PIVOT_TOL:
                 return None
-            k = -1
-        elif abs(h[k]) < _PIVOT_TOL * a_max:
+            j = -1
+        elif abs(h[j]) < _PIVOT_TOL * a_max:
             # no usable pivot: either A^T ray = 0 proves infeasibility, or
             # the path is ill-conditioned here
-            if _infeasible_ray(a_mat, target, lam, a_max, ray_rows, ray):
+            ray_rows = rows + [i] if row_event else rows
+            if _infeasible_ray(a_mat, target, lam, a_max, ray_rows, ray, masked):
                 raise LpInfeasibleError("LP infeasible")
             return None
-        if event < 2 * m:
-            if k < 0:  # row i takes the place of the row that leaves
-                rows[leave], row_signs[leave] = i, side
-            else:
-                rows.append(i)
-                row_signs.append(side)
-                cols.append(k)
-                col_signs.append(np.sign(h[k]))
-        elif k < 0:  # the zero coordinate and a row leave together
-            del rows[leave], row_signs[leave], cols[pos], col_signs[pos]
-        else:  # column k replaces the zero coordinate, or flips its sign
-            cols[pos], col_signs[pos] = k, np.sign(h[k])
+        if row_event:
+            done = (basis.replace_row(leave, i, side, y) if j < 0
+                    else basis.border(i, side, j, np.sign(h[j]), y))
+        elif j < 0:  # the zero coordinate and a row leave together
+            done = basis.downdate(leave, pos)
+        else:  # column j replaces the zero coordinate, or flips its sign
+            done = basis.replace_col(pos, j, np.sign(h[j]))
+        if not done:
+            return None
     return None
 
 
-def _certified(a_mat, target, lam, w, rows, u):
-    """True if w is feasible, u is dual feasible and their objectives meet."""
+def _certified(a_mat, target, lam, w, rows, u, masked=None):
+    """True if w is feasible, u is dual feasible and their objectives
+    meet; row and column ``masked``, if given, are not part of the LP."""
     u_full = np.zeros(a_mat.shape[0])
     u_full[rows] = u
+    resid, reduced = target - a_mat @ w, u_full @ a_mat
+    if masked is not None:
+        resid[masked] = reduced[masked] = 0.0
     l1, dual = np.sum(np.abs(w)), target @ u_full - lam * np.sum(np.abs(u_full))
-    return (np.max(np.abs(target - a_mat @ w)) <= lam + FEAS_TOL
-            and np.max(np.abs(u_full @ a_mat)) <= 1.0 + _CERT_TOL
+    return (np.max(np.abs(resid)) <= lam + FEAS_TOL
+            and np.max(np.abs(reduced)) <= 1.0 + _CERT_TOL
             and abs(l1 - dual) <= _CERT_TOL * max(1.0, l1))
 
 
-def _infeasible_ray(a_mat, target, lam, a_max, rows, delta):
+def _infeasible_ray(a_mat, target, lam, a_max, rows, delta, masked=None):
     """True if ``A^T delta = 0`` up to rounding and ``t.delta > (lam +
     FEAS_TOL) ||delta||_1``: then every w violates some row by more than
-    FEAS_TOL, since ``delta.(t - A w) = t.delta``."""
+    FEAS_TOL, since ``delta.(t - A w) = t.delta``.  Column ``masked``, if
+    given, is not part of the LP."""
     ray = np.zeros(a_mat.shape[0])
     ray[rows] = delta
-    norm = np.sum(np.abs(ray))
-    return (np.max(np.abs(ray @ a_mat)) <= _PIVOT_TOL * a_max * norm
+    norm, reduced = np.sum(np.abs(ray)), ray @ a_mat
+    if masked is not None:
+        reduced[masked] = 0.0
+    return (np.max(np.abs(reduced)) <= _PIVOT_TOL * a_max * norm
             and target @ ray > (lam + FEAS_TOL) * norm)
 
 
-def _full_lp(a_mat, target, lam):
-    """The Dantzig LP in one ``solve_lp`` call, on its split form."""
+def _full_lp(a_mat, target, lam, masked=None):
+    """The Dantzig LP in one ``solve_lp`` call, on its split form; with
+    row and column ``masked`` dropped and its 0 re-inserted, if given."""
+    if masked is not None:
+        keep = np.delete(np.arange(a_mat.shape[0]), masked)
+        w = _full_lp(a_mat[np.ix_(keep, keep)], target[keep], lam)
+        return np.insert(w, masked, 0.0)
     m = a_mat.shape[1]
     split = np.hstack([a_mat, -a_mat])
     sol = solve_lp(np.ones(2 * m), np.vstack([split, -split]),
@@ -232,31 +400,55 @@ def _full_lp(a_mat, target, lam):
     return sol.x[:m] - sol.x[m:]
 
 
-def _l1_min_linf_residual(a_mat, target, lam):
+def _abs_max(a_mat, masked=None):
+    """``max |a_ij|`` without an ``|A|`` copy, over the rows and columns
+    other than ``masked`` if given; NaN if any of them holds a NaN."""
+    def peak(blocks):
+        return np.max([v for b in blocks if b.size for v in (b.max(), -b.min())])
+
+    if masked is None:
+        return peak((a_mat,))
+    a = masked
+    # the rows other than a are two contiguous blocks; when their max lies
+    # above column a's, it is the max with column a left out
+    rows = (a_mat[:a], a_mat[a + 1:])
+    cross = np.abs(a_mat[:, a])
+    cross[a] = 0.0
+    top = peak(rows)
+    if top > cross.max():
+        return top
+    return peak(b[:, cut] for b in rows for cut in (slice(a), slice(a + 1, None)))
+
+
+def _l1_min_linf_residual(a_mat, target, lam, masked=None):
     """``argmin ||w||_1  s.t.  ||target - a_mat @ w||_inf <= lam`` for a
     square ``a_mat``, by the homotopy in lam with HiGHS as its fallback
-    (see the module docstring)."""
-    a_max = max(a_mat.max(), -a_mat.min())
+    (see the module docstring).  With ``masked`` set, row and column
+    ``masked`` are not part of the LP (``target[masked]`` must be 0), and
+    ``w[masked]`` is 0."""
+    a_max = _abs_max(a_mat, masked)
     if not (np.isfinite(target).all() and np.isfinite(a_max)):
         raise ValueError("LP data must be finite")
     if not np.max(np.abs(target), initial=0.0) > lam:
         # w = 0 is feasible, and every other w has a positive l1 norm
         return np.zeros(a_mat.shape[1])
-    w = _homotopy(a_mat, target, lam, a_max)
-    return _full_lp(a_mat, target, lam) if w is None else w
+    w = _homotopy(a_mat, target, lam, a_max, masked)
+    return _full_lp(a_mat, target, lam, masked) if w is None else w
 
 
 def dantzig_direction(t_mat, alpha_index, lam):
     """Decorrelation direction for one coordinate of the parameter.
 
-    Deletes row and column ``alpha_index`` from the symmetric matrix
-    ``t_mat`` to form the nuisance block ``T_gg`` and the cross column
-    ``T_ga``, and returns
+    With the nuisance block ``T_gg`` and the cross column ``T_ga`` of the
+    symmetric matrix ``t_mat`` (row and column ``alpha_index`` deleted),
+    returns
 
         argmin ||w||_1  s.t.  ||T_ga - T_gg @ w||_inf <= lam.
 
     If ``||T_ga||_inf <= lam`` the answer is the zero vector, returned
-    without solving the LP.
+    without solving the LP.  Otherwise the LP is solved on ``t_mat``
+    itself with row and column ``alpha_index`` masked out; no block of
+    ``t_mat`` is copied.
 
     Parameters
     ----------
@@ -278,14 +470,11 @@ def dantzig_direction(t_mat, alpha_index, lam):
     if not lam >= 0:
         raise ValueError("lam must be nonnegative")
     a = alpha_index
-    t_ga = np.delete(t_mat[:, a], a)
-    if np.max(np.abs(t_ga)) <= lam:
+    target = t_mat[:, a].copy()
+    target[a] = 0.0
+    if np.max(np.abs(target)) <= lam:
         return np.zeros(d - 1)
-    # T_gg is copied only for an LP, in four blocks: a tenth of an np.ix_ gather
-    t_gg = np.empty((d - 1, d - 1))
-    t_gg[:a, :a], t_gg[:a, a:] = t_mat[:a, :a], t_mat[:a, a + 1:]
-    t_gg[a:, :a], t_gg[a:, a:] = t_mat[a + 1:, :a], t_mat[a + 1:, a + 1:]
-    return _l1_min_linf_residual(t_gg, t_ga, lam)
+    return np.delete(_l1_min_linf_residual(t_mat, target, lam, masked=a), a)
 
 
 def clime_inverse(sigma_hat, lam):

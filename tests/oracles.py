@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from truncem import lp
+from truncem.errors import LpInfeasibleError
 from truncem.inference import default_lambda
 from truncem.lp import dantzig_direction, solve_lp
 
@@ -88,16 +90,23 @@ def l1_linf_oracle(g_mat, target, lam):
     return best
 
 
-def full_l1_linf_lp(a_mat, target, lam):
+def full_l1_linf_lp(a_mat, target, lam, masked=None):
     """argmin ||w||_1 s.t. ||target - a_mat w||_inf <= lam as one LP.
 
     Every residual row and every split column ``w = w+ - w-`` enters a
     single ``solve_lp`` call: the 2m-row, 2m-column program that the
-    native solver in ``truncem.lp`` must reproduce.  Raises
-    ``LpInfeasibleError`` when no w is feasible.
+    native solver in ``truncem.lp`` must reproduce.  With ``masked`` set,
+    as ``dantzig_direction`` poses its LP on the whole curvature matrix,
+    row and column ``masked`` are dropped before the solve and a 0 is
+    re-inserted there after it.  Raises ``LpInfeasibleError`` when no w
+    is feasible.
     """
     a_mat = np.asarray(a_mat, dtype=float)
     target = np.asarray(target, dtype=float)
+    if masked is not None:
+        keep = np.delete(np.arange(a_mat.shape[0]), masked)
+        w = full_l1_linf_lp(a_mat[np.ix_(keep, keep)], target[keep], lam)
+        return np.insert(w, masked, 0.0)
     m = a_mat.shape[1]
     block = np.hstack([a_mat, -a_mat])
     sol = solve_lp(
@@ -106,6 +115,112 @@ def full_l1_linf_lp(a_mat, target, lam):
         np.concatenate([target + lam, lam - target]),
     )
     return sol.x[:m] - sol.x[m:]
+
+
+# ---------------------------------------------------------------------------
+# the Dantzig LP with a copied nuisance block and a re-inverted basis
+
+
+def homotopy_reference(a_mat, target, lam, a_max):
+    """The λ-homotopy of ``truncem.lp`` with its basis re-gathered and
+    re-inverted at every pivot: ``A[S, :]`` and ``A[:, J]`` by fancy
+    indexing, ``A[S, J]^-1`` by ``np.linalg.inv``, and the events scanned
+    over all 2m slacks and |J| coordinates.  The reference for the
+    buffered basis of ``lp._homotopy``: both end in the same final solve,
+    so w is bit-identical whenever they take the same pivots."""
+    m = a_mat.shape[1]
+    rows, row_signs, cols, col_signs = [], [], [], []
+    lam_cur = np.max(np.abs(target))
+    for _ in range(10 * m + 10):
+        s, z = np.array(row_signs), np.array(col_signs)
+        a_rows = a_mat[rows]
+        basis = a_rows[:, cols]
+        try:
+            inv = np.linalg.inv(basis)
+        except np.linalg.LinAlgError:
+            return None
+        p, q, u = inv @ target[rows], inv @ s, z @ inv
+        a_cols = a_mat[:, cols]
+        c, e = target - a_cols @ p, a_cols @ q
+        x0 = np.concatenate([-c, c, z * p])
+        x1 = np.concatenate([1.0 - e, 1.0 + e, -z * q])
+        x1[rows] = x1[m:][rows] = 0.0
+        falling = x1 > 0.0
+        hits = np.full(x0.size, -np.inf)
+        np.divide(-x0, x1, out=hits, where=falling)
+        event = int(hits.argmax())
+        lam_cur = min(lam_cur, hits[event])
+        if lam_cur <= lam:
+            w = np.zeros(m)
+            w[cols] = np.linalg.solve(basis, target[rows] - lam * s)
+            return w if lp._certified(a_mat, target, lam, w, rows, u) else None
+        if event < 2 * m:
+            i, side = event % m, 1.0 if event < m else -1.0
+            ray_rows, keep_cols = rows + [i], cols
+            ray = np.concatenate([-side * (a_mat[i, cols] @ inv), [side]])
+        else:
+            pos = event - 2 * m
+            ray_rows, keep_cols = rows, np.delete(cols, pos)
+            ray = -z[pos] * inv[pos]
+        ray /= np.abs(ray).max()
+        h = ray @ a_mat[ray_rows]
+        h[keep_cols] = 0.0
+        delta = ray[: len(rows)]
+        col_ratio = np.full(m, np.inf)
+        np.divide(np.maximum(1.0 - np.sign(h) * (u @ a_rows), 0.0), np.abs(h),
+                  out=col_ratio, where=h != 0.0)
+        row_ratio = np.full(len(rows), np.inf)
+        sd = s * delta
+        np.divide(np.maximum(s * u, 0.0), -sd, out=row_ratio, where=sd < 0.0)
+        k = int(col_ratio.argmin())
+        leave = int(row_ratio.argmin()) if rows else -1
+        if rows and row_ratio[leave] < col_ratio[k]:
+            if abs(delta[leave]) < lp._PIVOT_TOL:
+                return None
+            k = -1
+        elif abs(h[k]) < lp._PIVOT_TOL * a_max:
+            if lp._infeasible_ray(a_mat, target, lam, a_max, ray_rows, ray):
+                raise LpInfeasibleError("LP infeasible")
+            return None
+        if event < 2 * m:
+            if k < 0:
+                rows[leave], row_signs[leave] = i, side
+            else:
+                rows.append(i)
+                row_signs.append(side)
+                cols.append(k)
+                col_signs.append(np.sign(h[k]))
+        elif k < 0:
+            del rows[leave], row_signs[leave], cols[pos], col_signs[pos]
+        else:
+            cols[pos], col_signs[pos] = k, np.sign(h[k])
+    return None
+
+
+def l1_min_linf_residual_reference(a_mat, target, lam):
+    """``argmin ||w||_1  s.t.  ||target - a_mat w||_inf <= lam`` by
+    ``homotopy_reference``, with the HiGHS fallback of ``truncem.lp``."""
+    a_max = max(a_mat.max(), -a_mat.min())
+    if not (np.isfinite(target).all() and np.isfinite(a_max)):
+        raise ValueError("LP data must be finite")
+    if not np.max(np.abs(target), initial=0.0) > lam:
+        return np.zeros(a_mat.shape[1])
+    w = homotopy_reference(a_mat, target, lam, a_max)
+    return lp._full_lp(a_mat, target, lam) if w is None else w
+
+
+def dantzig_direction_reference(t_mat, alpha_index, lam):
+    """The decorrelation direction from a copy of the nuisance block
+    ``T_gg``, built in four block slices, and the cross column ``T_ga``:
+    the reference for the masked in-place solve of ``dantzig_direction``."""
+    a, d = alpha_index, t_mat.shape[0]
+    t_ga = np.delete(t_mat[:, a], a)
+    if np.max(np.abs(t_ga)) <= lam:
+        return np.zeros(d - 1)
+    t_gg = np.empty((d - 1, d - 1))
+    t_gg[:a, :a], t_gg[:a, a:] = t_mat[:a, :a], t_mat[:a, a + 1:]
+    t_gg[a:, :a], t_gg[a:, a:] = t_mat[a + 1:, :a], t_mat[a + 1:, a + 1:]
+    return l1_min_linf_residual_reference(t_gg, t_ga, lam)
 
 
 # ---------------------------------------------------------------------------

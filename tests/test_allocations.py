@@ -4,16 +4,17 @@ array at the model defaults (d = 256, n = 100), and of the RMC E-step.
 The bounds are the measured peaks of the current code plus a small margin,
 far less than one d x d array, so that a reintroduced d x d temporary (an
 ``np.abs`` copy of T, a second product in the curvature matrix, a copy of
-T for its symmetrization) fails here.  Measured for MR: ``curvature_matrix``
-1.39 (its result and the weighted (n, d) design of the product; the
-strip-wise symmetrization adds 0.24 after that design is freed),
-``default_lambda`` 0.00 and ``infer_replicate`` 2.81 (the data, T, T_gg and
-the homotopy's row and column blocks).  A GMM replicate at the defaults
-certifies w = 0 from one curvature column: its score and Wald tests peak at
-0.03, and its ``infer_replicate`` at the 1.57 of ``fit_replicate`` (the
-four (n, d) arrays of 0.39 each that ``gen_dataset`` holds at once).  The
-RMC ``grad_q`` at its defaults (d = 256, n = 100) peaks at 0.06 of one
-(n, d) float64 array.
+T for its symmetrization, a copy of T_gg for the LP) fails here.  Measured
+for MR: ``curvature_matrix`` 1.39 (its result and the weighted (n, d)
+design of the product; the strip-wise symmetrization adds 0.24 after that
+design is freed), ``default_lambda`` 0.00 and ``infer_replicate`` 1.90
+(the data, T, and the homotopy's basis buffers, 0.38 while its rows of
+A[S, :] and A[:, J] double from 16 to 32; the LP is solved on T itself).
+A GMM replicate at the defaults certifies w = 0 from one curvature column:
+its score and Wald tests peak at 0.03, and its ``infer_replicate`` at the
+1.57 of ``fit_replicate`` (the four (n, d) arrays of 0.39 each that
+``gen_dataset`` holds at once).  The RMC ``grad_q`` at its defaults
+(d = 256, n = 100) peaks at 0.06 of one (n, d) float64 array.
 """
 
 import tracemalloc
@@ -45,7 +46,7 @@ def mr_fit():
 @pytest.mark.parametrize("name, bound", [
     ("curvature_matrix", 1.45),
     ("default_lambda", 0.05),
-    ("infer_replicate", 2.9),
+    ("infer_replicate", 1.95),
 ])
 def test_mr_decorrelation_peak_memory(mr_fit, name, bound):
     cfg, model, beta = mr_fit

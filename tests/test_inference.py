@@ -378,8 +378,8 @@ def test_statistics_match_full_lp_reference(monkeypatch):
 
     nonzero = []
 
-    def full_lp(a_mat, target, lam):
-        w = full_l1_linf_lp(a_mat, target, lam)
+    def full_lp(a_mat, target, lam, masked=None):
+        w = full_l1_linf_lp(a_mat, target, lam, masked)
         nonzero.append(bool(np.any(w)))
         return w
 

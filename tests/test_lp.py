@@ -3,7 +3,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import full_l1_linf_lp, l1_linf_oracle, lp_vertex_oracle
+from oracles import (
+    dantzig_direction_reference,
+    full_l1_linf_lp,
+    l1_linf_oracle,
+    l1_min_linf_residual_reference,
+    lp_vertex_oracle,
+)
 from truncem import lp
 from truncem.datagen import GenSpec, gen_dataset, make_beta_star
 from truncem.errors import LpInfeasibleError, LpUnboundedError
@@ -223,15 +229,16 @@ def mr_curvature_at_defaults():
 
 @pytest.mark.parametrize("kind", ["mr", "random"])
 def test_dantzig_block_copies_match_ix_reference(rng, monkeypatch, kind):
-    # T_gg is built from four block slices; it and w must equal the
-    # np.ix_ gather and its solution bit for bit, at either edge too
+    # the LP is posed on T itself with row and column alpha masked out; w
+    # must equal the solution of the np.ix_-gathered T_gg and T_ga bit for
+    # bit, at either edge too
     t_mat = mr_curvature_at_defaults() if kind == "mr" else random_symmetric(rng, 40)
     d = t_mat.shape[0]
-    solve, blocks = _l1_min_linf_residual, []
+    solve, seen = _l1_min_linf_residual, []
 
-    def recording_solve(a_mat, target, lam):
-        blocks.append(a_mat)
-        return solve(a_mat, target, lam)
+    def recording_solve(a_mat, target, lam, masked=None):
+        seen.append((a_mat, target.copy(), masked))
+        return solve(a_mat, target, lam, masked)
 
     monkeypatch.setattr(lp, "_l1_min_linf_residual", recording_solve)
     for alpha in (0, 1, 9, d - 2, d - 1):
@@ -239,25 +246,66 @@ def test_dantzig_block_copies_match_ix_reference(rng, monkeypatch, kind):
         t_gg, t_ga = t_mat[np.ix_(keep, keep)], t_mat[keep, alpha]
         lam = 0.5 * float(np.max(np.abs(t_ga)))
         w = dantzig_direction(t_mat, alpha, lam)
-        assert np.array_equal(blocks.pop(), t_gg)
+        a_mat, target, masked = seen.pop()
+        assert a_mat is t_mat and masked == alpha
+        assert target[alpha] == 0.0 and np.array_equal(target[keep], t_ga)
         assert np.any(w)
         assert np.array_equal(w, solve(t_gg, t_ga, lam))
 
 
+def test_dantzig_matches_block_copy_reference_on_mr_seeds():
+    # the masked solve over the buffered basis against the homotopy that
+    # copies T_gg and re-gathers and re-inverts its basis at every pivot
+    cfg = ExperimentConfig(model="MR").resolve()
+    for seed in range(50):
+        model, trace, _ = fit_replicate(cfg, seed)
+        beta = trace.estimate.copy()
+        beta[9] = 0.0  # the score test's evaluation point
+        t_mat = model.curvature_matrix(beta)
+        lam = default_lambda(t_mat, model.n_samples)
+        w = dantzig_direction(t_mat, 9, lam)
+        assert np.any(w)
+        assert np.array_equal(w, dantzig_direction_reference(t_mat, 9, lam)), seed
+
+
+def mr_dataset(d):
+    """The seed-0 MR dataset at the command-line defaults and dimension d."""
+    cfg = ExperimentConfig(model="MR", d=d).resolve()
+    return gen_dataset(GenSpec("MR", n=cfg.n, d=d, beta_star=make_beta_star(d, cfg.beta_values),
+                               sigma=cfg.sigma, seed=0))
+
+
+def test_clime_columns_match_reference_homotopy_at_small_lambda():
+    # the dense CLIME columns of scripts/bench_lp.py (d=64, lam=0.05):
+    # dozens of pivots each, every one through the buffered basis
+    sigma_hat = mr_dataset(64).design_covariance()
+    for j, e_j in enumerate(np.eye(64)):
+        w = _l1_min_linf_residual(sigma_hat, e_j, 0.05)
+        assert np.array_equal(w, l1_min_linf_residual_reference(sigma_hat, e_j, 0.05)), j
+
+
 def test_homotopy_scale_is_max_abs_entry(rng, monkeypatch):
-    # a_max is max(max A, -min A): no |A| copy, the same value bit for bit
+    # a_max is max(max A, -min A) over the LP's rows and columns: no |A|
+    # copy, and max|T_gg| for a decorrelation LP, the same value bit for bit
     homotopy, seen = lp._homotopy, []
 
-    def recording_homotopy(a_mat, target, lam, a_max):
+    def recording_homotopy(a_mat, target, lam, a_max, masked=None):
         seen.append(a_max)
-        return homotopy(a_mat, target, lam, a_max)
+        return homotopy(a_mat, target, lam, a_max, masked)
 
     monkeypatch.setattr(lp, "_homotopy", recording_homotopy)
+    t_mr = mr_curvature_at_defaults()
     for a_mat in (random_symmetric(rng, 8), -np.abs(random_symmetric(rng, 8)) - np.eye(8),
-                  mr_curvature_at_defaults()[1:, 1:]):
+                  t_mr[1:, 1:]):
         target = a_mat[:, 0] + 0.1
         _l1_min_linf_residual(a_mat, target, 0.5 * float(np.max(np.abs(target))))
         assert seen.pop() == np.max(np.abs(a_mat))
+    big_cross = random_symmetric(rng, 8)
+    big_cross[5, 2] = big_cross[2, 5] = 10.0  # the largest entry is in row/column 2
+    for t_mat, alpha in ((t_mr, 9), (t_mr, 0), (t_mr, 255), (big_cross, 2), (big_cross, 4)):
+        keep = np.delete(np.arange(t_mat.shape[0]), alpha)
+        dantzig_direction(t_mat, alpha, 0.5 * float(np.max(np.abs(t_mat[keep, alpha]))))
+        assert seen.pop() == np.max(np.abs(t_mat[np.ix_(keep, keep)]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -349,9 +397,7 @@ def test_zero_start_diagonal_matches_full_lp(monkeypatch):
 
 @pytest.mark.parametrize("d", [32, 64])
 def test_clime_at_default_lambda_solves_no_lp(monkeypatch, d):
-    cfg = ExperimentConfig(model="MR", d=d).resolve()
-    model = gen_dataset(GenSpec("MR", n=cfg.n, d=d, beta_star=make_beta_star(d, cfg.beta_values),
-                                sigma=cfg.sigma, seed=0))
+    model = mr_dataset(d)
     sigma_hat, lam = model.design_covariance(), model.clime_lambda
     calls = counting_linprog(monkeypatch)
     theta = clime_inverse(sigma_hat, lam)
@@ -489,6 +535,61 @@ def test_failed_certificate_falls_back_to_one_full_lp(monkeypatch):
     calls = counting_linprog(monkeypatch)
     assert np.array_equal(_l1_min_linf_residual(a_mat, target, 0.1), ref)
     assert calls == [(4, 4)]
+    # a decorrelation LP falls back through the same seam, on T_gg alone
+    t_mat = np.array([[0.1, 1.0, 1.0], [1.0, 5.0, 0.0], [1.0, 0.0, 1.0]])
+    calls.clear()
+    assert np.array_equal(dantzig_direction(t_mat, 1, 0.1), ref)
+    assert calls == [(4, 4)]
+
+
+def test_infeasible_masked_lp_is_certified_by_a_ray(monkeypatch):
+    # T_gg is rank deficient (all ones) and T_ga asks for w_0 + w_1 near 1
+    # and near -1 at once; the ray must ignore row and column alpha
+    t_mat = np.array([[1.0, 1.0, 1.0], [1.0, 3.0, -1.0], [1.0, -1.0, 1.0]])
+    with pytest.raises(LpInfeasibleError):
+        full_l1_linf_lp(np.ones((2, 2)), np.array([1.0, -1.0]), 0.5)
+    calls = counting_linprog(monkeypatch)
+    with pytest.raises(LpInfeasibleError):
+        dantzig_direction(t_mat, 1, 0.5)
+    assert calls == []
+
+
+def count_basis_updates(monkeypatch):
+    """Count each basis update of the homotopy, and record the largest
+    buffer it allocates."""
+    counts = {"border": 0, "replace_row": 0, "replace_col": 0, "downdate": 0, "rows": 0}
+    for name in ("border", "replace_row", "replace_col", "downdate"):
+        def counted(self, *args, name=name, update=getattr(lp._Basis, name)):
+            counts[name] += 1
+            return update(self, *args)
+
+        monkeypatch.setattr(lp._Basis, name, counted)
+    allocate = lp._Basis._allocate
+
+    def recorded(self, cap):
+        counts["rows"] = max(counts["rows"], cap)
+        return allocate(self, cap)
+
+    monkeypatch.setattr(lp._Basis, "_allocate", recorded)
+    return counts
+
+
+def test_every_basis_update_is_taken_and_buffers_grow(rng, monkeypatch):
+    counts = count_basis_updates(monkeypatch)
+    calls = counting_linprog(monkeypatch)
+    sigma_hat = mr_dataset(64).design_covariance()
+    corpus = [(sigma_hat, e_j, 0.05) for e_j in np.eye(64)[:3]]
+    for _ in range(30):
+        a_mat, target = mr_gram(np.round(rng.standard_normal((6, 13)), 1))
+        corpus.append((a_mat, target, 0.2 * float(np.max(np.abs(target)))))
+    for a_mat, target, lam in corpus:
+        w = _l1_min_linf_residual(a_mat, target, lam)
+        assert calls == []
+        ref = full_l1_linf_lp(a_mat, target, lam)
+        calls.clear()
+        assert np.max(np.abs(w - ref)) <= 1e-9
+    assert all(counts[name] > 0 for name in ("border", "replace_row", "replace_col", "downdate"))
+    assert counts["rows"] > lp._BASIS_ROWS
 
 
 def test_working_set_rejects_nonfinite_data_outside_start_block():
