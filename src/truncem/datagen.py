@@ -64,8 +64,10 @@ def gen_dataset(spec: GenSpec):
     rng = np.random.default_rng(spec.seed)
     if spec.model == "GMM":
         signs = rng.integers(0, 2, size=spec.n) * 2.0 - 1.0
-        noise = rng.standard_normal((spec.n, spec.d))
-        y = signs[:, None] * spec.beta_star + spec.sigma * noise
+        y = rng.standard_normal((spec.n, spec.d))  # the data, built in place
+        y *= spec.sigma
+        nz = np.flatnonzero(spec.beta_star)  # adding +-0 elsewhere is exact
+        y[:, nz] += signs[:, None] * spec.beta_star[nz]
         return GaussianMixture(y, spec.sigma)
     if spec.model == "MR":
         x = rng.standard_normal((spec.n, spec.d))
@@ -74,7 +76,8 @@ def gen_dataset(spec: GenSpec):
         return MixtureRegression(x, y, spec.sigma)
     x = rng.standard_normal((spec.n, spec.d))
     y = x @ spec.beta_star + spec.sigma * rng.standard_normal(spec.n)
-    mask = (rng.uniform(size=(spec.n, spec.d)) >= spec.p_missing).astype(float)
+    mask = rng.uniform(size=(spec.n, spec.d))
+    np.greater_equal(mask, spec.p_missing, out=mask)  # 0/1 in the draw's array
     return MissingCovariateRegression(x, mask, y, spec.sigma)
 
 

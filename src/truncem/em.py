@@ -101,7 +101,8 @@ def run_em(model, init, cfg: EmConfig):
             source = model.subset(np.arange(t * block, (t + 1) * block))
         half = _m_step(source, beta, cfg)
         support = top_support(half, cfg.s_hat)
-        beta = hard_truncate(half, support)
+        beta = np.zeros_like(half)  # hard_truncate without re-checking the support
+        beta[support] = half[support]
         trace.half_iterates.append(half)
         trace.supports.append(support)
         trace.iterates.append(beta)

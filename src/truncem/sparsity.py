@@ -26,8 +26,12 @@ def top_support(beta, s):
         raise ValueError(f"support size s={s} outside [0, {d}]")
     if s == 0:
         return np.empty(0, dtype=int)
+    mag = np.abs(beta)
+    support = np.flatnonzero(mag >= np.partition(mag, d - s)[d - s])
+    if support.size == s:  # no tie or NaN at the cut: the argsort keeps these
+        return support
     # stable sort on -|beta| keeps smaller indices first among ties
-    order = np.argsort(-np.abs(beta), kind="stable")
+    order = np.argsort(-mag, kind="stable")
     return np.sort(order[:s])
 
 

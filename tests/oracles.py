@@ -34,6 +34,14 @@ def best_sparse_l2(beta, s):
     return best
 
 
+def top_support_argsort(beta, s):
+    """``top_support`` as one stable argsort on -|beta| (a NaN sorts last):
+    the reference for the partition form, which must return the same
+    indices."""
+    order = np.argsort(-np.abs(np.asarray(beta, dtype=float)), kind="stable")
+    return np.sort(order[:s])
+
+
 # ---------------------------------------------------------------------------
 # linear programs
 
@@ -224,6 +232,29 @@ def dantzig_direction_reference(t_mat, alpha_index, lam):
 
 
 # ---------------------------------------------------------------------------
+# data generation with out-of-place arithmetic
+
+
+def gen_arrays_reference(spec):
+    """The arrays ``gen_dataset(spec)`` wraps, drawn in the documented order
+    and combined out of place: ``(y,)`` for GMM, ``(x, y)`` for MR and
+    ``(x, mask, y)`` for RMC.  The in-place generator must match them bit
+    for bit."""
+    rng = np.random.default_rng(spec.seed)
+    if spec.model == "GMM":
+        signs = rng.integers(0, 2, size=spec.n) * 2.0 - 1.0
+        noise = rng.standard_normal((spec.n, spec.d))
+        return (signs[:, None] * spec.beta_star + spec.sigma * noise,)
+    x = rng.standard_normal((spec.n, spec.d))
+    if spec.model == "MR":
+        signs = rng.integers(0, 2, size=spec.n) * 2.0 - 1.0
+        return x, signs * (x @ spec.beta_star) + spec.sigma * rng.standard_normal(spec.n)
+    y = x @ spec.beta_star + spec.sigma * rng.standard_normal(spec.n)
+    mask = (rng.uniform(size=(spec.n, spec.d)) >= spec.p_missing).astype(float)
+    return x, mask, y
+
+
+# ---------------------------------------------------------------------------
 # model surrogates, per-sample double loops
 
 
@@ -319,10 +350,21 @@ def rmc_loglik_materialized(model, beta):
     return float(np.sum(-0.5 * np.log(2.0 * np.pi * tau2) - resid**2 / (2.0 * tau2)))
 
 
+def gmm_curvature_symmetrized(model, beta):
+    """The Gaussian-mixture curvature matrix as ``(y nu)^T y / n - I``,
+    symmetrized out of place: the reference for the Gram form
+    ``Z^T Z - I`` in ``GaussianMixture``."""
+    y = model.y
+    w = model._weights(beta)
+    nu = (4.0 / model.sigma**2) * w * (1.0 - w)
+    t_mat = (y * nu[:, None]).T @ y / model.n_samples - np.eye(model.dim)
+    return 0.5 * (t_mat + t_mat.T)
+
+
 def mr_curvature_two_products(model, beta):
     """The mixture-of-regressions curvature matrix as two d x d products,
     ``X^T diag(nu y^2) X / n - X^T X / n``, symmetrized out of place: the
-    reference for the one-product form in ``MixtureRegression``."""
+    reference for the Gram form in ``MixtureRegression``."""
     x, y = model.x, model.y
     w = model._weights(beta)
     nu = (4.0 / model.sigma**2) * w * (1.0 - w)

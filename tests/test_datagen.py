@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from oracles import gen_arrays_reference
 from truncem.datagen import (
     GenSpec,
     dataset_from_csv,
@@ -56,6 +57,25 @@ def test_genspec_validation():
 
 # ---------------------------------------------------------------------------
 # gen_dataset
+
+
+@pytest.mark.parametrize("model, n, d, p_missing", [
+    ("GMM", 40, 6, 0.0),
+    ("GMM", 800, 128, 0.0),
+    ("MR", 40, 6, 0.0),
+    ("RMC", 40, 6, 0.0),
+    ("RMC", 40, 6, 0.1),
+])
+def test_generators_match_out_of_place_reference(model, n, d, p_missing):
+    beta = make_beta_star(d, (3.0, -1.5, 0.5))
+    for seed in range(20):
+        spec = GenSpec(model, n, d, beta, 0.7, p_missing=p_missing, seed=seed)
+        data = gen_dataset(spec)
+        fields = {"GMM": ("y",), "MR": ("x", "y"), "RMC": ("x", "mask", "y")}[model]
+        for name, want in zip(fields, gen_arrays_reference(spec), strict=True):
+            have = getattr(data, name)
+            assert have.dtype == want.dtype and have.shape == want.shape
+            assert have.tobytes() == want.tobytes()
 
 
 def test_gmm_noiseless_limit():

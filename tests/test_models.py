@@ -7,6 +7,7 @@ from conftest import random_gmm, random_mr, random_rmc
 from oracles import (
     fd_directional,
     fd_gradient,
+    gmm_curvature_symmetrized,
     gmm_q_naive,
     mr_curvature_two_products,
     mr_q_naive,
@@ -279,8 +280,8 @@ def test_curvature_symmetry_and_fd(rng):
 
 
 def test_mr_curvature_matches_two_product_form(rng):
-    # one product sums in another order, so it agrees to rounding only;
-    # the in-place symmetrization must still be exact
+    # the Gram form sums in another order, so it agrees to rounding only;
+    # the completed triangle must still be exactly symmetric
     fitted, trace, _ = fit_replicate(ExperimentConfig(model="MR").resolve(), 0)
     small = random_mr(rng, sigma=0.6)
     cases = [(fitted, trace.estimate), (fitted, np.zeros(fitted.dim)),
@@ -301,17 +302,34 @@ def test_gmm_curvature_at_zero_closed_form(rng):
                        atol=1e-12)
 
 
-@pytest.mark.parametrize("d", [1, 5, 16, 17, 40])
-def test_mr_strip_symmetrization_is_bit_identical(rng, d):
-    # strips of 16 rows, so d = 1, 16 and 17 cover a lone, an exact and a
-    # ragged last strip
-    model = random_mr(rng, n=30, d=d, sigma=0.6)
-    beta = rng.standard_normal(d)
-    v = model._curvature_weights_at(beta)
-    expect = model.x.T @ (model.x * v[:, None])
-    expect += expect.T
-    expect *= 0.5
-    np.testing.assert_array_equal(model.curvature_matrix(beta), expect)
+# blocks of 32 rows complete the triangle BLAS fills: d = 1, 5, 16 and 17
+# sit in one block, 40 spans a full and a ragged one; d = 199 is a size at
+# which an in-place dgemm update is not exactly symmetric
+@pytest.mark.parametrize("d", [1, 5, 16, 17, 40, 199])
+@pytest.mark.parametrize("sigma, scale, lifted_range", [
+    pytest.param(0.1, 1.0, (1, 9), id="few"),
+    pytest.param(1.0, 1.0, (21, 30), id="most"),
+    pytest.param(0.01, 100.0, (0, 0), id="none"),
+])
+def test_mr_curvature_gram_form(rng, d, sigma, scale, lifted_range):
+    model = random_mr(rng, n=30, d=d, sigma=sigma)
+    beta = scale * rng.standard_normal(d) / np.sqrt(d)
+    lifted = np.count_nonzero(model._curvature_weights_at(beta) != -1.0 / model.n_samples)
+    assert lifted_range[0] <= lifted <= lifted_range[1]
+    t_mat = model.curvature_matrix(beta)
+    ref = mr_curvature_two_products(model, beta)
+    assert np.array_equal(t_mat, t_mat.T)
+    assert np.max(np.abs(t_mat - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("d", [1, 5, 17, 40])
+def test_gmm_curvature_gram_form(rng, d):
+    model = random_gmm(rng, n=30, d=d, sigma=0.6)
+    for beta in (np.zeros(d), rng.standard_normal(d)):
+        t_mat = model.curvature_matrix(beta)
+        ref = gmm_curvature_symmetrized(model, beta)
+        assert np.array_equal(t_mat, t_mat.T)
+        assert np.max(np.abs(t_mat - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_curvature_column_matches_matrix(rng):

@@ -4,13 +4,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import best_sparse_l2
+from oracles import best_sparse_l2, top_support_argsort
 from truncem.sparsity import hard_truncate, top_support
 
 finite_vectors = arrays(
     np.float64,
     st.integers(1, 8),
     elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+# values on a coarse grid, so that ties are common, with many zeros and NaNs
+tied_vectors = arrays(
+    np.float64,
+    st.integers(1, 12),
+    elements=st.one_of(
+        st.just(0.0),
+        st.just(np.nan),
+        st.floats(-2.0, 2.0).map(lambda v: round(v, 1)),
+    ),
 )
 
 
@@ -30,6 +40,13 @@ def test_top_support_full_and_empty():
 
 def test_top_support_zero_vector_leading_indices():
     assert top_support(np.zeros(5), 3).tolist() == [0, 1, 2]
+
+
+@given(tied_vectors)
+def test_top_support_matches_stable_argsort(beta):
+    # the partition form must keep the argsort's choice among ties and NaNs
+    for s in range(1, beta.shape[0] + 1):
+        assert np.array_equal(top_support(beta, s), top_support_argsort(beta, s))
 
 
 def test_top_support_invalid_s():
