@@ -10,6 +10,14 @@ alternating which goes first, with BLAS pinned to one thread:
   (``dantzig_direction``) for MR at the command-line defaults (d=256,
   n=100, alpha_index 9, default lambda), on the fits of replicate seeds
   0 to 4, one LP each;
+- ``mr-decorrelate-columns-d256``: the score test's whole decorrelation
+  at the same five points, the column path of ``inference._decorrelate``
+  (curvature columns on demand, the diagonal bound for lambda and
+  ``max |T_gg|``, the LP on the columns, ``v^T T v`` on the support)
+  against ``decorrelate_full_matrix`` from ``tests/oracles.py`` (the
+  curvature matrix, ``default_lambda``, ``dantzig_direction`` and ``v^T T
+  v`` on T), both with the native LP and with the model's memos cleared
+  before each point, so both compute the curvature weights;
 - ``clime-d32``, ``clime-d64``, ``clime-d128``: ``clime_inverse`` of the
   MR design covariance at n=100 and seed 0 with the model's default CLIME
   lambda, all d column LPs;
@@ -17,10 +25,11 @@ alternating which goes first, with BLAS pinned to one thread:
   lambda 0.1 and 0.05, where the columns are dense (about 21 and 46
   nonzeros) and the homotopy takes many breakpoints.
 
-The native solver is ``truncem.lp`` as it stands: the homotopy in lambda,
-with HiGHS only as its fallback.  The full LP is ``full_l1_linf_lp`` from
-``tests/oracles.py``, the reference the tests compare against, which puts
-all 2m rows and 2m columns into one ``solve_lp`` call.  It replaces
+In the other rows the native solver is ``truncem.lp`` as it stands: the
+homotopy in lambda, with HiGHS only as its fallback.  The full LP is
+``full_l1_linf_lp`` from ``tests/oracles.py``, the reference the tests
+compare against, which puts all 2m rows and 2m columns into one
+``solve_lp`` call.  It replaces
 ``lp._l1_min_linf_residual`` for the full runs, so both sides of the MR
 row run the same public function: ``dantzig_direction`` hands that seam
 the whole curvature matrix with row and column alpha masked out, and the
@@ -52,35 +61,82 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
 
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
-from oracles import full_l1_linf_lp  # noqa: E402
+from oracles import decorrelate_full_matrix, full_l1_linf_lp  # noqa: E402
 from run import blas_runtime, git_sha, src_digest  # noqa: E402
 
-from truncem import lp  # noqa: E402
+from truncem import inference, lp  # noqa: E402
 from truncem.datagen import GenSpec, gen_dataset, make_beta_star  # noqa: E402
 from truncem.harness import ExperimentConfig, fit_replicate  # noqa: E402
-from truncem.inference import default_lambda  # noqa: E402
+from truncem.inference import InferenceConfig, default_lambda  # noqa: E402
 
 ALPHA_INDEX = 9
 MR_SEEDS = range(5)
 CLIME_CASES = ((32, None), (64, None), (128, None), (64, 0.1), (64, 0.05))
 
 
-def mr_decorrelation_case():
-    """(name, n_lps, solve, solve) for the score test's LPs at the MR defaults,
-    one per replicate seed in ``MR_SEEDS``."""
+def full_lp(a, target, lam, a_max, masked=None):
+    """``full_l1_linf_lp`` at the seam of ``lp._l1_min_linf_residual``."""
+    return full_l1_linf_lp(np.asarray(a), target, lam, masked)
+
+
+def on_full_lp(solve):
+    """``solve`` with every Dantzig LP handed to ``full_lp``."""
+    def full():
+        native, lp._l1_min_linf_residual = lp._l1_min_linf_residual, full_lp
+        try:
+            return solve()
+        finally:
+            lp._l1_min_linf_residual = native
+
+    return full
+
+
+def mr_score_points():
+    """(model, beta) of the score test at the MR defaults, one per
+    replicate seed in ``MR_SEEDS``."""
     cfg = ExperimentConfig(model="MR").resolve()
-    inputs = []
+    points = []
     for seed in MR_SEEDS:
         model, trace, _ = fit_replicate(cfg, seed)
         beta = trace.estimate.copy()
         beta[ALPHA_INDEX] = 0.0
+        points.append((model, beta))
+    return points
+
+
+def mr_decorrelation_case(points):
+    """(name, n_lps, native solve, full solve) for the score test's LPs
+    at the MR defaults."""
+    inputs = []
+    for model, beta in points:
         t_mat = model.curvature_matrix(beta)
         inputs.append((t_mat, default_lambda(t_mat, model.n_samples)))
 
     def solve():
         return np.concatenate([lp.dantzig_direction(t, ALPHA_INDEX, lam) for t, lam in inputs])
 
-    return "mr-decorrelation-d256", len(inputs), solve, solve
+    return "mr-decorrelation-d256", len(inputs), solve, on_full_lp(solve)
+
+
+def mr_columns_case(points):
+    """(name, n_lps, column path, whole-matrix path) for the score test's
+    decorrelation at the MR defaults, each computing the curvature weights
+    afresh."""
+    icfg = InferenceConfig(alpha_index=ALPHA_INDEX)
+
+    def run(decorrelate):
+        def solve():
+            out = []
+            for model, beta in points:
+                for memo in ("_decorrelated", "_curvature_memo"):
+                    vars(model).pop(memo, None)
+                out.append(decorrelate(model, beta, icfg)[1])
+            return np.concatenate(out)
+
+        return solve
+
+    return ("mr-decorrelate-columns-d256", len(points), run(inference._decorrelate),
+            run(decorrelate_full_matrix))
 
 
 def clime_case(d, lam):
@@ -95,29 +151,26 @@ def clime_case(d, lam):
     lam = model.clime_lambda if lam is None else lam
 
     def full():
-        return np.column_stack([lp._l1_min_linf_residual(sigma_hat, e_j, lam)
-                                for e_j in np.eye(d)])
+        return np.column_stack([full_lp(sigma_hat, e_j, lam, None) for e_j in np.eye(d)])
 
     return name, d, lambda: lp.clime_inverse(sigma_hat, lam), full
 
 
-def run_once(solve, full):
+def run_once(solve):
     """One timed solve; returns (seconds, w, A_ub shape of each linprog call)."""
-    shapes, linprog, l1_min = [], lp.linprog, lp._l1_min_linf_residual
+    shapes, linprog = [], lp.linprog
 
     def recorded(*args, **kwargs):
         shapes.append(kwargs["A_ub"].shape)
         return linprog(*args, **kwargs)
 
     lp.linprog = recorded
-    if full:
-        lp._l1_min_linf_residual = full_l1_linf_lp
     try:
         start = time.perf_counter()
         w = solve()
         elapsed = time.perf_counter() - start
     finally:
-        lp.linprog, lp._l1_min_linf_residual = linprog, l1_min
+        lp.linprog = linprog
     return elapsed, w, shapes
 
 
@@ -142,7 +195,7 @@ def bench_case(name, n_lps, native, full, repeats):
     for r in range(repeats):
         order = ("native", "full") if r % 2 == 0 else ("full", "native")
         for side in order:
-            elapsed, w, calls = run_once(solves[side], full=side == "full")
+            elapsed, w, calls = run_once(solves[side])
             times[side].append(elapsed)
             shapes[side], outputs[side] = calls, w
     row = {"name": name, "lps_per_run": n_lps, "repeats": repeats}
@@ -176,7 +229,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be positive")
-    cases = [mr_decorrelation_case()] + [clime_case(d, lam) for d, lam in CLIME_CASES]
+    points = mr_score_points()
+    cases = ([mr_decorrelation_case(points), mr_columns_case(points)]
+             + [clime_case(d, lam) for d, lam in CLIME_CASES])
     rows = []
     for name, n_lps, native, full in cases:
         row = bench_case(name, n_lps, native, full, args.repeats)

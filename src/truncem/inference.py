@@ -3,33 +3,33 @@
 Both tests remove the influence of the (d-1)-dimensional nuisance block
 by projecting its score out of the coordinate of interest; the
 projection direction is an l1-minimizing solution of an approximate
-linear system in the curvature matrix T, fitted by ``dantzig_direction``.
+linear system in the curvature matrix T, fitted by ``lp.dantzig_columns``.
 
-The direction is certified zero from one column of T before the d x d
-matrix is formed.  ``dantzig_direction`` returns w = 0 exactly when the
-cross column T_ga lies within lam of zero, and any entry of T bounds
-max|T| from below, so ``0.5 sqrt(log d / n) max|T[:, alpha]|`` is at most
-the default lam (with a lam set by the caller, lam itself is the bound).
-If ``max|T_ga|`` from ``curvature_column`` lies below that bound by a
-relative margin of ``_CERTIFICATE_MARGIN`` (1e-9, against a rounding gap
-of about n eps between a matrix-vector column and the matrix product),
-w = 0, and both statistics need only T_aa.  Otherwise, the column within
-the margin included, the whole matrix, its default lam, the LP and the
-quadratic form run as they would without the certificate.  The two paths
-agree to rel 1e-12 (a test holds them to it); at the command-line
-defaults every Gaussian-mixture replicate is certified, and the
-mixture-of-regressions replicates are not.
+T is read by columns (``curvature_column``), each computed when first
+needed; no d x d matrix is formed.  The LP returns w = 0 exactly when the
+cross column T_ga lies within lam of zero, and ``0.5 sqrt(log d / n)
+max|T[:, alpha]|`` is at most the default lam (a lam set by the caller is
+its own bound).  If ``max|T_ga|`` lies below that bound by a relative
+margin of ``_CERTIFICATE_MARGIN`` (1e-9, against a rounding gap of about
+n eps between a column and the matrix product), w = 0 and both statistics
+need only T_aa, as for every Gaussian-mixture replicate at the defaults.
+Otherwise the LP reads the columns its basis asks for (about 15 of 256
+at the mixture-of-regressions defaults) and ``v.T @ T @ v`` those on the
+support of v.  Its pivot scale ``max|T_gg|`` (with column alpha, max|T|
+for lam) is exact from ``curvature_diagonal``: an entry above every
+diagonal one lies in a column whose radius reaches that, and those few
+columns are read.  All agrees with the whole matrix to rel 1e-12.
 
 One evaluation point is decorrelated once: the model keeps its last
 curvature column, direction and quadratic form, so the Wald test at an
 estimate whose tested coordinate already equals the null value reuses
 the score test's work, and both results share one read-only ``w_hat``.
 
-The model classes expose ``grad_q``, ``curvature_column`` and
-``curvature_matrix`` in the sigma^2-scaled surrogate normalization (see
-``models``); the statistics here divide by sigma^2 so that the plug-in
-information is on the Fisher scale and the statistics are asymptotically
-standard normal for every noise level.
+The model classes expose ``grad_q`` and the curvature in the
+sigma^2-scaled surrogate normalization (see ``models``); the statistics
+here divide by sigma^2 so that the plug-in information is on the Fisher
+scale and the statistics are asymptotically standard normal for every
+noise level.
 """
 
 import math
@@ -39,7 +39,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import DegenerateInformationError
-from .lp import dantzig_direction
+from .lp import dantzig_columns, dantzig_direction  # noqa: F401 (bench/tracing.py wraps it)
 
 _SQRT2 = math.sqrt(2.0)
 #: relative margin by which the cross column must clear lam for the
@@ -134,11 +134,33 @@ def _two_sided(statistic, delta):
     return p_value, abs(statistic) > crit
 
 
+class _Columns(dict):
+    """Columns of T at ``beta``, formed on first read (T is symmetric: rows)."""
+
+    def __init__(self, model, beta):
+        self.model, self.beta = model, beta
+
+    def __missing__(self, i):
+        col = self[i] = self.model.curvature_column(self.beta, i)
+        if not np.isfinite(col).all():
+            raise ValueError("curvature column must be finite")
+        return col
+
+
+def _abs_peak(cols, diag, radii, skip):
+    """``max |T_ij|`` over i, j != ``skip`` (see the module docstring)."""
+    keep = np.delete(np.arange(diag.size), skip)
+    peak = np.max(np.abs(diag[keep]))
+    for i in keep[radii[keep] >= peak * (1.0 - _CERTIFICATE_MARGIN)]:
+        peak = max(peak, np.max(np.abs(cols[i][keep])))
+    return peak
+
+
 def _decorrelate(model, beta, cfg: InferenceConfig):
     """Column alpha of the curvature matrix T at ``beta``, the
     decorrelation direction w and the quadratic form ``v.T @ T @ v`` (see
-    ``info_quadratic_form``), by the column certificate of w = 0 or from
-    the whole matrix (see the module docstring).
+    ``info_quadratic_form``), by the column certificate of w = 0 or by the
+    LP on the columns of T (see the module docstring).
 
     All three are read-only and memoized on the model for one key: the
     exact bytes of ``beta``, ``alpha_index`` and ``lam``.
@@ -150,7 +172,8 @@ def _decorrelate(model, beta, cfg: InferenceConfig):
     memo = getattr(model, "_decorrelated", None)
     if memo is not None and memo[0] == key:
         return memo[1:]
-    col = model.curvature_column(beta, a)
+    cols = _Columns(model, beta)
+    col = cols[a]
     bound = cfg.lam
     if bound is None:
         bound = _scaled_lambda(np.max(np.abs(col)), model.dim, model.n_samples)
@@ -158,10 +181,14 @@ def _decorrelate(model, beta, cfg: InferenceConfig):
     if cross < bound * (1.0 - _CERTIFICATE_MARGIN):
         w, quad = np.zeros(model.dim - 1), float(col[a])
     else:
-        t_mat = model.curvature_matrix(beta)
-        lam = cfg.lam if cfg.lam is not None else default_lambda(t_mat, model.n_samples)
-        w = dantzig_direction(t_mat, a, lam)
-        col, quad = t_mat[:, a].copy(), info_quadratic_form(t_mat, w, a)
+        a_max = _abs_peak(cols, *model.curvature_diagonal(beta), a)
+        lam = cfg.lam
+        if lam is None:  # max|T| lies in T_gg or in column alpha
+            lam = max(bound, _scaled_lambda(a_max, model.dim, model.n_samples))
+        w = dantzig_columns(cols, a, lam, a_max)
+        v = np.insert(-w, a, 1.0)
+        on = np.flatnonzero(v)  # alpha and supp(w), whose columns the LP read
+        quad = float(np.dot(v[on], [cols[i] for i in on])[on] @ v[on])
     col.flags.writeable = False
     w.flags.writeable = False
     model._decorrelated = (key, col, w, quad)

@@ -69,26 +69,29 @@ e_i)`` when that denominator is positive.  The column ratio is
 Since the final solve starts afresh, w is bit-identical to that of a
 basis re-inverted at every pivot whenever the two take the same pivots.
 
-``dantzig_direction`` poses its LP on the curvature matrix T itself:
-target ``T[:, alpha]`` with entry alpha set to 0, and row and column
-alpha masked out.  Row alpha never binds (its hit is -inf), column alpha
-never enters (its ratio is +inf), the certificate and the infeasible ray
-ignore both, and ``a_max`` is ``max |T_gg|`` read from T's blocks; no
-block of T is copied, except by the HiGHS fallback.
+A is symmetric and read only as rows ``a[i]`` (row j is column j), from
+an array or from a mapping that forms them on demand, as ``inference``
+does with curvature columns; the pivot scale ``a_max = max |a_ij|`` comes
+from the caller.  ``dantzig_columns`` poses its LP on T itself: target
+``T[:, alpha]`` with entry alpha set to 0, and row and column alpha
+masked out.  Row alpha never binds (its hit is -inf), column alpha never
+enters (its ratio is +inf), and the certificate and the infeasible ray
+ignore both.
 
 Before it returns, the answer is certified: ``||t - A w||_inf <= lam +
 FEAS_TOL``, ``||A^T u||_inf <= 1 + tol`` and a closed duality gap,
 ``||w||_1 = t.u - lam ||u||_1``; by weak duality no feasible point has
-a smaller l1 norm.  The whole LP goes to HiGHS in one ``solve_lp`` call
-on its positive/negative split ``w = w+ - w-``, with one pair of rows
-``+-(t_i - a_i w) <= lam`` per residual, when the certificate fails, when
-a pivot of the ratio test or of a basis update is not above
-``_PIVOT_TOL`` (relative to ``max |a_ij|`` where it has that scale),
-when the final basis is singular, or when the pivot count reaches a
-fixed cap (ties and degenerate vertices can make a path stall).  That
-call is the only solver call left; the MR decorrelation LPs at the
-command-line defaults and the CLIME inputs of ``scripts/bench_lp.py``
-never take it.
+a smaller l1 norm; ``A w = w_J A[J, :]`` and ``A^T u = u A[S, :]`` are
+read from the basis buffers.  The whole LP, every row of A gathered, goes
+to HiGHS in one ``solve_lp`` call on its positive/negative split ``w = w+
+- w-``, with one pair of rows ``+-(t_i - a_i w) <= lam`` per residual,
+when the certificate fails, when a pivot of the ratio test or of a basis
+update is not above ``_PIVOT_TOL`` (relative to ``max |a_ij|`` where it
+has that scale), when the final basis is singular, or when the pivot
+count reaches a fixed cap (ties and degenerate vertices can make a path
+stall).  That call is the only solver call left; the MR decorrelation
+LPs at the command-line defaults and the CLIME inputs of
+``scripts/bench_lp.py`` never take it.
 
 ``clime_inverse`` takes the first breakpoint of all d columns at once.
 Column j starts at lam_0 = 1 with row j active; if ``sigma_jj != 0`` and
@@ -156,7 +159,7 @@ def solve_lp(c, a_ub, b_ub):
 class _Basis:
     """The homotopy's basis: active rows S with signs s and support
     columns J with signs z, in the order they joined.  ``a_rows[:k]``
-    holds A[S, :], ``a_cols[:k]`` holds A[:, J] as rows, ``ts[:k]`` holds
+    holds A[S, :], ``a_cols[:k]`` holds A[J, :] = A[:, J]^T, ``ts[:k]`` holds
     (t_S, s), ``z[:k]`` holds z and ``inv[:k, :k]`` is A[S, J]^-1, for
     k = |S| = |J|; ``free_rows`` and ``free_cols`` are 1 on the rows that
     may bind and the columns that may enter, and 0 on S, on J and on the
@@ -166,10 +169,10 @@ class _Basis:
     when its pivot is not above ``_PIVOT_TOL``, scaled by ``a_max`` for a
     pivot in the units of A or of its inverse."""
 
-    def __init__(self, a_mat, target, a_max, masked):
-        self.a_mat, self.target, self.a_max = a_mat, target, a_max
+    def __init__(self, a, target, a_max, masked):
+        self.a, self.target, self.a_max = a, target, a_max
         self.rows, self.cols = [], []
-        m = a_mat.shape[1]
+        m = target.size
         self.free_rows, self.free_cols = np.ones(m), np.ones(m)
         if masked is not None:
             self.free_rows[masked] = self.free_cols[masked] = 0.0
@@ -177,7 +180,7 @@ class _Basis:
 
     def _allocate(self, cap):
         """Buffers of ``cap`` rows, holding the basis of the old ones."""
-        k, m = len(self.rows), self.a_mat.shape[1]
+        k, m = len(self.rows), self.target.size
         for name, shape in (("a_rows", (cap, m)), ("a_cols", (cap, m)), ("ts", (cap, 2)),
                             ("z", (cap,)), ("inv", (cap, cap))):
             buf = np.empty(shape)
@@ -191,20 +194,20 @@ class _Basis:
         k = len(self.rows)
         if k == self.z.size:
             self._allocate(2 * k)
-        self.a_rows[k] = self.a_mat[i]
+        self.a_rows[k] = self.a[i]
 
     def border(self, i, side, j, sign, y):
         """Row i (staged) joins S with sign ``side`` and column j joins J
         with sign ``sign``, by bordering; ``y = A[i, J] inv``."""
         k = len(self.rows)
         inv, b = self.inv[:k, :k], self.a_rows[:k, j]
-        sigma = self.a_mat[i, j] - np.dot(y, b)
+        sigma = self.a_rows[k, j] - np.dot(y, b)
         if not abs(sigma) > _PIVOT_TOL * self.a_max:
             return False
         x, y = np.dot(inv, b), y / sigma
         inv += np.multiply.outer(x, y)
         self.inv[:k, k], self.inv[k, :k], self.inv[k, k] = x / -sigma, -y, 1.0 / sigma
-        self.a_cols[k] = self.a_mat[:, j]
+        self.a_cols[k] = self.a[j]
         self.ts[k] = self.target[i], side
         self.z[k] = sign
         self.rows.append(i)
@@ -240,7 +243,7 @@ class _Basis:
                 return False
             x[pos] -= 1.0
             inv -= np.multiply.outer(x, inv[pos] / pivot)
-            self.a_cols[pos] = self.a_mat[:, j]
+            self.a_cols[pos] = self.a[j]
             self.free_cols[self.cols[pos]], self.free_cols[j] = 1.0, 0.0
             self.cols[pos] = j
         self.z[pos] = sign
@@ -264,14 +267,14 @@ class _Basis:
         return True
 
 
-def _homotopy(a_mat, target, lam, a_max, masked=None):
+def _homotopy(a, target, lam, a_max, masked=None):
     """Follow the optimal basis from ``lam_0 = ||target||_inf > lam`` down
     to lam (see the module docstring), with row and column ``masked``, if
     given, left out of the LP.  Returns the certified optimum, or None
     when the path is not trusted and HiGHS must solve the LP; raises
     ``LpInfeasibleError`` on a certified infeasible ray."""
-    m = a_mat.shape[1]
-    basis = _Basis(a_mat, target, a_max, masked)
+    m = target.size
+    basis = _Basis(a, target, a_max, masked)
     rows, cols = basis.rows, basis.cols
     hits, col_ratio, coord_hits, row_ratio = np.empty((4, m))
     lam_cur = np.max(np.abs(target))
@@ -300,12 +303,13 @@ def _homotopy(a_mat, target, lam, a_max, masked=None):
                 lam_next, row_event = leaving[pos], False
         lam_cur = min(lam_cur, lam_next)
         if lam_cur <= lam:
-            w = np.zeros(m)
+            w, t_s, a_s = np.zeros(m), basis.ts[:k, 0], basis.a_rows[:k]
             try:
-                w[cols] = np.linalg.solve(basis.a_rows[:k][:, cols], basis.ts[:k, 0] - lam * s)
+                w[cols] = w_j = np.linalg.solve(a_s[:, cols], t_s - lam * s)
             except np.linalg.LinAlgError:
                 return None
-            return w if _certified(a_mat, target, lam, w, rows, u, masked) else None
+            ok = _certified(target, lam, w_j, basis.a_cols[:k], u, a_s, t_s, masked)
+            return w if ok else None
         # the dual moves along a ray over the rows that then carry it: row
         # i joins them, or coordinate pos gets a positive reduced cost
         if row_event:
@@ -343,7 +347,8 @@ def _homotopy(a_mat, target, lam, a_max, masked=None):
             # no usable pivot: either A^T ray = 0 proves infeasibility, or
             # the path is ill-conditioned here
             ray_rows = rows + [i] if row_event else rows
-            if _infeasible_ray(a_mat, target, lam, a_max, ray_rows, ray, masked):
+            if _infeasible_ray(lam, a_max, ray, basis.a_rows[:len(ray_rows)],
+                               target[ray_rows], masked):
                 raise LpInfeasibleError("LP infeasible")
             return None
         if row_event:
@@ -358,82 +363,67 @@ def _homotopy(a_mat, target, lam, a_max, masked=None):
     return None
 
 
-def _certified(a_mat, target, lam, w, rows, u, masked=None):
+def _certified(target, lam, w_j, a_j, u, a_s, t_s, masked=None):
     """True if w is feasible, u is dual feasible and their objectives
-    meet; row and column ``masked``, if given, are not part of the LP."""
-    u_full = np.zeros(a_mat.shape[0])
-    u_full[rows] = u
-    resid, reduced = target - a_mat @ w, u_full @ a_mat
+    meet: w is ``w_j`` on J with ``a_j = A[J, :]``, u is on S with ``a_s =
+    A[S, :]`` and ``t_s = t_S``; row and column ``masked`` are not in the LP."""
+    resid, reduced = target - w_j @ a_j, u @ a_s
     if masked is not None:
         resid[masked] = reduced[masked] = 0.0
-    l1, dual = np.sum(np.abs(w)), target @ u_full - lam * np.sum(np.abs(u_full))
+    l1, dual = np.sum(np.abs(w_j)), t_s @ u - lam * np.sum(np.abs(u))
     return (np.max(np.abs(resid)) <= lam + FEAS_TOL
             and np.max(np.abs(reduced)) <= 1.0 + _CERT_TOL
             and abs(l1 - dual) <= _CERT_TOL * max(1.0, l1))
 
 
-def _infeasible_ray(a_mat, target, lam, a_max, rows, delta, masked=None):
+def _infeasible_ray(lam, a_max, delta, a_s, t_s, masked=None):
     """True if ``A^T delta = 0`` up to rounding and ``t.delta > (lam +
     FEAS_TOL) ||delta||_1``: then every w violates some row by more than
-    FEAS_TOL, since ``delta.(t - A w) = t.delta``.  Column ``masked``, if
-    given, is not part of the LP."""
-    ray = np.zeros(a_mat.shape[0])
-    ray[rows] = delta
-    norm, reduced = np.sum(np.abs(ray)), ray @ a_mat
+    FEAS_TOL, since ``delta.(t - A w) = t.delta``; delta is on the rows S
+    of ``a_s = A[S, :]`` and ``t_s = t_S``, and column ``masked`` is not in
+    the LP."""
+    norm, reduced = np.sum(np.abs(delta)), delta @ a_s
     if masked is not None:
         reduced[masked] = 0.0
     return (np.max(np.abs(reduced)) <= _PIVOT_TOL * a_max * norm
-            and target @ ray > (lam + FEAS_TOL) * norm)
+            and t_s @ delta > (lam + FEAS_TOL) * norm)
 
 
-def _full_lp(a_mat, target, lam, masked=None):
-    """The Dantzig LP in one ``solve_lp`` call, on its split form; with
-    row and column ``masked`` dropped and its 0 re-inserted, if given."""
-    if masked is not None:
-        keep = np.delete(np.arange(a_mat.shape[0]), masked)
-        w = _full_lp(a_mat[np.ix_(keep, keep)], target[keep], lam)
-        return np.insert(w, masked, 0.0)
-    m = a_mat.shape[1]
+def _full_lp(a, target, lam, masked=None):
+    """The Dantzig LP in one ``solve_lp`` call, on its split form, over
+    the rows of A gathered but row and column ``masked``, where w is 0."""
+    keep = np.delete(np.arange(target.size), [] if masked is None else masked)
+    a_mat, t, m = np.array([a[i][keep] for i in keep]), target[keep], keep.size
     split = np.hstack([a_mat, -a_mat])
     sol = solve_lp(np.ones(2 * m), np.vstack([split, -split]),
-                   np.concatenate([target + lam, lam - target]))
-    return sol.x[:m] - sol.x[m:]
+                   np.concatenate([t + lam, lam - t]))
+    w = np.zeros(target.size)
+    w[keep] = sol.x[:m] - sol.x[m:]
+    return w
 
 
 def _abs_max(a_mat, masked=None):
-    """``max |a_ij|`` without an ``|A|`` copy, over the rows and columns
+    """``max |a_ij|`` without a copy, over the blocks of the rows and columns
     other than ``masked`` if given; NaN if any of them holds a NaN."""
-    def peak(blocks):
-        return np.max([v for b in blocks if b.size for v in (b.max(), -b.min())])
-
-    if masked is None:
-        return peak((a_mat,))
-    a = masked
-    # the rows other than a are two contiguous blocks; when their max lies
-    # above column a's, it is the max with column a left out
-    rows = (a_mat[:a], a_mat[a + 1:])
-    cross = np.abs(a_mat[:, a])
-    cross[a] = 0.0
-    top = peak(rows)
-    if top > cross.max():
-        return top
-    return peak(b[:, cut] for b in rows for cut in (slice(a), slice(a + 1, None)))
+    cuts = (slice(None),) if masked is None else (slice(masked), slice(masked + 1, None))
+    blocks = [a_mat[r, c] for r in cuts for c in cuts]
+    return np.max([v for b in blocks if b.size for v in (b.max(), -b.min())])
 
 
-def _l1_min_linf_residual(a_mat, target, lam, masked=None):
-    """``argmin ||w||_1  s.t.  ||target - a_mat @ w||_inf <= lam`` for a
-    square ``a_mat``, by the homotopy in lam with HiGHS as its fallback
-    (see the module docstring).  With ``masked`` set, row and column
+def _l1_min_linf_residual(a, target, lam, a_max, masked=None):
+    """``argmin ||w||_1  s.t.  ||target - A w||_inf <= lam`` for a
+    symmetric A of rows ``a[i]`` and ``a_max = max |a_ij|``, by the
+    homotopy in lam with HiGHS as its fallback (see the module
+    docstring).  With ``masked`` set, row and column
     ``masked`` are not part of the LP (``target[masked]`` must be 0), and
     ``w[masked]`` is 0."""
-    a_max = _abs_max(a_mat, masked)
     if not (np.isfinite(target).all() and np.isfinite(a_max)):
         raise ValueError("LP data must be finite")
     if not np.max(np.abs(target), initial=0.0) > lam:
         # w = 0 is feasible, and every other w has a positive l1 norm
-        return np.zeros(a_mat.shape[1])
-    w = _homotopy(a_mat, target, lam, a_max, masked)
-    return _full_lp(a_mat, target, lam, masked) if w is None else w
+        return np.zeros(target.size)
+    w = _homotopy(a, target, lam, a_max, masked)
+    return _full_lp(a, target, lam, masked) if w is None else w
 
 
 def dantzig_direction(t_mat, alpha_index, lam):
@@ -446,9 +436,8 @@ def dantzig_direction(t_mat, alpha_index, lam):
         argmin ||w||_1  s.t.  ||T_ga - T_gg @ w||_inf <= lam.
 
     If ``||T_ga||_inf <= lam`` the answer is the zero vector, returned
-    without solving the LP.  Otherwise the LP is solved on ``t_mat``
-    itself with row and column ``alpha_index`` masked out; no block of
-    ``t_mat`` is copied.
+    without solving the LP.  Otherwise ``dantzig_columns`` solves it on
+    ``t_mat`` itself with ``a_max = max |T_gg|``; no block is copied.
 
     Parameters
     ----------
@@ -469,19 +458,27 @@ def dantzig_direction(t_mat, alpha_index, lam):
         raise ValueError("alpha_index out of range")
     if not lam >= 0:
         raise ValueError("lam must be nonnegative")
+    return dantzig_columns(t_mat, alpha_index, lam, _abs_max(t_mat, alpha_index))
+
+
+def dantzig_columns(rows, alpha_index, lam, a_max):
+    """``dantzig_direction``, unchecked, for a symmetric T given by its
+    rows ``rows[i]``, of which it reads row alpha and the basis rows, and
+    ``a_max = max |T_gg|``."""
     a = alpha_index
-    target = t_mat[:, a].copy()
+    target = np.array(rows[a], dtype=float)
     target[a] = 0.0
     if np.max(np.abs(target)) <= lam:
-        return np.zeros(d - 1)
-    return np.delete(_l1_min_linf_residual(t_mat, target, lam, masked=a), a)
+        return np.zeros(target.size - 1)
+    return np.delete(_l1_min_linf_residual(rows, target, lam, a_max, masked=a), a)
 
 
 def clime_inverse(sigma_hat, lam):
     """Column-wise l1-minimizing inverse of a covariance matrix.
 
     Column j solves ``min ||theta||_1  s.t.  ||sigma_hat @ theta - e_j||_inf
-    <= lam``.  The raw column-wise solution is returned, not symmetrized.
+    <= lam``, for a symmetric ``sigma_hat``.  The raw column-wise solution
+    is returned, not symmetrized.
     For ``lam >= 1`` every column is zero.  The first breakpoint of every
     column is found at once: a column that ends there is the diagonal
     entry ``(1 - lam) / sigma_jj`` (see the module docstring), and only
@@ -512,11 +509,13 @@ def clime_inverse(sigma_hat, lam):
     done = ((diag != 0.0) & (np.abs(sigma_hat) <= np.abs(diag)[:, None]).all(axis=1)
             & (off <= lam).all(axis=0))
     theta[done, done] = first[done]
-    for j in np.flatnonzero(~done):
+    rest = np.flatnonzero(~done)
+    a_max = _abs_max(sigma_hat) if rest.size else None
+    for j in rest:
         target = np.zeros(d)
         target[j] = 1.0
         try:
-            theta[:, j] = _l1_min_linf_residual(sigma_hat, target, lam)
+            theta[:, j] = _l1_min_linf_residual(sigma_hat, target, lam, a_max)
         except LpInfeasibleError as exc:
             raise LpInfeasibleError(f"CLIME column {j} infeasible") from exc
     return theta

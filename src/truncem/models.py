@@ -11,9 +11,9 @@ inference, and the observed-data log likelihood.
 The two mixtures also give one column of the curvature matrix,
 ``curvature_column(beta, alpha)``: one O(nd) matrix-vector product
 instead of the O(nd^2) matrix, equal to ``curvature_matrix(beta)[:,
-alpha]`` up to rounding.  Both read the same per-sample weights, which
-the model keeps for one ``beta``, so a column and then the whole matrix
-at one point compute them once.
+alpha]`` up to rounding, and ``curvature_diagonal(beta)``: T's diagonal and
+the radii ``r_i = sum_k |c_k| z_ki^2`` of its Gram form ``sum_k c_k z_k
+z_k^T``, so ``|T_ij| <= sqrt(r_i r_j)``.  All reuse the weights c of one beta.
 
 Normalization convention
 ------------------------
@@ -95,10 +95,10 @@ class _Model:
 
 class _Mixture(_Model):
     """A symmetric two-component mixture; ``_weights`` gives the posterior
-    probability of the positive component for every sample, and
-    ``_curvature_weights_at`` the per-sample weights of the curvature
-    matrix, which both build in place as a Gram form: exactly symmetric,
-    and within 1e-12 max|T| of the two-product form ``(T + T^T) / 2``."""
+    probability of the positive component per sample, ``_curvature_weights_at``
+    the weights of the curvature matrix, which its columns, its diagonal and
+    radii, and the matrix itself (a Gram form built in place, within 1e-12
+    max|T| of the two-product form ``(T + T^T) / 2``) all read."""
 
     _curvature_memo = (None, None)
 
@@ -166,6 +166,10 @@ class GaussianMixture(_Mixture):
         col[alpha] -= 1.0
         return col
 
+    def curvature_diagonal(self, beta):  # nu >= 0, so the radii are diag + 1
+        gram = np.einsum("k,ki,ki->i", self._curvature_weights(beta), self.y, self.y)
+        return gram / self.n_samples - 1.0, gram / self.n_samples
+
     def curvature_matrix(self, beta):
         z = np.sqrt(self._curvature_weights(beta) / self.n_samples)[:, None] * self.y
         t_mat = z.T @ z  # one syrk: exactly symmetric
@@ -188,7 +192,8 @@ class MixtureRegression(_Mixture):
     The exact M-step premultiplies by a CLIME estimate of the inverse
     covariance of the design, computed once per model and cached.  The
     curvature matrix is ``Z^T Z - X^T X / n``, Z the rows of x, scaled by
-    ``sqrt(nu y^2 / n)``, whose weight is not -1/n (3-9 of 100 by default).
+    ``sqrt(nu y^2 / n)``, whose weight is not -1/n (3-9 of 100 by default);
+    its diagonal and radii are the column norms of x / n plus their terms.
 
     The default ``clime_lambda = 2 sqrt(log d / n)`` over-shrinks at
     small n: at n=100 and d=64 (lambda 0.41) every CLIME column is a
@@ -261,7 +266,14 @@ class MixtureRegression(_Mixture):
 
     def curvature_column(self, beta, alpha):
         _check_index(alpha, self.dim, "alpha")
-        return self.x.T @ (self._curvature_weights(beta) * self.x[:, alpha])
+        return (self._curvature_weights(beta) * self.x[:, alpha]) @ self.x
+
+    def curvature_diagonal(self, beta):
+        c, n, x = self._curvature_weights(beta), self.n_samples, self.x
+        lifted, base = np.flatnonzero(c + 1.0 / n), np.einsum("ki,ki->i", x, x) / n
+        z, c = x[lifted], c[lifted]
+        return (np.einsum("k,ki,ki->i", c + 1.0 / n, z, z) - base,
+                np.einsum("k,ki,ki->i", np.abs(c) - 1.0 / n, z, z) + base)
 
     def curvature_matrix(self, beta):
         # BLAS fills the lower triangle in place; the copy onto the upper makes
@@ -303,7 +315,7 @@ class MissingCovariateRegression(_Model):
     (n, d) array: x_i has posterior mean x_obs,i + (r_i / tau2_i) beta_miss,i
     (beta_miss,i: beta on the coordinates sample i misses), built from the
     n-vectors ``r = y - x_obs @ beta`` and ``tau2 = sigma^2 + miss @ beta^2``;
-    ``x_obs`` (x, zero where unobserved) and ``miss = 1 - mask`` are cached.
+    ``x_obs`` (x, zero where unobserved) and ``miss`` are kept, not ``mask``.
     """
 
     tag = RMC
@@ -323,9 +335,10 @@ class MissingCovariateRegression(_Model):
         if not np.all(np.isfinite(x_obs)):
             raise ValueError("observed x entries must be finite")
         super().__init__(y, sigma)
-        self.x, self.mask, self.x_obs = x, mask, x_obs
-        self.miss = 1.0 - mask
+        self.x, self.x_obs, self.miss = x, x_obs, 1.0 - mask
         self.dim = x.shape[1]
+
+    mask = property(lambda self: 1.0 - self.miss, doc="1 where x was observed, else 0.")
 
     def subset(self, indices):
         return MissingCovariateRegression(

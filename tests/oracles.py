@@ -161,7 +161,9 @@ def homotopy_reference(a_mat, target, lam, a_max):
         if lam_cur <= lam:
             w = np.zeros(m)
             w[cols] = np.linalg.solve(basis, target[rows] - lam * s)
-            return w if lp._certified(a_mat, target, lam, w, rows, u) else None
+            certified = lp._certified(target, lam, w[cols], a_mat[cols], u, a_rows,
+                                      target[rows])
+            return w if certified else None
         if event < 2 * m:
             i, side = event % m, 1.0 if event < m else -1.0
             ray_rows, keep_cols = rows + [i], cols
@@ -187,7 +189,7 @@ def homotopy_reference(a_mat, target, lam, a_max):
                 return None
             k = -1
         elif abs(h[k]) < lp._PIVOT_TOL * a_max:
-            if lp._infeasible_ray(a_mat, target, lam, a_max, ray_rows, ray):
+            if lp._infeasible_ray(lam, a_max, ray, a_mat[ray_rows], target[ray_rows]):
                 raise LpInfeasibleError("LP infeasible")
             return None
         if event < 2 * m:

@@ -3,20 +3,22 @@ at the model defaults (d = 256, n = 100), or of one (n, d) array for data
 generation and the RMC E-step.
 
 The bounds are the measured peaks of the current code plus a small margin,
-far less than one d x d array, so that a reintroduced d x d temporary (an
-``np.abs`` copy of T, a second product in the curvature matrix, a copy of
-T for its symmetrization, a copy of T_gg for the LP) fails here.  Measured
-for MR: ``curvature_matrix`` 1.03 (T itself, which BLAS fills in place,
-and the rows of the few lifted samples), ``default_lambda`` 0.00 and
-``infer_replicate`` 1.89 (the data, T, and the homotopy's basis buffers,
-0.38 while its rows of A[S, :] and A[:, J] double from 16 to 32; the LP is
-solved on T itself).  A GMM replicate at the defaults certifies w = 0 from
-one curvature column: its score and Wald tests peak at 0.03, its
-``fit_replicate`` at 0.50 and its ``infer_replicate`` at 0.52 (the data,
-0.39, plus vectors).  GMM ``gen_dataset`` builds the data inside the noise
-draw's own array: 1.14 (n, d) arrays at (n, d) = (100, 256) and 1.17 at
-(800, 128).  The RMC ``grad_q`` at its defaults (d = 256, n = 100) peaks
-at 0.06 of one (n, d) float64 array.
+far less than one d x d array, so that a reintroduced d x d temporary (the
+curvature matrix on the inference path, an ``np.abs`` copy of T, a second
+product in the curvature matrix, a copy of T for its symmetrization, a
+copy of T_gg for the LP) fails here.  Measured for MR: ``curvature_matrix``
+1.03 (T itself, which BLAS fills in place, and the rows of the few lifted
+samples) and ``default_lambda`` 0.00, both off the replicate path now, and
+``infer_replicate`` 0.98 (the data, 0.39, the homotopy's basis buffers,
+0.38 while its rows of A[S, :] and A[:, J] double from 16 to 32, and the
+few dozen curvature columns the LP reads; no d x d array).  A GMM
+replicate at the defaults certifies w = 0 from one curvature column: its
+score and Wald tests peak at 0.03, its ``fit_replicate`` at 0.50 and its
+``infer_replicate`` at 0.52 (the data, 0.39, plus vectors).  Neither
+calls ``curvature_matrix``.  GMM ``gen_dataset`` builds the data inside
+the noise draw's own array: 1.14 (n, d) arrays at (n, d) = (100, 256) and
+1.17 at (800, 128).  The RMC ``grad_q`` at its defaults (d = 256, n =
+100) peaks at 0.06 of one (n, d) float64 array.
 """
 
 import tracemalloc
@@ -26,7 +28,7 @@ import pytest
 from truncem.datagen import GenSpec, gen_dataset, make_beta_star
 from truncem.harness import ExperimentConfig, fit_replicate, infer_replicate
 from truncem.inference import InferenceConfig, default_lambda, score_test, wald_test
-from truncem.models import GaussianMixture
+from truncem.models import GaussianMixture, MixtureRegression
 
 
 def peak_in_d2(fn, d):
@@ -49,7 +51,7 @@ def mr_fit():
 @pytest.mark.parametrize("name, bound", [
     ("curvature_matrix", 1.10),
     ("default_lambda", 0.05),
-    ("infer_replicate", 1.95),
+    ("infer_replicate", 1.08),
 ])
 def test_mr_decorrelation_peak_memory(mr_fit, name, bound):
     cfg, model, beta = mr_fit
@@ -78,6 +80,19 @@ def test_gmm_inference_allocates_no_d_by_d_array():
     fit = peak_in_d2(lambda: fit_replicate(cfg, 0), model.dim)
     assert fit <= 0.6
     assert peak_in_d2(lambda: infer_replicate(cfg, 0), model.dim) <= fit + 0.05
+
+
+@pytest.mark.parametrize("model", ["GMM", "MR"])
+def test_infer_replicate_builds_no_curvature_matrix(monkeypatch, model):
+    # the LP reads curvature columns; the matrix stays off the replicate path
+    def refuse(self, beta):
+        raise AssertionError("curvature_matrix called")
+
+    for cls in (GaussianMixture, MixtureRegression):
+        monkeypatch.setattr(cls, "curvature_matrix", refuse)
+    cfg = ExperimentConfig(model=model).resolve()
+    for seed in range(3):
+        assert infer_replicate(cfg, seed)["degenerate"] == 0
 
 
 @pytest.mark.parametrize("n, d", [(100, 256), (800, 128)])

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import random_gmm
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import decorrelate_full_matrix, full_l1_linf_lp, mr_curvature_two_products
 from truncem import inference, lp
 from truncem.errors import DegenerateInformationError
-from truncem.harness import ExperimentConfig, infer_replicate
+from truncem.harness import ExperimentConfig, fit_replicate, infer_replicate
 from truncem.inference import (
     InferenceConfig,
     InferenceResult,
@@ -327,8 +329,9 @@ def assert_same_result(got, expect):
 )
 def test_score_then_wald_decorrelates_once_per_point(rng, monkeypatch, change, solves):
     # each evaluation point computes its curvature weights once, and each
-    # (point, alpha, lam) one column; the matrix and the LP run only where
-    # the column does not certify w = 0, here only with lam below T_ga
+    # (point, alpha, lam) its column alpha once and any other column at most
+    # once; the diagonal and the LP run only where column alpha does not
+    # certify w = 0, here only with lam below T_ga, and the matrix never
     model, beta_hat = gmm_instance(rng)
     score_cfg = wald_cfg = InferenceConfig(alpha_index=4)
     if change == "estimate_off_null":
@@ -340,30 +343,47 @@ def test_score_then_wald_decorrelates_once_per_point(rng, monkeypatch, change, s
     elif change == "lam_below_cross":
         score_cfg = wald_cfg = InferenceConfig(alpha_index=4, lam=1e-9)
 
-    counts = Counter()
+    counts, columns = Counter(), Counter()
 
     def counted(name, fn):
         def wrapper(*args):
             counts[name] += 1
+            if name == "curvature_column":
+                columns[int(args[2])] += 1
             return fn(*args)
         return wrapper
 
-    for name in ("_curvature_weights_at", "curvature_column", "curvature_matrix"):
+    for name in ("_curvature_weights_at", "curvature_column", "curvature_diagonal",
+                 "curvature_matrix"):
         monkeypatch.setattr(GaussianMixture, name,
                             counted(name, getattr(GaussianMixture, name)))
-    monkeypatch.setattr(inference, "dantzig_direction",
-                        counted("dantzig_direction", inference.dantzig_direction))
+    monkeypatch.setattr(inference, "dantzig_columns",
+                        counted("dantzig_columns", inference.dantzig_columns))
     sres = score_test(model, beta_hat, score_cfg)
     wres = wald_test(model, beta_hat, wald_cfg)
     points = 2 if change == "estimate_off_null" else 1
     full = solves if change == "lam_below_cross" else 0
-    assert counts == Counter(_curvature_weights_at=points, curvature_column=solves,
-                             curvature_matrix=full, dantzig_direction=full)
+    del counts["curvature_column"]
+    assert counts == Counter(_curvature_weights_at=points, curvature_diagonal=full,
+                             dantzig_columns=full)
+    alphas = {score_cfg.alpha_index, wald_cfg.alpha_index}
+    assert sum(columns[a] for a in alphas) == solves
+    assert max(columns.values()) <= solves
     assert (sres.w_hat is wres.w_hat) == (solves == 1)
     assert not sres.w_hat.flags.writeable
     assert not wres.w_hat.flags.writeable
     assert_same_result(sres, score_test(GaussianMixture(model.y, model.sigma), beta_hat, score_cfg))
     assert_same_result(wres, wald_test(GaussianMixture(model.y, model.sigma), beta_hat, wald_cfg))
+
+
+def assert_same_records(fast, ref, rel):
+    """Identical flags, and statistics within ``rel`` where defined."""
+    for got, expect in zip(fast, ref, strict=True):
+        for key in ("degenerate", "score_reject", "wald_reject"):
+            assert got[key] == expect[key], key
+        if not got["degenerate"]:
+            for key in ("score_stat", "score_p", "wald_stat", "wald_p", "ci_lo", "ci_hi"):
+                assert got[key] == pytest.approx(expect[key], rel=rel, abs=0.0), key
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +398,9 @@ def test_statistics_match_full_lp_reference(monkeypatch):
 
     nonzero = []
 
-    def full_lp(a_mat, target, lam, masked=None):
+    def full_lp(a, target, lam, a_max, masked=None):
+        # the rows of A, from an array or from the cache of curvature columns
+        a_mat = np.array([a[i] for i in range(target.size)])
         w = full_l1_linf_lp(a_mat, target, lam, masked)
         nonzero.append(bool(np.any(w)))
         return w
@@ -386,32 +408,26 @@ def test_statistics_match_full_lp_reference(monkeypatch):
     monkeypatch.setattr(lp, "_l1_min_linf_residual", full_lp)
     ref = [infer_replicate(cfg, seed) for cfg, seed in runs]
     assert any(nonzero)
-    for got, expect in zip(fast, ref):
-        assert got["degenerate"] == expect["degenerate"] == 0
-        for key in ("score_reject", "wald_reject"):
-            assert got[key] == expect[key]
-        for key in ("score_stat", "score_p", "wald_stat", "wald_p", "ci_lo", "ci_hi"):
-            assert got[key] == pytest.approx(expect[key], rel=1e-9), key
+    assert not any(r["degenerate"] for r in fast)
+    assert_same_records(fast, ref, rel=1e-9)
 
 
 def test_statistics_match_two_product_curvature(monkeypatch):
-    # the one-product MR curvature matrix agrees with the two-product form
-    # to rounding; the statistics it feeds must agree to rel 1e-12
+    # the column path against the whole-matrix decorrelation on the
+    # two-product MR curvature matrix, which sums in yet another order: the
+    # statistics must agree to rel 1e-12
     cfg = ExperimentConfig(model="MR").resolve()
     fast = [infer_replicate(cfg, seed) for seed in range(20)]
     monkeypatch.setattr(MixtureRegression, "curvature_matrix",
                         mr_curvature_two_products)
+    monkeypatch.setattr(inference, "_decorrelate", decorrelate_full_matrix)
     ref = [infer_replicate(cfg, seed) for seed in range(20)]
-    for got, expect in zip(fast, ref):
-        assert got["degenerate"] == expect["degenerate"] == 0
-        for key in ("score_reject", "wald_reject"):
-            assert got[key] == expect[key]
-        for key in ("score_stat", "score_p", "wald_stat", "wald_p", "ci_lo", "ci_hi"):
-            assert got[key] == pytest.approx(expect[key], rel=1e-12, abs=0.0), key
+    assert not any(r["degenerate"] for r in fast)
+    assert_same_records(fast, ref, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# the column certificate of w = 0 against the whole curvature matrix
+# the column path against the whole curvature matrix
 
 
 def count_curvature_matrices(monkeypatch):
@@ -426,34 +442,129 @@ def count_curvature_matrices(monkeypatch):
 
 def test_column_certificate_matches_full_matrix(monkeypatch):
     # every GMM replicate at the defaults is certified from one column and
-    # no MR replicate is; both must give the full-matrix statistics
+    # no MR replicate is; neither builds the matrix, and both must give the
+    # full-matrix statistics
     runs = [("GMM", seed) for seed in range(20)] + [("MR", seed) for seed in range(5)]
     configs = {m: ExperimentConfig(model=m).resolve() for m in ("GMM", "MR")}
     counts = count_curvature_matrices(monkeypatch)
     fast = [infer_replicate(configs[m], seed) for m, seed in runs]
-    assert counts == Counter(MR=5)
+    assert counts == Counter()
     monkeypatch.setattr(inference, "_decorrelate", decorrelate_full_matrix)
     ref = [infer_replicate(configs[m], seed) for m, seed in runs]
-    for got, expect in zip(fast, ref):
-        assert got["degenerate"] == expect["degenerate"] == 0
-        for key in ("score_reject", "wald_reject"):
-            assert got[key] == expect[key]
-        for key in ("score_stat", "score_p", "wald_stat", "wald_p", "ci_lo", "ci_hi"):
-            assert got[key] == pytest.approx(expect[key], rel=1e-12, abs=0.0), key
+    assert counts == Counter(MR=10, GMM=40)  # the reference, once per test
+    assert not any(r["degenerate"] for r in fast)
+    assert_same_records(fast, ref, rel=1e-12)
+
+
+#: name -> (config overrides, replicate seeds); each runs the LP on columns
+COLUMN_PATH_CASES = {
+    "mr-defaults": (dict(model="MR"), range(200)),
+    "mr-sigma1": (dict(model="MR", sigma=1.0), range(20)),
+    "mr-d128-n400": (dict(model="MR", d=128, n=400), range(10)),
+    "mr-golden-small": (dict(model="MR", d=24, n=80, s_star=3, alpha_index=5), range(7, 47)),
+    "mr-lam0.05": (dict(model="MR", lam=0.05), range(10)),
+    "gmm-n20-sigma20": (dict(model="GMM", n=20, sigma=20.0), range(20)),
+    "gmm-lam-below-cross": (dict(model="GMM", d=24, n=80, s_star=3, alpha_index=5,
+                                 lam=0.0), range(7, 17)),
+}
+
+
+@pytest.mark.parametrize("case", COLUMN_PATH_CASES)
+def test_column_path_matches_full_matrix(monkeypatch, case):
+    overrides, seeds = COLUMN_PATH_CASES[case]
+    cfg = ExperimentConfig(**overrides).resolve()
+    lps = []
+    monkeypatch.setattr(inference, "dantzig_columns",
+                        lambda *args: lps.append(args[1]) or lp.dantzig_columns(*args))
+    counts = count_curvature_matrices(monkeypatch)
+    fast = [infer_replicate(cfg, seed) for seed in seeds]
+    assert lps and not counts
+    monkeypatch.setattr(inference, "_decorrelate", decorrelate_full_matrix)
+    assert_same_records(fast, [infer_replicate(cfg, seed) for seed in seeds], rel=1e-12)
+
+
+@st.composite
+def mixtures_at_a_point(draw):
+    """A small mixture model, an evaluation point and a tested index."""
+    d, n = draw(st.integers(2, 7)), draw(st.integers(1, 10))
+    entries = st.floats(-4.0, 4.0, allow_subnormal=False)
+    data = np.array(draw(st.lists(entries, min_size=n * d, max_size=n * d))).reshape(n, d)
+    beta = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d)))
+    sigma = draw(st.sampled_from([0.1, 0.5, 1.0, 3.0]))
+    if draw(st.booleans()):
+        model = GaussianMixture(data, sigma)
+    else:
+        y = np.array(draw(st.lists(entries, min_size=n, max_size=n)))
+        model = MixtureRegression(data, y, sigma)
+    return model, beta, draw(st.integers(0, d - 1))
+
+
+def assert_max_rule_exact(model, beta, alpha):
+    """The max rule on the columns against the LP's ``max |T_gg|`` and
+    ``default_lambda`` on the whole matrix, to 1e-13 of the larger of
+    max|T| and the radii, which bound the rounding of every entry of T."""
+    t_mat = model.curvature_matrix(beta)
+    cols = inference._Columns(model, beta)
+    diag, radii = model.curvature_diagonal(beta)
+    scale = 1e-13 * max(np.max(np.abs(t_mat)), np.max(radii))
+    a_max = inference._abs_peak(cols, diag, radii, alpha)
+    assert abs(a_max - lp._abs_max(t_mat, alpha)) <= scale
+    # _decorrelate takes lam from a_max and column alpha
+    peak = max(a_max, np.max(np.abs(cols[alpha])))
+    assert abs(inference._scaled_lambda(peak, model.dim, model.n_samples)
+               - default_lambda(t_mat, model.n_samples)) <= (
+        inference._scaled_lambda(scale, model.dim, model.n_samples))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixtures_at_a_point())
+def test_max_rule_matches_the_whole_matrix(drawn):
+    assert_max_rule_exact(*drawn)
+
+
+@pytest.mark.parametrize("kind", ["GMM", "MR"])
+def test_max_rule_finds_an_off_diagonal_max(kind):
+    # the largest entry is T_12, in T_gg for alpha = 0 and above every
+    # diagonal entry, so only the columns the radii select can find it
+    beta = np.zeros(3)  # nu = 1 / sigma^2 for every sample
+    if kind == "GMM":  # T = y y^T - I
+        model = GaussianMixture(np.array([[0.0, 1.2, 1.2]]), 1.0)
+    else:  # T = (x_1 x_1^T - x_2 x_2^T) / 2, as nu y_1^2 = 2 and y_2 = 0
+        model = MixtureRegression(np.array([[0.0, 1.0, 1.0], [0.0, 1.0, -1.0]]),
+                                  np.array([math.sqrt(2.0), 0.0]), 1.0)
+    t_mat = model.curvature_matrix(beta)
+    assert np.max(np.abs(np.diag(t_mat))) < 0.7 * abs(t_mat[1, 2])
+    assert_max_rule_exact(model, beta, 0)
+    cols = inference._Columns(model, beta)
+    a_max = inference._abs_peak(cols, *model.curvature_diagonal(beta), 0)
+    assert a_max == pytest.approx(abs(t_mat[1, 2]), rel=1e-15)
+
+
+@pytest.mark.parametrize("model_name", ["GMM", "MR"])
+@pytest.mark.parametrize("sigma", [None, 1.0])
+def test_lazy_columns_are_symmetric(model_name, sigma):
+    cfg = ExperimentConfig(model=model_name, sigma=sigma).resolve()
+    for seed in range(3):
+        model, trace, _ = fit_replicate(cfg, seed)
+        cols = inference._Columns(model, trace.estimate)
+        t_cols = np.array([cols[i] for i in range(model.dim)])
+        assert np.max(np.abs(t_cols - t_cols.T)) <= 1e-15 * np.max(np.abs(t_cols))
 
 
 @pytest.mark.parametrize("factor, matrices", [(1.0, 1), (1.0 + 1e-8, 0)])
 def test_certificate_margin_at_the_cross_column(rng, monkeypatch, factor, matrices):
-    # lam equal to max|T_ga| is within the margin: the full path runs, and
-    # the LP's own shortcut still gives w = 0; 1e-8 above it, the column
-    # certifies w = 0 alone
+    # lam equal to max|T_ga| is within the margin: the LP path runs (its
+    # diagonal counted here), and its own shortcut still gives w = 0; 1e-8
+    # above it, the column certifies w = 0 alone; no path builds the matrix
     model, beta = gmm_instance(rng)
-    t_mat = model.curvature_matrix(beta)
-    lam = float(np.max(np.abs(np.delete(t_mat[:, 4], 4)))) * factor
+    lam = float(np.max(np.abs(np.delete(model.curvature_column(beta, 4), 4)))) * factor
     cfg = InferenceConfig(alpha_index=4, lam=lam)
     counts = count_curvature_matrices(monkeypatch)
+    diagonal = GaussianMixture.curvature_diagonal
+    monkeypatch.setattr(GaussianMixture, "curvature_diagonal",
+                        lambda self, b: counts.update(["diagonal"]) or diagonal(self, b))
     res = score_test(model, beta, cfg)
-    assert counts["GMM"] == matrices
+    assert counts == Counter(diagonal=matrices)
     assert not res.w_hat.any()
     monkeypatch.setattr(inference, "_decorrelate", decorrelate_full_matrix)
     ref = score_test(GaussianMixture(model.y, model.sigma), beta, cfg)
@@ -461,16 +572,22 @@ def test_certificate_margin_at_the_cross_column(rng, monkeypatch, factor, matric
     assert res.info_scalar == pytest.approx(ref.info_scalar, rel=1e-12, abs=0.0)
 
 
-def test_nonfinite_curvature_column_takes_the_full_path(rng, monkeypatch):
-    model, beta = gmm_instance(rng)
-    column = GaussianMixture.curvature_column
+@pytest.mark.parametrize("poisoned_index", ["alpha", "basis"])
+def test_nonfinite_curvature_column_raises(monkeypatch, poisoned_index):
+    # a NaN in column alpha never certifies w = 0, and a NaN in a column
+    # the LP reads never reaches it: both raise, as a NaN matrix does
+    cfg = ExperimentConfig(model="MR").resolve()
+    model, trace, _ = fit_replicate(cfg, 0)
+    column, read = MixtureRegression.curvature_column, []
 
     def poisoned(self, beta, alpha):
         col = column(self, beta, alpha)
-        col[0] = np.nan
+        read.append(alpha)
+        if (alpha == cfg.alpha_index) == (poisoned_index == "alpha"):
+            col[0] = np.nan
         return col
 
-    monkeypatch.setattr(GaussianMixture, "curvature_column", poisoned)
-    counts = count_curvature_matrices(monkeypatch)
-    score_test(model, beta, InferenceConfig(alpha_index=4))
-    assert counts["GMM"] == 1
+    monkeypatch.setattr(MixtureRegression, "curvature_column", poisoned)
+    with pytest.raises(ValueError, match="curvature column must be finite"):
+        score_test(model, trace.estimate, InferenceConfig(alpha_index=cfg.alpha_index))
+    assert len(read) == (1 if poisoned_index == "alpha" else 2)

@@ -37,6 +37,12 @@ def random_symmetric(rng, d, scale=1.0):
     return 0.5 * (a + a.T)
 
 
+def l1_min(a_mat, target, lam):
+    """The native solver with the pivot scale ``max |A|`` of the whole
+    matrix, as ``clime_inverse`` passes it."""
+    return _l1_min_linf_residual(a_mat, target, lam, lp._abs_max(a_mat))
+
+
 # ---------------------------------------------------------------------------
 # solve_lp
 
@@ -213,10 +219,10 @@ def test_working_set_matches_full_lp(rng, kind):
             ref = full_l1_linf_lp(a_mat, target, lam)
         except LpInfeasibleError:
             with pytest.raises(LpInfeasibleError):
-                _l1_min_linf_residual(a_mat, target, lam)
+                l1_min(a_mat, target, lam)
             continue
         feasible += 1
-        w = _l1_min_linf_residual(a_mat, target, lam)
+        w = l1_min(a_mat, target, lam)
         assert np.sum(np.abs(w)) == pytest.approx(np.sum(np.abs(ref)), abs=1e-9)
         assert np.max(np.abs(target - a_mat @ w)) <= lam + FEAS_TOL
     assert feasible >= 10
@@ -236,9 +242,9 @@ def test_dantzig_block_copies_match_ix_reference(rng, monkeypatch, kind):
     d = t_mat.shape[0]
     solve, seen = _l1_min_linf_residual, []
 
-    def recording_solve(a_mat, target, lam, masked=None):
+    def recording_solve(a_mat, target, lam, a_max, masked=None):
         seen.append((a_mat, target.copy(), masked))
-        return solve(a_mat, target, lam, masked)
+        return solve(a_mat, target, lam, a_max, masked)
 
     monkeypatch.setattr(lp, "_l1_min_linf_residual", recording_solve)
     for alpha in (0, 1, 9, d - 2, d - 1):
@@ -250,7 +256,26 @@ def test_dantzig_block_copies_match_ix_reference(rng, monkeypatch, kind):
         assert a_mat is t_mat and masked == alpha
         assert target[alpha] == 0.0 and np.array_equal(target[keep], t_ga)
         assert np.any(w)
-        assert np.array_equal(w, solve(t_gg, t_ga, lam))
+        assert np.array_equal(w, l1_min(t_gg, t_ga, lam))
+
+
+def test_dantzig_columns_reads_only_row_alpha_and_basis_rows():
+    # an exactly symmetric T read through a mapping of rows gives w bit for
+    # bit, and the LP asks for row alpha and the rows of its basis only
+    t_mat = mr_curvature_at_defaults()
+    lam = default_lambda(t_mat, 100)
+    read = []
+
+    class Rows(dict):
+        def __missing__(self, i):
+            read.append(i)
+            row = self[i] = t_mat[i]
+            return row
+
+    w = lp.dantzig_columns(Rows(), 9, lam, lp._abs_max(t_mat, 9))
+    assert np.any(w)
+    assert np.array_equal(w, dantzig_direction(t_mat, 9, lam))
+    assert read[0] == 9 and len(read) < 50
 
 
 def test_dantzig_matches_block_copy_reference_on_mr_seeds():
@@ -280,7 +305,7 @@ def test_clime_columns_match_reference_homotopy_at_small_lambda():
     # dozens of pivots each, every one through the buffered basis
     sigma_hat = mr_dataset(64).design_covariance()
     for j, e_j in enumerate(np.eye(64)):
-        w = _l1_min_linf_residual(sigma_hat, e_j, 0.05)
+        w = l1_min(sigma_hat, e_j, 0.05)
         assert np.array_equal(w, l1_min_linf_residual_reference(sigma_hat, e_j, 0.05)), j
 
 
@@ -298,7 +323,7 @@ def test_homotopy_scale_is_max_abs_entry(rng, monkeypatch):
     for a_mat in (random_symmetric(rng, 8), -np.abs(random_symmetric(rng, 8)) - np.eye(8),
                   t_mr[1:, 1:]):
         target = a_mat[:, 0] + 0.1
-        _l1_min_linf_residual(a_mat, target, 0.5 * float(np.max(np.abs(target))))
+        l1_min(a_mat, target, 0.5 * float(np.max(np.abs(target))))
         assert seen.pop() == np.max(np.abs(a_mat))
     big_cross = random_symmetric(rng, 8)
     big_cross[5, 2] = big_cross[2, 5] = 10.0  # the largest entry is in row/column 2
@@ -339,7 +364,7 @@ def test_homotopy_enters_off_diagonal_column_when_start_diagonal_is_zero(monkeyp
     calls = counting_linprog(monkeypatch)
     a_mat = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     target = np.array([1.0, 0.0, 0.0])
-    w = _l1_min_linf_residual(a_mat, target, 0.5)
+    w = l1_min(a_mat, target, 0.5)
     # row 0 binds first, and a_00 = 0, so column 1 enters the basis
     assert calls == []
     assert np.allclose(w, full_l1_linf_lp(a_mat, target, 0.5), atol=1e-12)
@@ -350,7 +375,7 @@ def test_homotopy_finds_support_outside_start_rows(monkeypatch):
     calls = counting_linprog(monkeypatch)
     a_mat = np.array([[0.1, 1.0], [1.0, 1.0]])
     target = np.array([1.0, 0.0])
-    w = _l1_min_linf_residual(a_mat, target, 0.1)
+    w = l1_min(a_mat, target, 0.1)
     # row 0 binds first and column 1 enters; later row 1 binds too
     assert calls == []
     assert w[1] != 0.0
@@ -375,7 +400,7 @@ def test_one_by_one_lp_matches_solve_lp(rng, monkeypatch):
                 for lam in (0.0, *rng.uniform(0.0, 2.0, size=3)):
                     block = np.array([[a_sign * a_abs * rng.uniform(0.5, 2.0)]])
                     t_r = np.array([t_sign * (lam + rng.exponential())])
-                    got = _l1_min_linf_residual(block, t_r, lam)
+                    got = l1_min(block, t_r, lam)
                     assert calls == []
                     ref = split_lp(block, t_r, lam)
                     calls.clear()
@@ -391,7 +416,7 @@ def test_zero_start_diagonal_matches_full_lp(monkeypatch):
         split_lp(a_mat[:1, :1], target[:1], 0.5)
     ref = full_l1_linf_lp(a_mat, target, 0.5)
     calls = counting_linprog(monkeypatch)
-    assert np.array_equal(_l1_min_linf_residual(a_mat, target, 0.5), ref)
+    assert np.array_equal(l1_min(a_mat, target, 0.5), ref)
     assert calls == []
 
 
@@ -443,9 +468,9 @@ def test_homotopy_matches_full_lp_property(lp_data):
         ref = full_l1_linf_lp(a_mat, target, lam)
     except LpInfeasibleError:
         with pytest.raises(LpInfeasibleError):
-            _l1_min_linf_residual(a_mat, target, lam)
+            l1_min(a_mat, target, lam)
         return
-    w = _l1_min_linf_residual(a_mat, target, lam)
+    w = l1_min(a_mat, target, lam)
     ref_l1 = float(np.sum(np.abs(ref)))
     assert abs(np.sum(np.abs(w)) - ref_l1) <= 1e-9 * max(1.0, ref_l1)
     assert np.max(np.abs(target - a_mat @ w)) <= lam + FEAS_TOL
@@ -477,9 +502,9 @@ def test_clime_column_with_dominant_off_diagonal_runs_homotopy(rng, monkeypatch)
     lam = 0.1
     solved, homotopy = [], lp._l1_min_linf_residual
 
-    def recorded(a_mat, target, lam):
+    def recorded(a_mat, target, lam, a_max):
         solved.append(int(np.argmax(target)))
-        return homotopy(a_mat, target, lam)
+        return homotopy(a_mat, target, lam, a_max)
 
     monkeypatch.setattr(lp, "_l1_min_linf_residual", recorded)
     calls = counting_linprog(monkeypatch)
@@ -498,21 +523,26 @@ def test_certificate_rejects_suboptimal_or_dual_infeasible_points():
     a_mat = np.array([[0.1, 1.0], [1.0, 1.0]])
     target = np.array([1.0, 0.0])
     w = full_l1_linf_lp(a_mat, target, 0.1)
-    # both rows bind at the optimum; u solves A^T u = sign(w)
+    # both rows bind at the optimum and both coordinates are in the
+    # support, so the basis rows A[S, :] and A[J, :] are all of A; u solves
+    # A^T u = sign(w)
     u = np.linalg.solve(a_mat.T, np.sign(w))
-    assert _certified(a_mat, target, 0.1, w, [0, 1], u)
+
+    def certified(w, u):
+        return _certified(target, 0.1, w, a_mat, u, a_mat, target)
+
+    assert certified(w, u)
     # another vertex of the feasible set, with a larger l1 norm
     vertex = np.linalg.solve(a_mat, target - 0.1)
     assert np.max(np.abs(target - a_mat @ vertex)) <= 0.1 + FEAS_TOL
     assert np.sum(np.abs(vertex)) > np.sum(np.abs(w)) + 0.1
-    assert not _certified(a_mat, target, 0.1, vertex, [0, 1], u)
+    assert not certified(vertex, u)
     # scaled up until its dual objective meets the vertex's l1 norm, u
     # leaves ||A^T u||_inf <= 1
-    assert not _certified(a_mat, target, 0.1, vertex, [0, 1],
-                          u * np.sum(np.abs(vertex)) / np.sum(np.abs(w)))
+    assert not certified(vertex, u * np.sum(np.abs(vertex)) / np.sum(np.abs(w)))
     # an infeasible w with the optimal l1 norm
     assert np.max(np.abs(target - a_mat @ w[::-1])) > 0.1 + FEAS_TOL
-    assert not _certified(a_mat, target, 0.1, w[::-1], [0, 1], u)
+    assert not certified(w[::-1], u)
 
 
 def test_infeasible_lp_is_certified_by_a_ray(monkeypatch):
@@ -523,7 +553,7 @@ def test_infeasible_lp_is_certified_by_a_ray(monkeypatch):
         full_l1_linf_lp(a_mat, target, 0.5)
     calls = counting_linprog(monkeypatch)
     with pytest.raises(LpInfeasibleError):
-        _l1_min_linf_residual(a_mat, target, 0.5)
+        l1_min(a_mat, target, 0.5)
     assert calls == []
 
 
@@ -533,7 +563,7 @@ def test_failed_certificate_falls_back_to_one_full_lp(monkeypatch):
     ref = full_l1_linf_lp(a_mat, target, 0.1)
     monkeypatch.setattr(lp, "_certified", lambda *args: False)
     calls = counting_linprog(monkeypatch)
-    assert np.array_equal(_l1_min_linf_residual(a_mat, target, 0.1), ref)
+    assert np.array_equal(l1_min(a_mat, target, 0.1), ref)
     assert calls == [(4, 4)]
     # a decorrelation LP falls back through the same seam, on T_gg alone
     t_mat = np.array([[0.1, 1.0, 1.0], [1.0, 5.0, 0.0], [1.0, 0.0, 1.0]])
@@ -583,7 +613,7 @@ def test_every_basis_update_is_taken_and_buffers_grow(rng, monkeypatch):
         a_mat, target = mr_gram(np.round(rng.standard_normal((6, 13)), 1))
         corpus.append((a_mat, target, 0.2 * float(np.max(np.abs(target)))))
     for a_mat, target, lam in corpus:
-        w = _l1_min_linf_residual(a_mat, target, lam)
+        w = l1_min(a_mat, target, lam)
         assert calls == []
         ref = full_l1_linf_lp(a_mat, target, lam)
         calls.clear()
@@ -596,9 +626,9 @@ def test_working_set_rejects_nonfinite_data_outside_start_block():
     a_mat = np.eye(3)
     a_mat[2, 1] = np.nan
     with pytest.raises(ValueError):
-        _l1_min_linf_residual(a_mat, np.array([1.0, 0.0, 0.0]), 0.5)
+        l1_min(a_mat, np.array([1.0, 0.0, 0.0]), 0.5)
     with pytest.raises(ValueError):
-        _l1_min_linf_residual(np.eye(3), np.array([1.0, np.nan, 0.0]), 0.5)
+        l1_min(np.eye(3), np.array([1.0, np.nan, 0.0]), 0.5)
 
 
 # ---------------------------------------------------------------------------
