@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Minor page faults and time per replicate of the benchmark workloads.
+"""Minor page faults per replicate of the benchmark workloads.
 
     python3 scripts/bench_faults.py [--replicates 144] [--out BENCH_faults.json]
 
@@ -8,12 +8,14 @@ to one thread, at seed 0.  The process runs the warm-up replicates that
 ``bench/run.py`` runs, then ``--replicates`` replicates in a closed loop
 through ``bench/workloads.py``, checking each output with its
 ``OutputCheck`` as the benchmark does.  Around each replicate call it reads
-``ru_minflt`` and the clock.  The file reports, per workload and per
-(model, n) cell of its cycle (``fit-em`` has seven), the mean minor faults
-and the median milliseconds per replicate, with the provenance block of
-``BENCH_lp.json``.  The 144 replicates of the default are four cycles of
-``fit-em``.  Exits non-zero, without writing, if a run fails or a check
-reads wrong.
+``ru_minflt``.  The file reports, per workload and per (model, n) cell of
+its cycle (``fit-em`` has seven), the mean minor faults per replicate, with
+the provenance block of ``BENCH_lp.json``.  It reports no times: each
+workload runs once per invocation, so a time would follow the host's
+speed at that moment rather than the code (``bench/run.py`` compares
+times in ``ctl`` units instead).  The 144 replicates of the default are
+four cycles of ``fit-em``.  Exits non-zero, without writing, if a run
+fails or a check reads wrong.
 """
 
 import os
@@ -29,7 +31,6 @@ import resource  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
-import time  # noqa: E402
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEED = 0
@@ -49,28 +50,24 @@ def measure(name, replicates):
     capture = workloads.install_capture()
     warm_up(workloads, workload)
     check = workloads.OutputCheck(workload)
-    samples = {}  # cell -> [(faults, ns)]
+    samples = {}  # cell -> [faults]
     failed = 0
     for r in range(replicates):
         cfg = workload.cell(r)
         before = minor_faults()
-        start = time.perf_counter_ns()
         try:
             raw = workloads.run_replicate(workload, r)
         except RuntimeError as exc:  # the solver and degeneracy errors, as in bench/run.py
             raw, rec = None, workloads.failure_record(exc)
-        elapsed = time.perf_counter_ns() - start
         faults = minor_faults() - before
         if raw is not None:
             rec = workloads.make_record(workload, r, raw, capture)
         failed += rec["status"] != "ok"
         check(r, rec)
-        samples.setdefault(f"{cfg.model} n={cfg.n}", []).append((faults, elapsed))
+        samples.setdefault(f"{cfg.model} n={cfg.n}", []).append(faults)
 
     def summary(rows):
-        return {"replicates": len(rows),
-                "minflt_per_replicate": statistics.fmean(f for f, _ in rows),
-                "ms_per_replicate_p50": statistics.median(ns for _, ns in rows) / 1e6}
+        return {"replicates": len(rows), "minflt_per_replicate": statistics.fmean(rows)}
 
     every = [row for rows in samples.values() for row in rows]
     return dict(summary(every), failed=failed, correct=not check.errors,
@@ -103,8 +100,7 @@ def main(argv=None):
         results[name] = result = json.loads(proc.stdout.strip().splitlines()[-1])
         if not result["correct"]:
             sys.exit(f"{name}: outputs disagree with bench/reference/: {result['errors']}")
-        print(f"{name}: {result['minflt_per_replicate']:.1f} faults, "
-              f"{result['ms_per_replicate_p50']:.2f} ms per replicate", flush=True)
+        print(f"{name}: {result['minflt_per_replicate']:.1f} faults per replicate", flush=True)
     out = {"provenance": dict(provenance(1), seed=SEED, replicates=args.replicates),
            "workloads": results}
     pathlib.Path(args.out).write_text(json.dumps(out, indent=2) + "\n")

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Per-layer benchmark of the Dantzig LP: the native solver against the full LP.
 
-    python3 scripts/bench_lp.py [--repeats 5] [--out BENCH_lp.json]
+    python3 scripts/bench_lp.py [--repeats 5] [--baseline DIR] [--out BENCH_lp.json]
 
 Each row solves fixed-seed inputs both ways, ``--repeats`` times each,
-alternating which goes first, with BLAS pinned to one thread:
+the native solver first and the full LP after it, with BLAS pinned to
+one thread:
 
 - ``mr-decorrelation-d256``: the score test's decorrelation LPs
   (``dantzig_direction``) for MR at the command-line defaults (d=256,
@@ -16,8 +17,9 @@ alternating which goes first, with BLAS pinned to one thread:
   ``max |T_gg|``, the LP on the columns, ``v^T T v`` on the support)
   against ``decorrelate_full_matrix`` from ``tests/oracles.py`` (the
   curvature matrix, ``default_lambda``, ``dantzig_direction`` and ``v^T T
-  v`` on T), both with the native LP and with the model's memos cleared
-  before each point, so both compute the curvature weights;
+  v`` on T), both with the native LP, both evaluating ``grad_q`` at the
+  point, and with the model's memos cleared before each point, so both
+  compute the curvature weights;
 - ``clime-d32``, ``clime-d64``, ``clime-d128``: ``clime_inverse`` of the
   MR design covariance at n=100 and seed 0 with the model's default CLIME
   lambda, all d column LPs;
@@ -40,7 +42,22 @@ Each side reports the median and quartiles of its wall time per run and
 per LP, ``linprog`` calls per LP and the mean ``A_ub`` shape per call (0
 calls and a 0 x 0 shape when no LP falls back to HiGHS, and when CLIME
 finishes every column at its first breakpoint); each row reports the max
-|w_native - w_full| and the ratio of the medians.
+|w_native - w_full| and the ratio of the medians.  A side that runs the
+homotopy also reports its pivots (basis updates) per LP, counted in one
+untimed run, and the median time per LP over them, ``us_per_pivot_p50``,
+which includes the per-LP work around the pivots (and, on the columns
+row, the curvature columns, the diagonal bound and ``grad_q``).
+
+``--baseline DIR`` adds a third side to every row: the native solver of
+the checkout at DIR (for instance the parent commit), whose
+``src/truncem`` is imported as the package ``truncem_baseline`` and run on
+the same inputs (its own models, from the same arrays, on the columns
+row), in every repeat before the full LP, taking turns with this tree's
+solver at going first.  Where the
+baseline's ``inference._decorrelate`` does not return the gradient, the
+columns row evaluates its ``grad_q`` after it, so both sides do the same
+work.  The row then reports ``max_abs_dw_baseline`` and
+``speedup_vs_baseline_p50``.
 """
 
 import os
@@ -50,6 +67,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import importlib  # noqa: E402
+import importlib.util  # noqa: E402
 import json  # noqa: E402
 import pathlib  # noqa: E402
 import platform  # noqa: E402
@@ -72,6 +92,28 @@ from truncem.inference import InferenceConfig, default_lambda  # noqa: E402
 ALPHA_INDEX = 9
 MR_SEEDS = range(5)
 CLIME_CASES = ((32, None), (64, None), (128, None), (64, 0.1), (64, 0.05))
+#: the homotopy's basis updates, one per pivot
+UPDATES = ("border", "replace_row", "replace_col", "downdate")
+
+
+def load_baseline(root):
+    """The ``lp``, ``models`` and ``inference`` modules of the checkout at
+    ``root``, imported as the package ``truncem_baseline``."""
+    init = pathlib.Path(root).resolve() / "src" / "truncem" / "__init__.py"
+    if not init.is_file():
+        sys.exit(f"--baseline: no package at {init.parent}")
+    spec = importlib.util.spec_from_file_location(
+        "truncem_baseline", init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = package
+    spec.loader.exec_module(package)
+    modules = {name: importlib.import_module(f"truncem_baseline.{name}")
+               for name in ("lp", "models", "inference")}
+    digest = hashlib.sha256()  # as bench/run.py's src_digest hashes this tree
+    for path in sorted(init.parents[1].rglob("*.py")):
+        digest.update(path.relative_to(init.parents[2]).as_posix().encode())
+        digest.update(path.read_bytes())
+    return dict(modules, src_sha256=digest.hexdigest())
 
 
 def full_lp(a, target, lam, a_max, masked=None):
@@ -104,44 +146,61 @@ def mr_score_points():
     return points
 
 
-def mr_decorrelation_case(points):
-    """(name, n_lps, native solve, full solve) for the score test's LPs
-    at the MR defaults."""
+def mr_decorrelation_case(points, base):
+    """(name, n_lps, sides) for the score test's LPs at the MR defaults;
+    a side is (solve, the lp module whose homotopy and ``linprog`` it runs)."""
     inputs = []
     for model, beta in points:
         t_mat = model.curvature_matrix(beta)
         inputs.append((t_mat, default_lambda(t_mat, model.n_samples)))
 
-    def solve():
-        return np.concatenate([lp.dantzig_direction(t, ALPHA_INDEX, lam) for t, lam in inputs])
+    def on(lp_module):
+        def solve():
+            return np.concatenate([lp_module.dantzig_direction(t, ALPHA_INDEX, lam)
+                                   for t, lam in inputs])
 
-    return "mr-decorrelation-d256", len(inputs), solve, on_full_lp(solve)
+        return solve
+
+    sides = {"native": (on(lp), lp), "full": (on_full_lp(on(lp)), lp)}
+    if base:
+        sides["baseline"] = (on(base["lp"]), base["lp"])
+    return "mr-decorrelation-d256", len(inputs), sides
 
 
-def mr_columns_case(points):
-    """(name, n_lps, column path, whole-matrix path) for the score test's
-    decorrelation at the MR defaults, each computing the curvature weights
-    afresh."""
-    icfg = InferenceConfig(alpha_index=ALPHA_INDEX)
+def mr_columns_case(points, base):
+    """(name, n_lps, sides) for the score test's decorrelation at the MR
+    defaults, the column path against the whole matrix, each computing the
+    curvature weights and the gradient afresh."""
 
-    def run(decorrelate):
+    def run(decorrelate, points, icfg):
         def solve():
             out = []
             for model, beta in points:
                 for memo in ("_decorrelated", "_curvature_memo"):
                     vars(model).pop(memo, None)
-                out.append(decorrelate(model, beta, icfg)[1])
+                got = decorrelate(model, beta, icfg)
+                if len(got) == 3:  # a baseline that leaves the gradient to the tests
+                    model.grad_q(beta)
+                out.append(got[1])
             return np.concatenate(out)
 
         return solve
 
-    return ("mr-decorrelate-columns-d256", len(points), run(inference._decorrelate),
-            run(decorrelate_full_matrix))
+    icfg = InferenceConfig(alpha_index=ALPHA_INDEX)
+    sides = {"native": (run(inference._decorrelate, points, icfg), lp),
+             "full": (run(decorrelate_full_matrix, points, icfg), lp)}
+    if base:
+        models = [(base["models"].MixtureRegression(m.x, m.y, m.sigma), beta)
+                  for m, beta in points]
+        sides["baseline"] = (run(base["inference"]._decorrelate, models,
+                                 base["inference"].InferenceConfig(alpha_index=ALPHA_INDEX)),
+                             base["lp"])
+    return "mr-decorrelate-columns-d256", len(points), sides
 
 
-def clime_case(d, lam):
-    """(name, n_lps, native solve, full solve) for CLIME of the MR design
-    covariance, at the model's default CLIME lambda when ``lam`` is None."""
+def clime_case(d, lam, base):
+    """(name, n_lps, sides) for CLIME of the MR design covariance, at the
+    model's default CLIME lambda when ``lam`` is None."""
     cfg = ExperimentConfig(model="MR", d=d).resolve()
     spec = GenSpec("MR", n=cfg.n, d=d, beta_star=make_beta_star(d, cfg.beta_values),
                    sigma=cfg.sigma, seed=0)
@@ -153,30 +212,56 @@ def clime_case(d, lam):
     def full():
         return np.column_stack([full_lp(sigma_hat, e_j, lam, None) for e_j in np.eye(d)])
 
-    return name, d, lambda: lp.clime_inverse(sigma_hat, lam), full
+    sides = {"native": (lambda: lp.clime_inverse(sigma_hat, lam), lp), "full": (full, lp)}
+    if base:
+        sides["baseline"] = (lambda: base["lp"].clime_inverse(sigma_hat, lam), base["lp"])
+    return name, d, sides
 
 
-def run_once(solve):
-    """One timed solve; returns (seconds, w, A_ub shape of each linprog call)."""
-    shapes, linprog = [], lp.linprog
+def run_once(solve, lp_module):
+    """One timed solve; returns (seconds, w, A_ub shape of each linprog call
+    made through ``lp_module``)."""
+    shapes, linprog = [], lp_module.linprog
 
     def recorded(*args, **kwargs):
         shapes.append(kwargs["A_ub"].shape)
         return linprog(*args, **kwargs)
 
-    lp.linprog = recorded
+    lp_module.linprog = recorded
     try:
         start = time.perf_counter()
         w = solve()
         elapsed = time.perf_counter() - start
     finally:
-        lp.linprog = linprog
+        lp_module.linprog = linprog
     return elapsed, w, shapes
 
 
-def summarize(times, shapes, n_lps):
+def count_pivots(solve, lp_module):
+    """Basis updates of ``lp_module``'s homotopy in one untimed ``solve``."""
+    count, basis = [0], lp_module._Basis
+    updates = {name: getattr(basis, name) for name in UPDATES}
+
+    def counted(update):
+        def run(*args):
+            count[0] += 1
+            return update(*args)
+
+        return run
+
+    for name, update in updates.items():
+        setattr(basis, name, counted(update))
+    try:
+        solve()
+    finally:
+        for name, update in updates.items():
+            setattr(basis, name, update)
+    return count[0]
+
+
+def summarize(times, shapes, n_lps, pivots):
     q1, p50, q3 = np.percentile(np.asarray(times) * 1e3, [25, 50, 75])
-    return {
+    row = {
         "ms_p50": p50,
         "ms_q1": q1,
         "ms_q3": q3,
@@ -185,28 +270,48 @@ def summarize(times, shapes, n_lps):
         "mean_a_ub_rows": float(np.mean([s[0] for s in shapes])) if shapes else 0.0,
         "mean_a_ub_cols": float(np.mean([s[1] for s in shapes])) if shapes else 0.0,
     }
-
-
-def bench_case(name, n_lps, native, full, repeats):
-    native()  # warm-up: imports and first-call set-up
-    solves = {"native": native, "full": full}
-    times = {"native": [], "full": []}
-    shapes, outputs = {}, {}
-    for r in range(repeats):
-        order = ("native", "full") if r % 2 == 0 else ("full", "native")
-        for side in order:
-            elapsed, w, calls = run_once(solves[side])
-            times[side].append(elapsed)
-            shapes[side], outputs[side] = calls, w
-    row = {"name": name, "lps_per_run": n_lps, "repeats": repeats}
-    for side in times:
-        row[side] = summarize(times[side], shapes[side], n_lps)
-    row["max_abs_dw"] = float(np.max(np.abs(outputs["native"] - outputs["full"])))
-    row["speedup_p50"] = row["full"]["ms_p50"] / row["native"]["ms_p50"]
+    if pivots is not None:
+        row["pivots_per_lp"] = pivots / n_lps
+        row["us_per_pivot_p50"] = p50 * 1e3 / pivots if pivots else None
     return row
 
 
-def provenance(repeats):
+def bench_case(name, n_lps, sides, repeats):
+    """Time every side ``repeats`` times: in each repeat the native solvers,
+    alternating which goes first, then the full LP, so that this tree's and
+    the baseline's follow the full LP equally often."""
+    pivots = {side: None if side == "full" else count_pivots(*sides[side]) for side in sides}
+    for solve, _ in sides.values():
+        solve()  # warm-up: imports and first-call set-up
+    names = list(sides)
+    times = {side: [] for side in names}
+    shapes, outputs = {}, {}
+    for r in range(repeats):
+        fast = [side for side in names if side != "full"]
+        for side in (fast if r % 2 == 0 else fast[::-1]) + ["full"]:
+            elapsed, w, calls = run_once(*sides[side])
+            times[side].append(elapsed)
+            shapes[side], outputs[side] = calls, w
+    row = {"name": name, "lps_per_run": n_lps, "repeats": repeats}
+    for side in names:
+        row[side] = summarize(times[side], shapes[side], n_lps, pivots[side])
+    row["max_abs_dw"] = float(np.max(np.abs(outputs["native"] - outputs["full"])))
+    row["speedup_p50"] = row["full"]["ms_p50"] / row["native"]["ms_p50"]
+    if "baseline" in sides:
+        row["max_abs_dw_baseline"] = float(np.max(np.abs(outputs["native"]
+                                                         - outputs["baseline"])))
+        row["speedup_vs_baseline_p50"] = row["baseline"]["ms_p50"] / row["native"]["ms_p50"]
+    return row
+
+
+def per_pivot(side):
+    """``pivots/LP, us/pivot`` of a side, for the printed summary."""
+    if side.get("us_per_pivot_p50") is None:
+        return "no pivots"
+    return f"{side['pivots_per_lp']:.1f} pivots/LP, {side['us_per_pivot_p50']:.0f} us/pivot"
+
+
+def provenance(repeats, baseline_sha256=None):
     return {
         "git_sha": git_sha(),
         "src_sha256": src_digest(),
@@ -219,28 +324,37 @@ def provenance(repeats):
                          ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}},
         "platform": platform.platform(),
         "repeats": repeats,
+        **({"baseline_src_sha256": baseline_sha256} if baseline_sha256 else {}),
     }
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--baseline", metavar="DIR",
+                        help="a checkout whose native solver to time on every row as well")
     parser.add_argument("--out", default=str(ROOT / "BENCH_lp.json"))
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be positive")
+    base = load_baseline(args.baseline) if args.baseline else None
     points = mr_score_points()
-    cases = ([mr_decorrelation_case(points), mr_columns_case(points)]
-             + [clime_case(d, lam) for d, lam in CLIME_CASES])
+    cases = ([mr_decorrelation_case(points, base), mr_columns_case(points, base)]
+             + [clime_case(d, lam, base) for d, lam in CLIME_CASES])
     rows = []
-    for name, n_lps, native, full in cases:
-        row = bench_case(name, n_lps, native, full, args.repeats)
+    for name, n_lps, sides in cases:
+        row = bench_case(name, n_lps, sides, args.repeats)
         rows.append(row)
         got, ref = row["native"], row["full"]
-        print(f"{name}: native {got['ms_p50']:.1f} ms ({got['linprog_calls_per_lp']:.2f} "
-              f"calls/LP), full {ref['ms_p50']:.1f} ms, {row['speedup_p50']:.1f}x, "
-              f"max |dw| {row['max_abs_dw']:.1e}", flush=True)
-    out = {"provenance": provenance(args.repeats), "rows": rows}
+        line = (f"{name}: native {got['ms_p50']:.1f} ms ({got['linprog_calls_per_lp']:.2f} "
+                f"calls/LP, {per_pivot(got)}), full {ref['ms_p50']:.1f} ms, "
+                f"{row['speedup_p50']:.1f}x, max |dw| {row['max_abs_dw']:.1e}")
+        if base:
+            old = row["baseline"]
+            line += (f"; baseline {old['ms_p50']:.1f} ms ({per_pivot(old)}), "
+                     f"{row['speedup_vs_baseline_p50']:.2f}x")
+        print(line, flush=True)
+    out = {"provenance": provenance(args.repeats, base and base["src_sha256"]), "rows": rows}
     pathlib.Path(args.out).write_text(json.dumps(out, indent=2) + "\n")
 
 

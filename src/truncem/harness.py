@@ -74,6 +74,8 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be >= 1 (a grid needs an entry)")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
+        if self.lam is not None and not self.lam >= 0:
+            raise ValueError("lam must be nonnegative")
         if self.sigma is None:
             self.sigma = DEFAULT_SIGMA[self.model]
         if self.m_step is None:

@@ -20,10 +20,11 @@ for lam) is exact from ``curvature_diagonal``: an entry above every
 diagonal one lies in a column whose radius reaches that, and those few
 columns are read.  All agrees with the whole matrix to rel 1e-12.
 
-One evaluation point is decorrelated once: the model keeps its last
-curvature column, direction and quadratic form, so the Wald test at an
-estimate whose tested coordinate already equals the null value reuses
-the score test's work, and both results share one read-only ``w_hat``.
+One evaluation point is decorrelated once: the model keeps the gradient
+``grad_q`` at its last point, and its last curvature column, direction
+and quadratic form, so the Wald test at an estimate whose tested
+coordinate already equals the null value reuses the score test's work,
+and both results share one read-only ``w_hat``.
 
 The model classes expose ``grad_q`` and the curvature in the
 sigma^2-scaled surrogate normalization (see ``models``); the statistics
@@ -100,11 +101,15 @@ class InferenceResult:
 def score_function(model, beta, w, cfg: InferenceConfig):
     """Decorrelated score: the alpha component of the surrogate gradient
     minus its projection onto the nuisance components."""
-    grad = model.grad_q(beta)
+    return _score(model.grad_q(beta), w, cfg.alpha_index)
+
+
+def _score(grad, w, alpha):
+    """``score_function`` from the gradient ``grad`` at the point."""
     w = np.asarray(w, dtype=float)
-    if w.shape != (model.dim - 1,):
-        raise ValueError(f"w must have shape ({model.dim - 1},)")
-    return float(grad[cfg.alpha_index] - w @ np.delete(grad, cfg.alpha_index))
+    if w.shape != (grad.size - 1,):
+        raise ValueError(f"w must have shape ({grad.size - 1},)")
+    return float(grad[alpha] - w @ np.delete(grad, alpha))
 
 
 def info_quadratic_form(t_mat, w, alpha_index):
@@ -135,49 +140,62 @@ def _two_sided(statistic, delta):
 
 
 class _Columns(dict):
-    """Columns of T at ``beta``, formed on first read (T is symmetric: rows)."""
+    """Columns of T at ``beta``, formed on first read from the curvature
+    weights at ``beta``, fetched once (T is symmetric: rows)."""
 
     def __init__(self, model, beta):
-        self.model, self.beta = model, beta
+        self.weights, self.column = model._curvature_weights(beta), model._column
 
     def __missing__(self, i):
-        col = self[i] = self.model.curvature_column(self.beta, i)
-        if not np.isfinite(col).all():
+        col = self[i] = self.column(self.weights, i)
+        # col @ col is finite if every entry is, unless it overflows
+        if not (math.isfinite(col @ col) or np.isfinite(col).all()):
             raise ValueError("curvature column must be finite")
         return col
 
 
 def _abs_peak(cols, diag, radii, skip):
     """``max |T_ij|`` over i, j != ``skip`` (see the module docstring)."""
-    keep = np.delete(np.arange(diag.size), skip)
-    peak = np.max(np.abs(diag[keep]))
-    for i in keep[radii[keep] >= peak * (1.0 - _CERTIFICATE_MARGIN)]:
-        peak = max(peak, np.max(np.abs(cols[i][keep])))
+    peak_of = np.abs(diag)
+    peak_of[skip] = 0.0  # every |T_ij| >= 0, so 0 leaves the max unchanged
+    peak = peak_of.max()
+    for i in np.flatnonzero(radii >= peak * (1.0 - _CERTIFICATE_MARGIN)).tolist():
+        if i != skip:
+            peak_of = np.abs(cols[i])
+            peak_of[skip] = 0.0
+            peak = max(peak, peak_of.max())
     return peak
 
 
 def _decorrelate(model, beta, cfg: InferenceConfig):
     """Column alpha of the curvature matrix T at ``beta``, the
-    decorrelation direction w and the quadratic form ``v.T @ T @ v`` (see
+    decorrelation direction w, the quadratic form ``v.T @ T @ v`` (see
     ``info_quadratic_form``), by the column certificate of w = 0 or by the
-    LP on the columns of T (see the module docstring).
+    LP on the columns of T (see the module docstring), and ``grad_q(beta)``.
 
-    All three are read-only and memoized on the model for one key: the
-    exact bytes of ``beta``, ``alpha_index`` and ``lam``.
+    All four are read-only and memoized on the model: the gradient for the
+    exact bytes of ``beta``, the rest for those, ``alpha_index`` and ``lam``.
     """
     a = cfg.alpha_index
     if not 0 <= a < model.dim:
         raise ValueError("alpha_index out of range")
-    key = (beta.tobytes(), a, cfg.lam)
+    point, task = beta.tobytes(), (a, cfg.lam)
     memo = getattr(model, "_decorrelated", None)
-    if memo is not None and memo[0] == key:
-        return memo[1:]
+    if memo is not None and memo[0] == point:
+        grad = memo[1]
+        if memo[2] == task:
+            return memo[3:] + (grad,)
+    else:
+        grad = model.grad_q(beta)
+        grad.flags.writeable = False
     cols = _Columns(model, beta)
     col = cols[a]
+    peak_of = np.abs(col)
     bound = cfg.lam
     if bound is None:
-        bound = _scaled_lambda(np.max(np.abs(col)), model.dim, model.n_samples)
-    cross = np.max(np.abs(np.delete(col, a)), initial=0.0)
+        bound = _scaled_lambda(peak_of.max(), model.dim, model.n_samples)
+    peak_of[a] = 0.0  # max|T_ga|, as every |T_ia| >= 0
+    cross = peak_of.max()
     if cross < bound * (1.0 - _CERTIFICATE_MARGIN):
         w, quad = np.zeros(model.dim - 1), float(col[a])
     else:
@@ -191,8 +209,8 @@ def _decorrelate(model, beta, cfg: InferenceConfig):
         quad = float(np.dot(v[on], [cols[i] for i in on])[on] @ v[on])
     col.flags.writeable = False
     w.flags.writeable = False
-    model._decorrelated = (key, col, w, quad)
-    return col, w, quad
+    model._decorrelated = (point, grad, task, col, w, quad)
+    return col, w, quad, grad
 
 
 def _information(model, quad):
@@ -234,9 +252,9 @@ def score_test(model, beta_hat, cfg: InferenceConfig):
     beta_eval = np.array(beta_hat, dtype=float)
     # a slice, so an out-of-range index reaches the check in _decorrelate
     beta_eval[cfg.alpha_index : cfg.alpha_index + 1] = cfg.null_value
-    _, w, quad = _decorrelate(model, beta_eval, cfg)
+    _, w, quad, grad = _decorrelate(model, beta_eval, cfg)
     info = _information(model, quad)
-    score = score_function(model, beta_eval, w, cfg) / model.sigma**2
+    score = _score(grad, w, cfg.alpha_index) / model.sigma**2
     statistic = math.sqrt(model.n_samples) * score / math.sqrt(info)
     # score-style interval around the (unshifted) estimate is not defined
     # by the test itself; report the null-centered acceptance region
@@ -245,11 +263,11 @@ def score_test(model, beta_hat, cfg: InferenceConfig):
 
 def _wald_pieces(model, beta_hat, cfg: InferenceConfig):
     beta_hat = np.asarray(beta_hat, dtype=float)
-    col, w, quad = _decorrelate(model, beta_hat, cfg)
+    col, w, quad, grad = _decorrelate(model, beta_hat, cfg)
     denom = col[cfg.alpha_index] - w @ np.delete(col, cfg.alpha_index)
     if denom == 0:
         raise DegenerateInformationError("zero curvature denominator")
-    score = score_function(model, beta_hat, w, cfg)
+    score = _score(grad, w, cfg.alpha_index)
     # the sigma^2 scalings of score and curvature cancel in the ratio
     return float(beta_hat[cfg.alpha_index] - score / denom), w, quad
 

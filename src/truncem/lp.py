@@ -48,8 +48,8 @@ JRSS-B 2009), written in numpy:
 The basis is never re-gathered or re-inverted (Vanderbei, *Linear
 Programming*, ch. 8).  A[S, :], A[:, J] (stored as rows), (t_S, s) and z
 live in buffers that start at 16 rows and double when full, in the
-order the rows and columns joined, and ``inv = A[S, J]^-1`` changes with
-them by one row or column per pivot:
+order the rows and columns joined, and ``inv = A[S, J]^-1``, a contiguous
+k x k array, changes with them by one row or column per pivot:
 
 - a row i and a column j join: bordering.  With ``y = a_{i,J} inv`` (the
   ray's own product), ``x = inv a_{S,j}`` and the Schur complement
@@ -62,10 +62,32 @@ them by one row or column per pivot:
 - row l and coordinate p leave together: the Schur downdate ``inv -
   inv[:, l] inv[p] / inv[p, l]``, then row p and column l are deleted.
 
-The event scan is fused over the rows: with the residual ``r = c + lam
-e`` along the stretch, a free row i binds at ``|c_i| / (1 - sign(c_i)
-e_i)`` when that denominator is positive.  The column ratio is
-``max((sign(h) - g) / h, 0)`` with ``g = A^T u`` and ``h = A^T delta``.
+Each pivot is a fixed sequence of about 30 numpy calls on arrays of m
+or k entries, and Python's own float arithmetic does the rest: its
+floats are IEEE doubles, so a scalar loop rounds as numpy does.
+
+- The row scan is fused over the rows: with the residual ``r = c + lam
+  e`` along the stretch, a free row i binds at ``|c_i| / (1 - sign(c_i)
+  e_i)`` when that denominator is positive.  It is computed as ``c_i /
+  (sign(c_i) - e_i)``, bit-identical wherever it is positive (negation is
+  exact), with c set to 0 on the bound and masked rows; a zero
+  denominator (an infinite hit) or 0 / 0 (nan) sends the scan to a rare
+  second pass that drops them, keeping an infinite hit from an overflow.
+- The leaving-coordinate scan (``p_l / q_l`` where ``z_l q_l < 0``) and the
+  row ratio on S (``max(-u_l / delta_l, 0)`` where ``s_l delta_l < 0``)
+  loop over the k entries in Python; the first of equal values wins, as
+  with ``argmax``/``argmin``.
+- The ray is written into a buffer of the basis, divided by its largest
+  entry: ``y / (-side scale)`` equals ``(-side y) / scale``.
+- The column ratio is ``max((sign(h) - g) / h, 0)`` with ``g = A^T u``
+  and ``h = A^T delta``: one ``np.maximum`` with a floor that is 0 on the
+  columns that may enter and +inf on J and the masked column clips it and
+  bars those at once, and a zero h_j (+-inf or nan) is barred only when
+  ``argmin`` picks it.
+- The bordering update subtracts the outer product into a fresh k x k
+  array; the new row ``-y / sigma`` is divided first, and ``inv - x (-y /
+  sigma)^T`` rounds as ``inv + x (y / sigma)^T``.
+
 Since the final solve starts afresh, w is bit-identical to that of a
 basis re-inverted at every pivot whenever the two take the same pivots.
 
@@ -74,7 +96,7 @@ an array or from a mapping that forms them on demand, as ``inference``
 does with curvature columns; the pivot scale ``a_max = max |a_ij|`` comes
 from the caller.  ``dantzig_columns`` poses its LP on T itself: target
 ``T[:, alpha]`` with entry alpha set to 0, and row and column alpha
-masked out.  Row alpha never binds (its hit is -inf), column alpha never
+masked out.  Row alpha never binds (its c is 0), column alpha never
 enters (its ratio is +inf), and the certificate and the infeasible ray
 ignore both.
 
@@ -160,34 +182,38 @@ class _Basis:
     """The homotopy's basis: active rows S with signs s and support
     columns J with signs z, in the order they joined.  ``a_rows[:k]``
     holds A[S, :], ``a_cols[:k]`` holds A[J, :] = A[:, J]^T, ``ts[:k]`` holds
-    (t_S, s), ``z[:k]`` holds z and ``inv[:k, :k]`` is A[S, J]^-1, for
-    k = |S| = |J|; ``free_rows`` and ``free_cols`` are 1 on the rows that
-    may bind and the columns that may enter, and 0 on S, on J and on the
-    masked row and column.  The buffers start at ``_BASIS_ROWS`` rows and
-    double when full; each pivot changes them by one row or column (see
-    the module docstring).  An update returns False, and changes nothing,
-    when its pivot is not above ``_PIVOT_TOL``, scaled by ``a_max`` for a
-    pivot in the units of A or of its inverse."""
+    (t_S, s), ``z[:k]`` holds z and ``ray[:k + 1]`` is room for the dual
+    ray, for k = |S| = |J|; ``inv`` is A[S, J]^-1, a contiguous k x k array
+    (a new one when k changes), as numpy's small products and updates are
+    faster on it than on a block of a larger buffer.  ``free_rows`` is 1 on
+    the rows that may bind and 0 on S and the masked row; ``barred_cols`` is
+    0 on the columns that may enter and +inf on J and the masked column, the
+    floor the column ratio is clipped at.  The buffers start at ``_BASIS_ROWS``
+    rows and double when full; each pivot changes them by one row or
+    column (see the module docstring).  An update returns False, and
+    changes nothing, when its pivot is not above ``_PIVOT_TOL``, scaled by
+    ``a_max`` for a pivot in the units of A or of its inverse."""
 
     def __init__(self, a, target, a_max, masked):
         self.a, self.target, self.a_max = a, target, a_max
         self.rows, self.cols = [], []
         m = target.size
-        self.free_rows, self.free_cols = np.ones(m), np.ones(m)
+        self.free_rows, self.barred_cols = np.ones(m), np.zeros(m)
         if masked is not None:
-            self.free_rows[masked] = self.free_cols[masked] = 0.0
+            self.free_rows[masked], self.barred_cols[masked] = 0.0, np.inf
+        self.inv = np.empty((0, 0))
         self._allocate(_BASIS_ROWS)
 
     def _allocate(self, cap):
         """Buffers of ``cap`` rows, holding the basis of the old ones."""
         k, m = len(self.rows), self.target.size
         for name, shape in (("a_rows", (cap, m)), ("a_cols", (cap, m)), ("ts", (cap, 2)),
-                            ("z", (cap,)), ("inv", (cap, cap))):
+                            ("z", (cap,))):
             buf = np.empty(shape)
             if k:
-                kept = np.s_[:k, :k] if name == "inv" else np.s_[:k]
-                buf[kept] = getattr(self, name)[kept]
+                buf[:k] = getattr(self, name)[:k]
             setattr(self, name, buf)
+        self.ray = np.empty(cap + 1)
 
     def stage_row(self, i):
         """Copy row i of A to ``a_rows[k]``, growing the buffers if full."""
@@ -200,28 +226,34 @@ class _Basis:
         """Row i (staged) joins S with sign ``side`` and column j joins J
         with sign ``sign``, by bordering; ``y = A[i, J] inv``."""
         k = len(self.rows)
-        inv, b = self.inv[:k, :k], self.a_rows[:k, j]
+        b = self.a_rows[:k, j]
         sigma = self.a_rows[k, j] - np.dot(y, b)
         if not abs(sigma) > _PIVOT_TOL * self.a_max:
             return False
-        x, y = np.dot(inv, b), y / sigma
-        inv += np.multiply.outer(x, y)
-        self.inv[:k, k], self.inv[k, :k], self.inv[k, k] = x / -sigma, -y, 1.0 / sigma
+        # the new row -y / sigma, then inv - x (-y / sigma)^T: the roundings of
+        # inv + x (y / sigma)^T, as negation is exact; numpy writes the update
+        # faster to a contiguous array than to a block of the new one
+        x, inv = np.dot(self.inv, b), np.empty((k + 1, k + 1))
+        row = inv[k, :k]
+        np.divide(y, -sigma, out=row)
+        update = np.multiply.outer(x, row)
+        inv[:k, :k] = np.subtract(self.inv, update, out=update)
+        np.divide(x, -sigma, out=inv[:k, k])
+        inv[k, k] = 1.0 / sigma
+        self.inv = inv
         self.a_cols[k] = self.a[j]
-        self.ts[k] = self.target[i], side
-        self.z[k] = sign
+        self.ts[k, 0], self.ts[k, 1], self.z[k] = self.target[i], side, sign
         self.rows.append(i)
         self.cols.append(j)
-        self.free_rows[i] = self.free_cols[j] = 0.0
+        self.free_rows[i], self.barred_cols[j] = 0.0, np.inf
         return True
 
     def replace_row(self, leave, i, side, y):
         """Row i (staged) takes the place of row ``leave`` of S, by
         Sherman-Morrison; ``y = A[i, J] inv``."""
-        k, pivot = len(self.rows), y[leave]
+        k, pivot, inv = len(self.rows), y[leave], self.inv
         if not abs(pivot) > _PIVOT_TOL:
             return False
-        inv = self.inv[:k, :k]
         y = y.copy()
         y[leave] -= 1.0
         inv -= np.multiply.outer(inv[:, leave] / pivot, y)
@@ -235,8 +267,7 @@ class _Basis:
         """Column j takes the place of support coordinate ``pos``, by
         Sherman-Morrison; if j is that coordinate, only its sign flips."""
         if j != self.cols[pos]:
-            k = len(self.rows)
-            inv = self.inv[:k, :k]
+            k, inv = len(self.rows), self.inv
             x = np.dot(inv, self.a_rows[:k, j])
             pivot = x[pos]
             if not abs(pivot) > _PIVOT_TOL:
@@ -244,7 +275,7 @@ class _Basis:
             x[pos] -= 1.0
             inv -= np.multiply.outer(x, inv[pos] / pivot)
             self.a_cols[pos] = self.a[j]
-            self.free_cols[self.cols[pos]], self.free_cols[j] = 1.0, 0.0
+            self.barred_cols[self.cols[pos]], self.barred_cols[j] = 0.0, np.inf
             self.cols[pos] = j
         self.z[pos] = sign
         return True
@@ -252,21 +283,22 @@ class _Basis:
     def downdate(self, leave, pos):
         """Row ``leave`` of S and support coordinate ``pos`` leave
         together, by the Schur downdate."""
-        k = len(self.rows)
-        inv = self.inv[:k, :k]
+        k, inv = len(self.rows), self.inv
         pivot = inv[pos, leave]
         if not abs(pivot) * self.a_max > _PIVOT_TOL:
             return False
         inv -= np.multiply.outer(inv[:, leave], inv[pos] / pivot)
         inv[pos:-1] = inv[pos + 1:]
         inv[:, leave:-1] = inv[:, leave + 1:]
+        self.inv = inv[:-1, :-1].copy()
         for buf, at in ((self.a_rows, leave), (self.ts, leave), (self.a_cols, pos),
                         (self.z, pos)):
             buf[at:k - 1] = buf[at + 1:k]
-        self.free_rows[self.rows.pop(leave)] = self.free_cols[self.cols.pop(pos)] = 1.0
+        self.free_rows[self.rows.pop(leave)], self.barred_cols[self.cols.pop(pos)] = 1.0, 0.0
         return True
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # the scans divide by 0 on purpose
 def _homotopy(a, target, lam, a_max, masked=None):
     """Follow the optimal basis from ``lam_0 = ||target||_inf > lam`` down
     to lam (see the module docstring), with row and column ``masked``, if
@@ -276,71 +308,93 @@ def _homotopy(a, target, lam, a_max, masked=None):
     m = target.size
     basis = _Basis(a, target, a_max, masked)
     rows, cols = basis.rows, basis.cols
-    hits, col_ratio, coord_hits, row_ratio = np.empty((4, m))
-    lam_cur = np.max(np.abs(target))
+    hits, col_ratio = np.empty((2, m))
+    lam_cur = np.abs(target).max()
     for _ in range(10 * m + 10):  # a cap against cycling on degenerate ties
         k = len(rows)
-        inv, s, z = basis.inv[:k, :k], basis.ts[:k, 1], basis.z[:k]
+        inv, z = basis.inv, basis.z[:k]
         pq, u = np.dot(inv, basis.ts[:k]), np.dot(z, inv)
         # w_J = p - lam q and r = t - A w = c + lam e along this stretch
-        ce = np.dot(pq.T, basis.a_cols[:k])
-        c, e = target - ce[0], ce[1]
-        # a free row binds where |r_i| reaches lam, at |c_i| / (1 - sign(c_i)
-        # e_i) if that is positive; support coordinate j leaves where z_j w_j
-        # reaches 0, at p_j / q_j if z_j q_j < 0
-        falling = 1.0 - np.sign(c) * e
-        falling *= basis.free_rows
-        hits.fill(-np.inf)
-        np.divide(np.abs(c), falling, out=hits, where=falling > 0.0)
+        c, e = np.dot(pq.T, basis.a_cols[:k])
+        np.subtract(target, c, out=c)
+        # a free row binds where |r_i| reaches lam, at c_i / (sign(c_i) - e_i)
+        # = |c_i| / (1 - sign(c_i) e_i) if 1 - sign(c_i) e_i > 0, that is, if
+        # the hit is positive or +inf from an overflow; a bound or masked row
+        # (c_i set to 0), a zero denominator and 0 / 0 are no hit
+        c *= basis.free_rows
+        np.sign(c, out=hits)
+        hits -= e
+        np.divide(c, hits, out=hits)
         i = int(hits.argmax())
+        if not 0.0 < hits[i] < np.inf:  # a nan, an inf or no positive hit
+            sign_c = np.sign(c)
+            hits[sign_c * (sign_c - e) <= 0.0] = -np.inf
+            i = int(hits.argmax())
         lam_next, row_event = hits[i], True
-        if k:
-            leaving = coord_hits[:k]
-            leaving.fill(-np.inf)
-            np.divide(pq[:, 0], pq[:, 1], out=leaving, where=z * pq[:, 1] < 0.0)
-            pos = int(leaving.argmax())
-            if leaving[pos] > lam_next:
-                lam_next, row_event = leaving[pos], False
+        # support coordinate l leaves where z_l w_l reaches 0, at p_l / q_l if
+        # z_l q_l < 0; the first of the latest events wins
+        ps, qs = pq.T.tolist()
+        for l, z_l in enumerate(z.tolist()):
+            q = qs[l]
+            if z_l * q < 0.0 and ps[l] / q > lam_next:
+                lam_next, pos, row_event = ps[l] / q, l, False
         lam_cur = min(lam_cur, lam_next)
         if lam_cur <= lam:
             w, t_s, a_s = np.zeros(m), basis.ts[:k, 0], basis.a_rows[:k]
             try:
-                w[cols] = w_j = np.linalg.solve(a_s[:, cols], t_s - lam * s)
+                w[cols] = w_j = np.linalg.solve(a_s[:, cols], t_s - lam * basis.ts[:k, 1])
             except np.linalg.LinAlgError:
                 return None
             ok = _certified(target, lam, w_j, basis.a_cols[:k], u, a_s, t_s, masked)
             return w if ok else None
-        # the dual moves along a ray over the rows that then carry it: row
-        # i joins them, or coordinate pos gets a positive reduced cost
+        # the dual moves along a ray over the rows that then carry it, scaled
+        # to max |ray_l| = 1: (-side y, side) when row i joins them, -z_pos
+        # inv[pos] when coordinate pos gets a positive reduced cost (y /
+        # (-side scale) is (-side y) / scale, as negation is exact)
         if row_event:
             side = 1.0 if c[i] > 0.0 else -1.0
             y = np.dot(basis.a_cols[:k, i], inv)  # A[i, J] inv
-            ray = np.concatenate((-side * y, (side,)))
+            scale = max(1.0, max(map(abs, y.tolist()), default=0.0))
+            ray = basis.ray[:k + 1]
+            np.divide(y, -side * scale, out=ray[:k])
+            ray[k] = side / scale
             basis.stage_row(i)
         else:
-            ray = -z[pos] * inv[pos]
-        ray /= np.abs(ray).max()
+            ray = basis.ray[:k]
+            np.divide(inv[pos], -z[pos] * max(map(abs, inv[pos].tolist())), out=ray)
         delta = ray[:k]
         g, h = np.dot(u, basis.a_rows[:k]), np.dot(ray, basis.a_rows[:k + row_event])
-        # only free columns, and the leaving coordinate, may enter
-        h_pos = 0.0 if row_event else h[cols[pos]]
-        h *= basis.free_cols
-        if not row_event:
-            h[cols[pos]] = h_pos
-        # ratio test: columns whose |(A^T u)_j| = |g_j| reaches 1, rows of
-        # S whose multiplier s_l u_l reaches 0, as u moves along the ray
-        col_ratio.fill(np.inf)
-        np.divide(np.sign(h) - g, h, out=col_ratio, where=h != 0.0)
-        np.maximum(col_ratio, 0.0, out=col_ratio)
+        # ratio test: a free column, or the leaving coordinate, whose
+        # |(A^T u)_j| = |g_j| reaches 1, at (sign(h_j) - g_j) / h_j clipped at 0
+        # (none if h_j = 0), or a row of S whose multiplier s_l u_l reaches 0,
+        # as u moves along the ray; the first of the earliest wins
+        np.sign(h, out=col_ratio)
+        col_ratio -= g
+        col_ratio /= h
+        if row_event:
+            np.maximum(col_ratio, basis.barred_cols, out=col_ratio)
+        else:
+            own = max(col_ratio[cols[pos]], 0.0)
+            np.maximum(col_ratio, basis.barred_cols, out=col_ratio)
+            col_ratio[cols[pos]] = own
         j = int(col_ratio.argmin())
-        if k:
-            emptying = row_ratio[:k]
-            emptying.fill(np.inf)
-            np.divide(-u, delta, out=emptying, where=s * delta < 0.0)
-            np.maximum(emptying, 0.0, out=emptying)
-            leave = int(emptying.argmin())
-        if k and emptying[leave] < col_ratio[j]:
-            if abs(delta[leave]) < _PIVOT_TOL:
+        if h[j] == 0.0:  # a free column with h_j = 0 came first: bar them all
+            col_ratio[h == 0.0] = np.inf
+            j = int(col_ratio.argmin())
+        step = col_ratio[j]
+        if step == np.inf and basis.barred_cols[j] and (row_event or j != cols[pos]):
+            h[j] = 0.0  # as the first of all +inf ratios, j enters only if it may
+        leave, emptying = -1, np.inf
+        signs, us = basis.ts[:k, 1].tolist(), u.tolist()
+        for l, d_l in enumerate(delta.tolist()):
+            if signs[l] * d_l < 0.0:
+                ratio = -us[l] / d_l
+                if ratio < 0.0:
+                    ratio = 0.0
+                if ratio < emptying:
+                    leave, emptying, d_leave = l, ratio, d_l
+        if emptying < step:
+            if abs(d_leave) < _PIVOT_TOL:
                 return None
             j = -1
         elif abs(h[j]) < _PIVOT_TOL * a_max:
@@ -351,13 +405,14 @@ def _homotopy(a, target, lam, a_max, masked=None):
                                target[ray_rows], masked):
                 raise LpInfeasibleError("LP infeasible")
             return None
+        sign = 1.0 if h[j] > 0.0 else -1.0  # h_j != 0 where column j enters
         if row_event:
             done = (basis.replace_row(leave, i, side, y) if j < 0
-                    else basis.border(i, side, j, np.sign(h[j]), y))
+                    else basis.border(i, side, j, sign, y))
         elif j < 0:  # the zero coordinate and a row leave together
             done = basis.downdate(leave, pos)
         else:  # column j replaces the zero coordinate, or flips its sign
-            done = basis.replace_col(pos, j, np.sign(h[j]))
+            done = basis.replace_col(pos, j, sign)
         if not done:
             return None
     return None
@@ -370,9 +425,9 @@ def _certified(target, lam, w_j, a_j, u, a_s, t_s, masked=None):
     resid, reduced = target - w_j @ a_j, u @ a_s
     if masked is not None:
         resid[masked] = reduced[masked] = 0.0
-    l1, dual = np.sum(np.abs(w_j)), t_s @ u - lam * np.sum(np.abs(u))
-    return (np.max(np.abs(resid)) <= lam + FEAS_TOL
-            and np.max(np.abs(reduced)) <= 1.0 + _CERT_TOL
+    l1, dual = np.abs(w_j).sum(), t_s @ u - lam * np.abs(u).sum()
+    return (np.abs(resid, out=resid).max() <= lam + FEAS_TOL
+            and np.abs(reduced, out=reduced).max() <= 1.0 + _CERT_TOL
             and abs(l1 - dual) <= _CERT_TOL * max(1.0, l1))
 
 
@@ -419,7 +474,7 @@ def _l1_min_linf_residual(a, target, lam, a_max, masked=None):
     ``w[masked]`` is 0."""
     if not (np.isfinite(target).all() and np.isfinite(a_max)):
         raise ValueError("LP data must be finite")
-    if not np.max(np.abs(target), initial=0.0) > lam:
+    if not np.abs(target).max(initial=0.0) > lam:
         # w = 0 is feasible, and every other w has a positive l1 norm
         return np.zeros(target.size)
     w = _homotopy(a, target, lam, a_max, masked)
@@ -468,7 +523,7 @@ def dantzig_columns(rows, alpha_index, lam, a_max):
     a = alpha_index
     target = np.array(rows[a], dtype=float)
     target[a] = 0.0
-    if np.max(np.abs(target)) <= lam:
+    if np.abs(target).max() <= lam:
         return np.zeros(target.size - 1)
     return np.delete(_l1_min_linf_residual(rows, target, lam, a_max, masked=a), a)
 

@@ -96,9 +96,10 @@ class _Model:
 class _Mixture(_Model):
     """A symmetric two-component mixture; ``_weights`` gives the posterior
     probability of the positive component per sample, ``_curvature_weights_at``
-    the weights of the curvature matrix, which its columns, its diagonal and
-    radii, and the matrix itself (a Gram form built in place, within 1e-12
-    max|T| of the two-product form ``(T + T^T) / 2``) all read."""
+    the weights of the curvature matrix, which its columns (``_column(weights,
+    alpha)``), its diagonal and radii, and the matrix itself (a Gram form
+    built in place, within 1e-12 max|T| of the two-product form ``(T + T^T) /
+    2``) all read."""
 
     _curvature_memo = (None, None)
 
@@ -115,6 +116,9 @@ class _Mixture(_Model):
             weights.flags.writeable = False
             self._curvature_memo = (key, weights)
         return self._curvature_memo[1]
+
+    def curvature_column(self, beta, alpha):
+        return self._column(self._curvature_weights(beta), alpha)
 
 
 class GaussianMixture(_Mixture):
@@ -159,9 +163,8 @@ class GaussianMixture(_Mixture):
         w = self._weights(beta)
         return (4.0 / self.sigma**2) * w * (1.0 - w)
 
-    def curvature_column(self, beta, alpha):
+    def _column(self, nu, alpha):
         _check_index(alpha, self.dim, "alpha")
-        nu = self._curvature_weights(beta)
         col = self.y.T @ (nu * self.y[:, alpha]) / self.n_samples
         col[alpha] -= 1.0
         return col
@@ -264,16 +267,17 @@ class MixtureRegression(_Mixture):
         w = self._weights(beta)
         return ((4.0 / self.sigma**2) * w * (1.0 - w) * self.y**2 - 1.0) / self.n_samples
 
-    def curvature_column(self, beta, alpha):
+    def _column(self, c, alpha):
         _check_index(alpha, self.dim, "alpha")
-        return (self._curvature_weights(beta) * self.x[:, alpha]) @ self.x
+        return (c * self.x[:, alpha]) @ self.x
 
     def curvature_diagonal(self, beta):
         c, n, x = self._curvature_weights(beta), self.n_samples, self.x
-        lifted, base = np.flatnonzero(c + 1.0 / n), np.einsum("ki,ki->i", x, x) / n
-        z, c = x[lifted], c[lifted]
-        return (np.einsum("k,ki,ki->i", c + 1.0 / n, z, z) - base,
-                np.einsum("k,ki,ki->i", np.abs(c) - 1.0 / n, z, z) + base)
+        lift = c + 1.0 / n
+        lifted, base = np.flatnonzero(lift), np.einsum("ki,ki->i", x, x) / n
+        z = x[lifted]
+        return (np.einsum("k,ki,ki->i", lift[lifted], z, z) - base,
+                np.einsum("k,ki,ki->i", np.abs(c[lifted]) - 1.0 / n, z, z) + base)
 
     def curvature_matrix(self, beta):
         # BLAS fills the lower triangle in place; the copy onto the upper makes
@@ -382,6 +386,9 @@ class MissingCovariateRegression(_Model):
         raise UnsupportedOperationError(self._NO_CURVATURE)
 
     def curvature_column(self, beta, alpha):
+        raise UnsupportedOperationError(self._NO_CURVATURE)
+
+    def _curvature_weights(self, beta):  # what inference reads columns through
         raise UnsupportedOperationError(self._NO_CURVATURE)
 
     def loglik(self, beta):

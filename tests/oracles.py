@@ -234,6 +234,224 @@ def dantzig_direction_reference(t_mat, alpha_index, lam):
 
 
 # ---------------------------------------------------------------------------
+# the buffered homotopy with whole-array numpy scans
+
+
+class NumpyScanBasis:
+    """The basis of ``numpy_scan_homotopy``: active rows S with signs s and
+    support columns J with signs z, in the order they joined.  ``a_rows[:k]``
+    holds A[S, :], ``a_cols[:k]`` holds A[J, :] = A[:, J]^T, ``ts[:k]`` holds
+    (t_S, s), ``z[:k]`` holds z and ``inv[:k, :k]`` is A[S, J]^-1, for
+    k = |S| = |J|; ``free_rows`` and ``free_cols`` are 1 on the rows that
+    may bind and the columns that may enter, and 0 on S, on J and on the
+    masked row and column.  The buffers start at ``lp._BASIS_ROWS`` rows and
+    double when full; each pivot changes them by one row or column (see
+    the ``truncem.lp`` docstring).  An update returns False, and changes nothing,
+    when its pivot is not above ``lp._PIVOT_TOL``, scaled by ``a_max`` for a
+    pivot in the units of A or of its inverse."""
+
+    def __init__(self, a, target, a_max, masked):
+        self.a, self.target, self.a_max = a, target, a_max
+        self.rows, self.cols = [], []
+        m = target.size
+        self.free_rows, self.free_cols = np.ones(m), np.ones(m)
+        if masked is not None:
+            self.free_rows[masked] = self.free_cols[masked] = 0.0
+        self._allocate(lp._BASIS_ROWS)
+
+    def _allocate(self, cap):
+        """Buffers of ``cap`` rows, holding the basis of the old ones."""
+        k, m = len(self.rows), self.target.size
+        for name, shape in (("a_rows", (cap, m)), ("a_cols", (cap, m)), ("ts", (cap, 2)),
+                            ("z", (cap,)), ("inv", (cap, cap))):
+            buf = np.empty(shape)
+            if k:
+                kept = np.s_[:k, :k] if name == "inv" else np.s_[:k]
+                buf[kept] = getattr(self, name)[kept]
+            setattr(self, name, buf)
+
+    def stage_row(self, i):
+        """Copy row i of A to ``a_rows[k]``, growing the buffers if full."""
+        k = len(self.rows)
+        if k == self.z.size:
+            self._allocate(2 * k)
+        self.a_rows[k] = self.a[i]
+
+    def border(self, i, side, j, sign, y):
+        """Row i (staged) joins S with sign ``side`` and column j joins J
+        with sign ``sign``, by bordering; ``y = A[i, J] inv``."""
+        k = len(self.rows)
+        inv, b = self.inv[:k, :k], self.a_rows[:k, j]
+        sigma = self.a_rows[k, j] - np.dot(y, b)
+        if not abs(sigma) > lp._PIVOT_TOL * self.a_max:
+            return False
+        x, y = np.dot(inv, b), y / sigma
+        inv += np.multiply.outer(x, y)
+        self.inv[:k, k], self.inv[k, :k], self.inv[k, k] = x / -sigma, -y, 1.0 / sigma
+        self.a_cols[k] = self.a[j]
+        self.ts[k] = self.target[i], side
+        self.z[k] = sign
+        self.rows.append(i)
+        self.cols.append(j)
+        self.free_rows[i] = self.free_cols[j] = 0.0
+        return True
+
+    def replace_row(self, leave, i, side, y):
+        """Row i (staged) takes the place of row ``leave`` of S, by
+        Sherman-Morrison; ``y = A[i, J] inv``."""
+        k, pivot = len(self.rows), y[leave]
+        if not abs(pivot) > lp._PIVOT_TOL:
+            return False
+        inv = self.inv[:k, :k]
+        y = y.copy()
+        y[leave] -= 1.0
+        inv -= np.multiply.outer(inv[:, leave] / pivot, y)
+        self.a_rows[leave] = self.a_rows[k]
+        self.ts[leave] = self.target[i], side
+        self.free_rows[self.rows[leave]], self.free_rows[i] = 1.0, 0.0
+        self.rows[leave] = i
+        return True
+
+    def replace_col(self, pos, j, sign):
+        """Column j takes the place of support coordinate ``pos``, by
+        Sherman-Morrison; if j is that coordinate, only its sign flips."""
+        if j != self.cols[pos]:
+            k = len(self.rows)
+            inv = self.inv[:k, :k]
+            x = np.dot(inv, self.a_rows[:k, j])
+            pivot = x[pos]
+            if not abs(pivot) > lp._PIVOT_TOL:
+                return False
+            x[pos] -= 1.0
+            inv -= np.multiply.outer(x, inv[pos] / pivot)
+            self.a_cols[pos] = self.a[j]
+            self.free_cols[self.cols[pos]], self.free_cols[j] = 1.0, 0.0
+            self.cols[pos] = j
+        self.z[pos] = sign
+        return True
+
+    def downdate(self, leave, pos):
+        """Row ``leave`` of S and support coordinate ``pos`` leave
+        together, by the Schur downdate."""
+        k = len(self.rows)
+        inv = self.inv[:k, :k]
+        pivot = inv[pos, leave]
+        if not abs(pivot) * self.a_max > lp._PIVOT_TOL:
+            return False
+        inv -= np.multiply.outer(inv[:, leave], inv[pos] / pivot)
+        inv[pos:-1] = inv[pos + 1:]
+        inv[:, leave:-1] = inv[:, leave + 1:]
+        for buf, at in ((self.a_rows, leave), (self.ts, leave), (self.a_cols, pos),
+                        (self.z, pos)):
+            buf[at:k - 1] = buf[at + 1:k]
+        self.free_rows[self.rows.pop(leave)] = self.free_cols[self.cols.pop(pos)] = 1.0
+        return True
+
+
+def numpy_scan_homotopy(a, target, lam, a_max, masked=None):
+    """``lp._homotopy`` with every scan a whole-array numpy expression: the
+    event scans and ratio tests as masked ``np.divide`` calls over filled
+    arrays with ``argmax``/``argmin``, the ray by ``np.concatenate`` and
+    ``np.abs(ray).max()``, the basis inverse in a block of its buffers.  The
+    reference for the scalar scans and contiguous inverse of ``lp._homotopy``:
+    both take the same pivots with the same roundings, so w is bit-identical.
+
+    Follows the optimal basis from ``lam_0 = ||target||_inf > lam`` down
+    to lam (see the ``truncem.lp`` docstring), with row and column ``masked``, if
+    given, left out of the LP.  Returns the certified optimum, or None
+    when the path is not trusted and HiGHS must solve the LP; raises
+    ``LpInfeasibleError`` on a certified infeasible ray."""
+    m = target.size
+    basis = NumpyScanBasis(a, target, a_max, masked)
+    rows, cols = basis.rows, basis.cols
+    hits, col_ratio, coord_hits, row_ratio = np.empty((4, m))
+    lam_cur = np.max(np.abs(target))
+    for _ in range(10 * m + 10):  # a cap against cycling on degenerate ties
+        k = len(rows)
+        inv, s, z = basis.inv[:k, :k], basis.ts[:k, 1], basis.z[:k]
+        pq, u = np.dot(inv, basis.ts[:k]), np.dot(z, inv)
+        # w_J = p - lam q and r = t - A w = c + lam e along this stretch
+        ce = np.dot(pq.T, basis.a_cols[:k])
+        c, e = target - ce[0], ce[1]
+        # a free row binds where |r_i| reaches lam, at |c_i| / (1 - sign(c_i)
+        # e_i) if that is positive; support coordinate j leaves where z_j w_j
+        # reaches 0, at p_j / q_j if z_j q_j < 0
+        falling = 1.0 - np.sign(c) * e
+        falling *= basis.free_rows
+        hits.fill(-np.inf)
+        np.divide(np.abs(c), falling, out=hits, where=falling > 0.0)
+        i = int(hits.argmax())
+        lam_next, row_event = hits[i], True
+        if k:
+            leaving = coord_hits[:k]
+            leaving.fill(-np.inf)
+            np.divide(pq[:, 0], pq[:, 1], out=leaving, where=z * pq[:, 1] < 0.0)
+            pos = int(leaving.argmax())
+            if leaving[pos] > lam_next:
+                lam_next, row_event = leaving[pos], False
+        lam_cur = min(lam_cur, lam_next)
+        if lam_cur <= lam:
+            w, t_s, a_s = np.zeros(m), basis.ts[:k, 0], basis.a_rows[:k]
+            try:
+                w[cols] = w_j = np.linalg.solve(a_s[:, cols], t_s - lam * s)
+            except np.linalg.LinAlgError:
+                return None
+            ok = lp._certified(target, lam, w_j, basis.a_cols[:k], u, a_s, t_s, masked)
+            return w if ok else None
+        # the dual moves along a ray over the rows that then carry it: row
+        # i joins them, or coordinate pos gets a positive reduced cost
+        if row_event:
+            side = 1.0 if c[i] > 0.0 else -1.0
+            y = np.dot(basis.a_cols[:k, i], inv)  # A[i, J] inv
+            ray = np.concatenate((-side * y, (side,)))
+            basis.stage_row(i)
+        else:
+            ray = -z[pos] * inv[pos]
+        ray /= np.abs(ray).max()
+        delta = ray[:k]
+        g, h = np.dot(u, basis.a_rows[:k]), np.dot(ray, basis.a_rows[:k + row_event])
+        # only free columns, and the leaving coordinate, may enter
+        h_pos = 0.0 if row_event else h[cols[pos]]
+        h *= basis.free_cols
+        if not row_event:
+            h[cols[pos]] = h_pos
+        # ratio test: columns whose |(A^T u)_j| = |g_j| reaches 1, rows of
+        # S whose multiplier s_l u_l reaches 0, as u moves along the ray
+        col_ratio.fill(np.inf)
+        np.divide(np.sign(h) - g, h, out=col_ratio, where=h != 0.0)
+        np.maximum(col_ratio, 0.0, out=col_ratio)
+        j = int(col_ratio.argmin())
+        if k:
+            emptying = row_ratio[:k]
+            emptying.fill(np.inf)
+            np.divide(-u, delta, out=emptying, where=s * delta < 0.0)
+            np.maximum(emptying, 0.0, out=emptying)
+            leave = int(emptying.argmin())
+        if k and emptying[leave] < col_ratio[j]:
+            if abs(delta[leave]) < lp._PIVOT_TOL:
+                return None
+            j = -1
+        elif abs(h[j]) < lp._PIVOT_TOL * a_max:
+            # no usable pivot: either A^T ray = 0 proves infeasibility, or
+            # the path is ill-conditioned here
+            ray_rows = rows + [i] if row_event else rows
+            if lp._infeasible_ray(lam, a_max, ray, basis.a_rows[:len(ray_rows)],
+                               target[ray_rows], masked):
+                raise LpInfeasibleError("LP infeasible")
+            return None
+        if row_event:
+            done = (basis.replace_row(leave, i, side, y) if j < 0
+                    else basis.border(i, side, j, np.sign(h[j]), y))
+        elif j < 0:  # the zero coordinate and a row leave together
+            done = basis.downdate(leave, pos)
+        else:  # column j replaces the zero coordinate, or flips its sign
+            done = basis.replace_col(pos, j, np.sign(h[j]))
+        if not done:
+            return None
+    return None
+
+
+# ---------------------------------------------------------------------------
 # data generation with out-of-place arithmetic
 
 
@@ -380,13 +598,14 @@ def decorrelate_full_matrix(model, beta, cfg):
     certificate: T, its default lam, the Dantzig LP and ``v^T T v`` with v
     equal to 1 at alpha and -w elsewhere, returned as
     ``inference._decorrelate`` returns them (column alpha of T, w, the
-    quadratic form).  The reference for the certified w = 0 path."""
+    quadratic form, ``grad_q`` at beta).  The reference for the certified w
+    = 0 path."""
     a = cfg.alpha_index
     t_mat = model.curvature_matrix(beta)
     lam = cfg.lam if cfg.lam is not None else default_lambda(t_mat, model.n_samples)
     w = dantzig_direction(t_mat, a, lam)
     v = np.insert(-w, a, 1.0)
-    return t_mat[:, a], w, float(v @ t_mat @ v)
+    return t_mat[:, a], w, float(v @ t_mat @ v), model.grad_q(beta)
 
 
 # ---------------------------------------------------------------------------

@@ -389,6 +389,19 @@ def test_cli_rejects_delta_before_any_fit(delta, monkeypatch):
                 "--alpha-index", "5", "--replicates", "2", "--delta", delta)
 
 
+@pytest.mark.parametrize("lam", ["-1", "nan"])
+def test_cli_rejects_lambda_before_any_fit(lam, monkeypatch):
+    from truncem import harness
+
+    def no_fit(cfg, seed):
+        raise AssertionError("ran before validating lambda")
+
+    monkeypatch.setattr(harness, "fit_replicate", no_fit)
+    with pytest.raises(ValueError, match="lam must be nonnegative"):
+        run_cli("typeone", "--model", "GMM", "--d", "16", "--n", "40", "--s-star", "2",
+                "--alpha-index", "5", "--replicates", "2", "--lambda", lam)
+
+
 def test_cli_rejects_unknown_config_keys(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"modle": "GMM"}))

@@ -328,10 +328,11 @@ def assert_same_result(got, expect):
      ("lam_below_cross", 1)],
 )
 def test_score_then_wald_decorrelates_once_per_point(rng, monkeypatch, change, solves):
-    # each evaluation point computes its curvature weights once, and each
-    # (point, alpha, lam) its column alpha once and any other column at most
-    # once; the diagonal and the LP run only where column alpha does not
-    # certify w = 0, here only with lam below T_ga, and the matrix never
+    # each evaluation point computes its curvature weights and its gradient
+    # once, and each (point, alpha, lam) its column alpha once and any other
+    # column at most once; the diagonal and the LP run only where column
+    # alpha does not certify w = 0, here only with lam below T_ga, and the
+    # matrix never
     model, beta_hat = gmm_instance(rng)
     score_cfg = wald_cfg = InferenceConfig(alpha_index=4)
     if change == "estimate_off_null":
@@ -348,13 +349,13 @@ def test_score_then_wald_decorrelates_once_per_point(rng, monkeypatch, change, s
     def counted(name, fn):
         def wrapper(*args):
             counts[name] += 1
-            if name == "curvature_column":
+            if name == "_column":
                 columns[int(args[2])] += 1
             return fn(*args)
         return wrapper
 
-    for name in ("_curvature_weights_at", "curvature_column", "curvature_diagonal",
-                 "curvature_matrix"):
+    for name in ("_curvature_weights_at", "_column", "curvature_diagonal",
+                 "curvature_matrix", "grad_q"):
         monkeypatch.setattr(GaussianMixture, name,
                             counted(name, getattr(GaussianMixture, name)))
     monkeypatch.setattr(inference, "dantzig_columns",
@@ -363,9 +364,9 @@ def test_score_then_wald_decorrelates_once_per_point(rng, monkeypatch, change, s
     wres = wald_test(model, beta_hat, wald_cfg)
     points = 2 if change == "estimate_off_null" else 1
     full = solves if change == "lam_below_cross" else 0
-    del counts["curvature_column"]
-    assert counts == Counter(_curvature_weights_at=points, curvature_diagonal=full,
-                             dantzig_columns=full)
+    del counts["_column"]
+    assert counts == Counter(_curvature_weights_at=points, grad_q=points,
+                             curvature_diagonal=full, dantzig_columns=full)
     alphas = {score_cfg.alpha_index, wald_cfg.alpha_index}
     assert sum(columns[a] for a in alphas) == solves
     assert max(columns.values()) <= solves
@@ -578,16 +579,16 @@ def test_nonfinite_curvature_column_raises(monkeypatch, poisoned_index):
     # the LP reads never reaches it: both raise, as a NaN matrix does
     cfg = ExperimentConfig(model="MR").resolve()
     model, trace, _ = fit_replicate(cfg, 0)
-    column, read = MixtureRegression.curvature_column, []
+    column, read = MixtureRegression._column, []
 
-    def poisoned(self, beta, alpha):
-        col = column(self, beta, alpha)
+    def poisoned(self, weights, alpha):
+        col = column(self, weights, alpha)
         read.append(alpha)
         if (alpha == cfg.alpha_index) == (poisoned_index == "alpha"):
             col[0] = np.nan
         return col
 
-    monkeypatch.setattr(MixtureRegression, "curvature_column", poisoned)
+    monkeypatch.setattr(MixtureRegression, "_column", poisoned)
     with pytest.raises(ValueError, match="curvature column must be finite"):
         score_test(model, trace.estimate, InferenceConfig(alpha_index=cfg.alpha_index))
     assert len(read) == (1 if poisoned_index == "alpha" else 2)

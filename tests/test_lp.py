@@ -4,11 +4,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    NumpyScanBasis,
     dantzig_direction_reference,
     full_l1_linf_lp,
     l1_linf_oracle,
     l1_min_linf_residual_reference,
     lp_vertex_oracle,
+    numpy_scan_homotopy,
 )
 from truncem import lp
 from truncem.datagen import GenSpec, gen_dataset, make_beta_star
@@ -620,6 +622,67 @@ def test_every_basis_update_is_taken_and_buffers_grow(rng, monkeypatch):
         assert np.max(np.abs(w - ref)) <= 1e-9
     assert all(counts[name] > 0 for name in ("border", "replace_row", "replace_col", "downdate"))
     assert counts["rows"] > lp._BASIS_ROWS
+
+
+def updates_taken(homotopy, basis_cls, *lp_args):
+    """The result of ``homotopy(*lp_args)``, or the ``LpInfeasibleError`` it
+    raised, and its basis updates in order, each as its name and its index
+    and sign arguments."""
+    log, updates = [], {}
+    for name in ("border", "replace_row", "replace_col", "downdate"):
+        def logged(self, *args, name=name, update=getattr(basis_cls, name)):
+            log.append((name,) + tuple(v for v in args if np.ndim(v) == 0))
+            return update(self, *args)
+
+        updates[name] = getattr(basis_cls, name)
+        setattr(basis_cls, name, logged)
+    try:
+        result = homotopy(*lp_args)
+    except LpInfeasibleError as exc:
+        result = exc
+    finally:
+        for name, update in updates.items():
+            setattr(basis_cls, name, update)
+    return result, log
+
+
+@st.composite
+def gram_lps(draw):
+    """A Gram-form LP of continuous data: A and t from the Gram matrix of n
+    draws of m + 1 coordinates, split as ``mr_gram`` does, or masked, the
+    whole Gram matrix with its column ``masked`` as the target (entry
+    ``masked`` set to 0), as ``dantzig_columns`` poses it; lam from 0 up to
+    ``||t||_inf``.  Each coordinate is 0 or at least 1e-3 in magnitude, so no
+    basis inverse overflows: past an infinite entry both homotopies compute
+    with nan, whose scans need not agree, and the certificate rejects what
+    they return."""
+    m = draw(st.integers(2, 10))
+    n = draw(st.integers(1, 2 * m))
+    entries = st.one_of(st.just(0.0), st.floats(1e-3, 2.0), st.floats(-2.0, -1e-3))
+    x = np.array(draw(st.lists(entries, min_size=n * (m + 1),
+                               max_size=n * (m + 1)))).reshape(n, m + 1)
+    if draw(st.booleans()):
+        a_mat, masked = x.T @ x / n, draw(st.integers(0, m))
+        target = a_mat[masked].copy()
+        target[masked] = 0.0
+    else:
+        (a_mat, target), masked = mr_gram(x), None
+    assume(np.any(target))
+    lam = draw(st.floats(0.0, 1.0, exclude_max=True)) * float(np.abs(target).max())
+    return a_mat, target, lam, lp._abs_max(a_mat, masked), masked
+
+
+@settings(max_examples=300, deadline=None)
+@given(gram_lps())
+def test_homotopy_matches_numpy_scan_reference_bit_for_bit(drawn):
+    # the scalar scans, the in-place ray and the contiguous inverse take the
+    # pivots of the whole-array numpy scans with the same roundings
+    got, updates = updates_taken(lp._homotopy, lp._Basis, *drawn)
+    ref, ref_updates = updates_taken(numpy_scan_homotopy, NumpyScanBasis, *drawn)
+    assert updates == ref_updates
+    assert type(got) is type(ref)
+    if isinstance(ref, np.ndarray):
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_working_set_rejects_nonfinite_data_outside_start_block():
