@@ -176,7 +176,8 @@ def mr_columns_case(points, base):
         def solve():
             out = []
             for model, beta in points:
-                for memo in ("_decorrelated", "_curvature_memo"):
+                # the point cache, and those of older checkouts as a baseline
+                for memo in ("_point", "_decorrelated", "_curvature_memo"):
                     vars(model).pop(memo, None)
                 got = decorrelate(model, beta, icfg)
                 if len(got) == 3:  # a baseline that leaves the gradient to the tests

@@ -16,7 +16,7 @@ import numpy as np
 
 from .datagen import GenSpec, dataset_from_csv, gen_dataset, make_beta_star, make_init
 from .em import EmConfig, run_em
-from .errors import DegenerateInformationError
+from .errors import DegenerateInformationError, UnsupportedOperationError
 from .inference import InferenceConfig, score_test, wald_test
 
 #: default initialization distance, as a fraction of ||beta*||, per model
@@ -226,6 +226,12 @@ def run_scaling(cfg: ExperimentConfig):
     return rows
 
 
+def _check_inference(cfg: ExperimentConfig):
+    """Reject, before any fit, a model whose inference is not implemented."""
+    if cfg.model == "RMC":
+        raise UnsupportedOperationError("inference is not implemented for RMC")
+
+
 def _run_tests(cfg: ExperimentConfig, model, beta_hat):
     """Score and Wald tests of H0: beta[alpha_index] = 0.
 
@@ -285,6 +291,7 @@ def run_typeone(cfg: ExperimentConfig):
     """
     _generated_only(cfg, "typeone")
     cfg.resolve()
+    _check_inference(cfg)
     beta_star = make_beta_star(cfg.d, cfg.beta_values)
     if beta_star[cfg.alpha_index] != 0.0:
         raise ValueError(
@@ -342,6 +349,7 @@ def run_fit(cfg: ExperimentConfig):
 def run_infer(cfg: ExperimentConfig):
     """Single generate/load -> fit -> test run; JSON-ready result."""
     cfg.resolve()
+    _check_inference(cfg)
     model, trace, _ = _load_or_generate(cfg, cfg.seed)
     sres, wres, reason = _run_tests(cfg, model, trace.estimate)
     out = {"config": cfg.echo()}

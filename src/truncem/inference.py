@@ -5,26 +5,30 @@ by projecting its score out of the coordinate of interest; the
 projection direction is an l1-minimizing solution of an approximate
 linear system in the curvature matrix T, fitted by ``lp.dantzig_columns``.
 
-T is read by columns (``curvature_column``), each computed when first
-needed; no d x d matrix is formed.  The LP returns w = 0 exactly when the
-cross column T_ga lies within lam of zero, and ``0.5 sqrt(log d / n)
-max|T[:, alpha]|`` is at most the default lam (a lam set by the caller is
-its own bound).  If ``max|T_ga|`` lies below that bound by a relative
-margin of ``_CERTIFICATE_MARGIN`` (1e-9, against a rounding gap of about
-n eps between a column and the matrix product), w = 0 and both statistics
-need only T_aa, as for every Gaussian-mixture replicate at the defaults.
+T is read by columns, each computed when first needed; no d x d matrix is
+formed.  The LP returns w = 0 exactly when the cross column T_ga lies
+within lam of zero, and ``0.5 sqrt(log d / n) max|T[:, alpha]|`` is at
+most the default lam (a lam set by the caller is its own bound).  If
+``max|T_ga|`` lies below that bound by a relative margin of
+``_CERTIFICATE_MARGIN`` (1e-9, against a rounding gap of about n eps
+between a column and the matrix product), w = 0 and both statistics need
+only T_aa, as for every Gaussian-mixture replicate at the defaults.
 Otherwise the LP reads the columns its basis asks for (about 15 of 256
 at the mixture-of-regressions defaults) and ``v.T @ T @ v`` those on the
 support of v.  Its pivot scale ``max|T_gg|`` (with column alpha, max|T|
-for lam) is exact from ``curvature_diagonal``: an entry above every
+for lam) is exact from T's diagonal and radii: an entry above every
 diagonal one lies in a column whose radius reaches that, and those few
 columns are read.  All agrees with the whole matrix to rel 1e-12.
 
-One evaluation point is decorrelated once: the model keeps the gradient
-``grad_q`` at its last point, and its last curvature column, direction
-and quadratic form, so the Wald test at an estimate whose tested
-coordinate already equals the null value reuses the score test's work,
-and both results share one read-only ``w_hat``.
+Everything read at an evaluation point is kept in one ``_Point``, the
+model's ``_point`` attribute, for the model's last point: ``grad_q``, the
+curvature weights, each column of T read (once per point, not per test),
+the diagonal and radii once the LP needs them, and the last ``(alpha,
+lam)`` with its direction and quadratic form.  So the Wald test at an
+estimate whose tested coordinate already equals the null value reuses the
+score test's work, and both results share one read-only ``w_hat``.  The
+point holds the model by a weak proxy: a model freed by ``del`` takes its
+point with it, without waiting for the garbage collector.
 
 The model classes expose ``grad_q`` and the curvature in the
 sigma^2-scaled surrogate normalization (see ``models``); the statistics
@@ -34,7 +38,9 @@ noise level.
 """
 
 import math
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtri
@@ -139,19 +145,35 @@ def _two_sided(statistic, delta):
     return p_value, abs(statistic) > crit
 
 
-class _Columns(dict):
-    """Columns of T at ``beta``, formed on first read from the curvature
-    weights at ``beta``, fetched once (T is symmetric: rows)."""
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
+class _Point(dict):
+    """What inference reads at ``beta``: its bytes ``key``, ``grad_q(beta)``,
+    the curvature weights, the columns of T, each formed on first read
+    (T is symmetric: rows), its diagonal and radii on first use, and the last
+    ``task`` ``(alpha, lam)`` with its ``result``; every array read-only."""
 
     def __init__(self, model, beta):
-        self.weights, self.column = model._curvature_weights(beta), model._column
+        # a proxy: a strong reference would make a cycle with model._point
+        self.key, self.model = beta.tobytes(), weakref.proxy(model)
+        self.grad = _frozen(model.grad_q(beta))
+        self.weights = _frozen(model._curvature_weights_at(beta))
+        self.task = self.result = None
 
     def __missing__(self, i):
-        col = self[i] = self.column(self.weights, i)
+        col = _frozen(self.model._column(self.weights, i))
         # col @ col is finite if every entry is, unless it overflows
         if not (math.isfinite(col @ col) or np.isfinite(col).all()):
             raise ValueError("curvature column must be finite")
+        self[i] = col
         return col
+
+    @cached_property
+    def diagonal(self):
+        return self.model._diagonal(self.weights)
 
 
 def _abs_peak(cols, diag, radii, skip):
@@ -171,25 +193,19 @@ def _decorrelate(model, beta, cfg: InferenceConfig):
     """Column alpha of the curvature matrix T at ``beta``, the
     decorrelation direction w, the quadratic form ``v.T @ T @ v`` (see
     ``info_quadratic_form``), by the column certificate of w = 0 or by the
-    LP on the columns of T (see the module docstring), and ``grad_q(beta)``.
-
-    All four are read-only and memoized on the model: the gradient for the
-    exact bytes of ``beta``, the rest for those, ``alpha_index`` and ``lam``.
+    LP on the columns of T (see the module docstring), and ``grad_q(beta)``,
+    all read-only and kept on the model's ``_Point`` at ``beta``.
     """
     a = cfg.alpha_index
     if not 0 <= a < model.dim:
         raise ValueError("alpha_index out of range")
-    point, task = beta.tobytes(), (a, cfg.lam)
-    memo = getattr(model, "_decorrelated", None)
-    if memo is not None and memo[0] == point:
-        grad = memo[1]
-        if memo[2] == task:
-            return memo[3:] + (grad,)
-    else:
-        grad = model.grad_q(beta)
-        grad.flags.writeable = False
-    cols = _Columns(model, beta)
-    col = cols[a]
+    point = getattr(model, "_point", None)
+    if point is None or point.key != beta.tobytes():
+        point = model._point = _Point(model, beta)
+    task = (a, cfg.lam)
+    if point.task == task:
+        return point.result
+    col = point[a]
     peak_of = np.abs(col)
     bound = cfg.lam
     if bound is None:
@@ -199,18 +215,16 @@ def _decorrelate(model, beta, cfg: InferenceConfig):
     if cross < bound * (1.0 - _CERTIFICATE_MARGIN):
         w, quad = np.zeros(model.dim - 1), float(col[a])
     else:
-        a_max = _abs_peak(cols, *model.curvature_diagonal(beta), a)
+        a_max = _abs_peak(point, *point.diagonal, a)
         lam = cfg.lam
         if lam is None:  # max|T| lies in T_gg or in column alpha
             lam = max(bound, _scaled_lambda(a_max, model.dim, model.n_samples))
-        w = dantzig_columns(cols, a, lam, a_max)
+        w = dantzig_columns(point, a, lam, a_max)
         v = np.insert(-w, a, 1.0)
         on = np.flatnonzero(v)  # alpha and supp(w), whose columns the LP read
-        quad = float(np.dot(v[on], [cols[i] for i in on])[on] @ v[on])
-    col.flags.writeable = False
-    w.flags.writeable = False
-    model._decorrelated = (point, grad, task, col, w, quad)
-    return col, w, quad, grad
+        quad = float(np.dot(v[on], [point[i] for i in on])[on] @ v[on])
+    point.task, point.result = task, (col, _frozen(w), quad, point.grad)
+    return point.result
 
 
 def _information(model, quad):

@@ -62,31 +62,9 @@ k x k array, changes with them by one row or column per pivot:
 - row l and coordinate p leave together: the Schur downdate ``inv -
   inv[:, l] inv[p] / inv[p, l]``, then row p and column l are deleted.
 
-Each pivot is a fixed sequence of about 30 numpy calls on arrays of m
-or k entries, and Python's own float arithmetic does the rest: its
-floats are IEEE doubles, so a scalar loop rounds as numpy does.
-
-- The row scan is fused over the rows: with the residual ``r = c + lam
-  e`` along the stretch, a free row i binds at ``|c_i| / (1 - sign(c_i)
-  e_i)`` when that denominator is positive.  It is computed as ``c_i /
-  (sign(c_i) - e_i)``, bit-identical wherever it is positive (negation is
-  exact), with c set to 0 on the bound and masked rows; a zero
-  denominator (an infinite hit) or 0 / 0 (nan) sends the scan to a rare
-  second pass that drops them, keeping an infinite hit from an overflow.
-- The leaving-coordinate scan (``p_l / q_l`` where ``z_l q_l < 0``) and the
-  row ratio on S (``max(-u_l / delta_l, 0)`` where ``s_l delta_l < 0``)
-  loop over the k entries in Python; the first of equal values wins, as
-  with ``argmax``/``argmin``.
-- The ray is written into a buffer of the basis, divided by its largest
-  entry: ``y / (-side scale)`` equals ``(-side y) / scale``.
-- The column ratio is ``max((sign(h) - g) / h, 0)`` with ``g = A^T u``
-  and ``h = A^T delta``: one ``np.maximum`` with a floor that is 0 on the
-  columns that may enter and +inf on J and the masked column clips it and
-  bars those at once, and a zero h_j (+-inf or nan) is barred only when
-  ``argmin`` picks it.
-- The bordering update subtracts the outer product into a fresh k x k
-  array; the new row ``-y / sigma`` is divided first, and ``inv - x (-y /
-  sigma)^T`` rounds as ``inv + x (y / sigma)^T``.
+Each pivot is about 30 numpy calls on arrays of m or k entries, and
+scalar loops in Python, whose floats round as numpy's do; the comments in
+``_homotopy`` and ``_Basis`` say how each scan and update is written.
 
 Since the final solve starts afresh, w is bit-identical to that of a
 basis re-inverted at every pivot whenever the two take the same pivots.

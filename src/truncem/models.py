@@ -13,7 +13,10 @@ The two mixtures also give one column of the curvature matrix,
 instead of the O(nd^2) matrix, equal to ``curvature_matrix(beta)[:,
 alpha]`` up to rounding, and ``curvature_diagonal(beta)``: T's diagonal and
 the radii ``r_i = sum_k |c_k| z_ki^2`` of its Gram form ``sum_k c_k z_k
-z_k^T``, so ``|T_ij| <= sqrt(r_i r_j)``.  All reuse the weights c of one beta.
+z_k^T``, so ``|T_ij| <= sqrt(r_i r_j)``.  Both are read from the weights c
+of one beta, ``_curvature_weights_at(beta)``, through ``_column(c, alpha)``
+and ``_diagonal(c)``.  The models keep no per-point state: the
+inference module keeps what it reads at one point (see ``inference``).
 
 Normalization convention
 ------------------------
@@ -54,11 +57,6 @@ def _check_vector(beta, d, name="beta"):
     return beta
 
 
-def _check_index(i, size, name):
-    if not 0 <= i < size:
-        raise ValueError(f"{name} out of range")
-
-
 def _check_matrix(a, name):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
@@ -76,9 +74,12 @@ def _check_response(y, n):
 class _Model:
     """What every model shares: its samples ``y`` (one row or entry per
     sample), their count ``n_samples``, the dimension ``dim``, the noise
-    level ``sigma``, and the gradient M-step.  The regression models also
-    keep their (n, d) design ``x``.  Each subclass validates its arrays
-    before calling this constructor."""
+    level ``sigma``, the gradient M-step, and a column and the diagonal of
+    the curvature matrix T at ``beta``, from the weights
+    ``_curvature_weights_at(beta)`` through ``_column(weights, alpha)`` and
+    ``_diagonal(weights)``.  The regression models also keep their (n, d)
+    design ``x``.  Each subclass validates its arrays before calling this
+    constructor."""
 
     def __init__(self, y, sigma):
         if not sigma > 0:
@@ -92,33 +93,36 @@ class _Model:
             raise ValueError("eta must be nonnegative")
         return np.asarray(beta, dtype=float) + eta * self.grad_q(beta)
 
+    def curvature_column(self, beta, alpha):
+        if not 0 <= alpha < self.dim:
+            raise ValueError("alpha out of range")
+        weights = self._curvature_weights_at(beta)  # a model without T raises here
+        return self._column(weights, alpha)
+
+    def curvature_diagonal(self, beta):
+        weights = self._curvature_weights_at(beta)
+        return self._diagonal(weights)
+
 
 class _Mixture(_Model):
     """A symmetric two-component mixture; ``_weights`` gives the posterior
-    probability of the positive component per sample, ``_curvature_weights_at``
-    the weights of the curvature matrix, which its columns (``_column(weights,
-    alpha)``), its diagonal and radii, and the matrix itself (a Gram form
-    built in place, within 1e-12 max|T| of the two-product form ``(T + T^T) /
-    2``) all read."""
+    probability of the positive component per sample and ``_sq_dists`` each
+    sample's squared distances to the components' means at +beta and -beta,
+    which the surrogate and the log likelihood read.  The curvature matrix
+    is a Gram form built in place, within 1e-12 max|T| of the two-product
+    form ``(T + T^T) / 2``."""
 
-    _curvature_memo = (None, None)
+    def q_value(self, beta_prime, beta):
+        plus, minus = self._sq_dists(_check_vector(beta_prime, self.dim, "beta_prime"))
+        w = self._weights(beta)
+        return float(-0.5 * np.mean(w * plus + (1.0 - w) * minus))
 
-    def posterior_weight(self, beta, i):
-        _check_index(i, self.n_samples, "sample index")
-        return float(self._weights(beta)[i])
-
-    def _curvature_weights(self, beta):
-        """``_curvature_weights_at(beta)``, kept for the last ``beta``."""
-        beta = _check_vector(beta, self.dim)
-        key = beta.tobytes()
-        if self._curvature_memo[0] != key:
-            weights = self._curvature_weights_at(beta)
-            weights.flags.writeable = False
-            self._curvature_memo = (key, weights)
-        return self._curvature_memo[1]
-
-    def curvature_column(self, beta, alpha):
-        return self._column(self._curvature_weights(beta), alpha)
+    def loglik(self, beta):
+        plus, minus = self._sq_dists(_check_vector(beta, self.dim))
+        s2 = self.sigma**2
+        sample_dim = self.y.size // self.n_samples  # d for GMM, 1 for MR
+        const = -0.5 * sample_dim * np.log(2.0 * np.pi * s2) - np.log(2.0)
+        return float(np.sum(np.logaddexp(-plus / (2.0 * s2), -minus / (2.0 * s2)) + const))
 
 
 class GaussianMixture(_Mixture):
@@ -143,12 +147,8 @@ class GaussianMixture(_Mixture):
         beta = _check_vector(beta, self.dim)
         return expit(2.0 * (self.y @ beta) / self.sigma**2)
 
-    def q_value(self, beta_prime, beta):
-        beta_prime = _check_vector(beta_prime, self.dim, "beta_prime")
-        w = self._weights(beta)
-        plus = np.sum((self.y - beta_prime) ** 2, axis=1)
-        minus = np.sum((self.y + beta_prime) ** 2, axis=1)
-        return float(-0.5 * np.mean(w * plus + (1.0 - w) * minus))
+    def _sq_dists(self, beta):
+        return np.sum((self.y - beta) ** 2, axis=1), np.sum((self.y + beta) ** 2, axis=1)
 
     def grad_q(self, beta):
         beta = _check_vector(beta, self.dim)
@@ -164,28 +164,19 @@ class GaussianMixture(_Mixture):
         return (4.0 / self.sigma**2) * w * (1.0 - w)
 
     def _column(self, nu, alpha):
-        _check_index(alpha, self.dim, "alpha")
         col = self.y.T @ (nu * self.y[:, alpha]) / self.n_samples
         col[alpha] -= 1.0
         return col
 
-    def curvature_diagonal(self, beta):  # nu >= 0, so the radii are diag + 1
-        gram = np.einsum("k,ki,ki->i", self._curvature_weights(beta), self.y, self.y)
+    def _diagonal(self, nu):  # nu >= 0, so the radii are diag + 1
+        gram = np.einsum("k,ki,ki->i", nu, self.y, self.y)
         return gram / self.n_samples - 1.0, gram / self.n_samples
 
     def curvature_matrix(self, beta):
-        z = np.sqrt(self._curvature_weights(beta) / self.n_samples)[:, None] * self.y
+        z = np.sqrt(self._curvature_weights_at(beta) / self.n_samples)[:, None] * self.y
         t_mat = z.T @ z  # one syrk: exactly symmetric
         t_mat.flat[:: self.dim + 1] -= 1.0
         return t_mat
-
-    def loglik(self, beta):
-        beta = _check_vector(beta, self.dim)
-        s2 = self.sigma**2
-        lp = -np.sum((self.y - beta) ** 2, axis=1) / (2.0 * s2)
-        lm = -np.sum((self.y + beta) ** 2, axis=1) / (2.0 * s2)
-        const = -0.5 * self.dim * np.log(2.0 * np.pi * s2) - np.log(2.0)
-        return float(np.sum(np.logaddexp(lp, lm) + const))
 
 
 class MixtureRegression(_Mixture):
@@ -245,13 +236,9 @@ class MixtureRegression(_Mixture):
     def _weights(self, beta):
         return self._fit_and_weights(beta)[1]
 
-    def q_value(self, beta_prime, beta):
-        beta_prime = _check_vector(beta_prime, self.dim, "beta_prime")
-        w = self._weights(beta)
-        fit = self.x @ beta_prime
-        plus = (self.y - fit) ** 2
-        minus = (self.y + fit) ** 2
-        return float(-0.5 * np.mean(w * plus + (1.0 - w) * minus))
+    def _sq_dists(self, beta):
+        fit = self.x @ beta
+        return (self.y - fit) ** 2, (self.y + fit) ** 2
 
     def grad_q(self, beta):
         fit, w = self._fit_and_weights(beta)
@@ -268,11 +255,10 @@ class MixtureRegression(_Mixture):
         return ((4.0 / self.sigma**2) * w * (1.0 - w) * self.y**2 - 1.0) / self.n_samples
 
     def _column(self, c, alpha):
-        _check_index(alpha, self.dim, "alpha")
         return (c * self.x[:, alpha]) @ self.x
 
-    def curvature_diagonal(self, beta):
-        c, n, x = self._curvature_weights(beta), self.n_samples, self.x
+    def _diagonal(self, c):
+        n, x = self.n_samples, self.x
         lift = c + 1.0 / n
         lifted, base = np.flatnonzero(lift), np.einsum("ki,ki->i", x, x) / n
         z = x[lifted]
@@ -282,7 +268,7 @@ class MixtureRegression(_Mixture):
     def curvature_matrix(self, beta):
         # BLAS fills the lower triangle in place; the copy onto the upper makes
         # T exactly symmetric, as an in-place dgemm is not for every d (d = 199)
-        lift = self._curvature_weights(beta) + 1.0 / self.n_samples
+        lift = self._curvature_weights_at(beta) + 1.0 / self.n_samples
         lifted = np.flatnonzero(lift)
         z = self.x[lifted]
         z *= np.sqrt(lift[lifted])[:, None]
@@ -295,15 +281,6 @@ class MixtureRegression(_Mixture):
             block[...] = np.tril(block) + np.tril(block, -1).T
         return t_mat
 
-    def loglik(self, beta):
-        beta = _check_vector(beta, self.dim)
-        fit = self.x @ beta
-        s2 = self.sigma**2
-        lp = -((self.y - fit) ** 2) / (2.0 * s2)
-        lm = -((self.y + fit) ** 2) / (2.0 * s2)
-        const = -0.5 * np.log(2.0 * np.pi * s2) - np.log(2.0)
-        return float(np.sum(np.logaddexp(lp, lm) + const))
-
 
 class MissingCovariateRegression(_Model):
     """Linear regression with covariates missing completely at random.
@@ -311,8 +288,9 @@ class MissingCovariateRegression(_Model):
     The latent variable is the vector of unobserved covariates.  Only the
     gradient M-step is available: the per-sample conditional second
     moment makes the exact maximizer require a d x d solve that is not
-    well posed in high dimensions, and no curvature matrix is defined for
-    this model, so inference is unavailable.
+    well posed in high dimensions.  The curvature matrix, and with it
+    single-coordinate inference, is not implemented: y | x_obs is Gaussian
+    (see ``loglik``), so it has a closed form (Louis 1982), not yet written.
 
     ``mask[i, j] == 1`` iff ``x[i, j]`` was observed; ``x`` is never read
     where the mask is 0, so it may be non-finite there.  The E-step forms no
@@ -323,7 +301,7 @@ class MissingCovariateRegression(_Model):
     """
 
     tag = RMC
-    _NO_CURVATURE = "no curvature matrix is defined for missing-covariate regression"
+    _NO_CURVATURE = "curvature matrix not implemented for missing-covariate regression"
 
     def __init__(self, x, mask, y, sigma):
         x = _check_matrix(x, "x")
@@ -354,12 +332,6 @@ class MissingCovariateRegression(_Model):
         beta = _check_vector(beta, self.dim)
         return beta, self.sigma**2 + self.miss @ beta**2, self.y - self.x_obs @ beta
 
-    def posterior_weight(self, beta, i):
-        raise UnsupportedOperationError(
-            "posterior mixture weight is undefined for missing-covariate "
-            "regression (the latent variable is continuous)"
-        )
-
     def q_value(self, beta_prime, beta):
         beta_prime = _check_vector(beta_prime, self.dim, "beta_prime")
         beta, tau2, resid = self._conditional_moments(beta)
@@ -385,10 +357,7 @@ class MissingCovariateRegression(_Model):
     def curvature_matrix(self, beta):
         raise UnsupportedOperationError(self._NO_CURVATURE)
 
-    def curvature_column(self, beta, alpha):
-        raise UnsupportedOperationError(self._NO_CURVATURE)
-
-    def _curvature_weights(self, beta):  # what inference reads columns through
+    def _curvature_weights_at(self, beta):  # what every other curvature reads
         raise UnsupportedOperationError(self._NO_CURVATURE)
 
     def loglik(self, beta):

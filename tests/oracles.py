@@ -14,6 +14,7 @@ from truncem import lp
 from truncem.errors import LpInfeasibleError
 from truncem.inference import default_lambda
 from truncem.lp import dantzig_direction, solve_lp
+from truncem.models import _check_vector
 
 FEAS_TOL = 1e-8
 
@@ -568,6 +569,47 @@ def rmc_q_value_materialized(model, beta_prime, beta):
 def rmc_loglik_materialized(model, beta):
     _, _, tau2, resid = _rmc_moments_materialized(model, beta)
     return float(np.sum(-0.5 * np.log(2.0 * np.pi * tau2) - resid**2 / (2.0 * tau2)))
+
+
+# The per-class mixture surrogate and log likelihood, as the two classes
+# wrote them before they shared one form over ``_sq_dists``: the shared form
+# must equal them bit for bit.
+
+
+def gmm_q_value_per_class(model, beta_prime, beta):
+    beta_prime = _check_vector(beta_prime, model.dim, "beta_prime")
+    w = model._weights(beta)
+    plus = np.sum((model.y - beta_prime) ** 2, axis=1)
+    minus = np.sum((model.y + beta_prime) ** 2, axis=1)
+    return float(-0.5 * np.mean(w * plus + (1.0 - w) * minus))
+
+
+def gmm_loglik_per_class(model, beta):
+    beta = _check_vector(beta, model.dim)
+    s2 = model.sigma**2
+    lp = -np.sum((model.y - beta) ** 2, axis=1) / (2.0 * s2)
+    lm = -np.sum((model.y + beta) ** 2, axis=1) / (2.0 * s2)
+    const = -0.5 * model.dim * np.log(2.0 * np.pi * s2) - np.log(2.0)
+    return float(np.sum(np.logaddexp(lp, lm) + const))
+
+
+def mr_q_value_per_class(model, beta_prime, beta):
+    beta_prime = _check_vector(beta_prime, model.dim, "beta_prime")
+    w = model._weights(beta)
+    fit = model.x @ beta_prime
+    plus = (model.y - fit) ** 2
+    minus = (model.y + fit) ** 2
+    return float(-0.5 * np.mean(w * plus + (1.0 - w) * minus))
+
+
+def mr_loglik_per_class(model, beta):
+    beta = _check_vector(beta, model.dim)
+    fit = model.x @ beta
+    s2 = model.sigma**2
+    lp = -((model.y - fit) ** 2) / (2.0 * s2)
+    lm = -((model.y + fit) ** 2) / (2.0 * s2)
+    const = -0.5 * np.log(2.0 * np.pi * s2) - np.log(2.0)
+    return float(np.sum(np.logaddexp(lp, lm) + const))
 
 
 def gmm_curvature_symmetrized(model, beta):

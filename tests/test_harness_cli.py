@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from truncem.cli import main
+from truncem.errors import UnsupportedOperationError
 from truncem.harness import (
     ExperimentConfig,
     default_beta_values,
@@ -400,6 +401,19 @@ def test_cli_rejects_lambda_before_any_fit(lam, monkeypatch):
     with pytest.raises(ValueError, match="lam must be nonnegative"):
         run_cli("typeone", "--model", "GMM", "--d", "16", "--n", "40", "--s-star", "2",
                 "--alpha-index", "5", "--replicates", "2", "--lambda", lam)
+
+
+@pytest.mark.parametrize("command", ["typeone", "infer"])
+def test_cli_rejects_rmc_inference_before_any_fit(command, monkeypatch):
+    from truncem import harness
+
+    def no_fit(*args):
+        raise AssertionError("fitted before rejecting RMC inference")
+
+    monkeypatch.setattr(harness, "run_em", no_fit)
+    with pytest.raises(UnsupportedOperationError, match="not implemented"):
+        run_cli(command, "--model", "RMC", "--d", "16", "--n", "40", "--s-star", "2",
+                "--alpha-index", "5", "--replicates", "2")
 
 
 def test_cli_rejects_unknown_config_keys(tmp_path):

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -329,10 +331,9 @@ def assert_same_result(got, expect):
 )
 def test_score_then_wald_decorrelates_once_per_point(rng, monkeypatch, change, solves):
     # each evaluation point computes its curvature weights and its gradient
-    # once, and each (point, alpha, lam) its column alpha once and any other
-    # column at most once; the diagonal and the LP run only where column
-    # alpha does not certify w = 0, here only with lam below T_ga, and the
-    # matrix never
+    # once, and any column at most once, whatever alpha and lam the tests
+    # ask for; the diagonal and the LP run only where column alpha does not
+    # certify w = 0, here only with lam below T_ga, and the matrix never
     model, beta_hat = gmm_instance(rng)
     score_cfg = wald_cfg = InferenceConfig(alpha_index=4)
     if change == "estimate_off_null":
@@ -349,12 +350,12 @@ def test_score_then_wald_decorrelates_once_per_point(rng, monkeypatch, change, s
     def counted(name, fn):
         def wrapper(*args):
             counts[name] += 1
-            if name == "_column":
-                columns[int(args[2])] += 1
+            if name == "_column":  # keyed by the point's weights
+                columns[args[1].tobytes(), int(args[2])] += 1
             return fn(*args)
         return wrapper
 
-    for name in ("_curvature_weights_at", "_column", "curvature_diagonal",
+    for name in ("_curvature_weights_at", "_column", "_diagonal",
                  "curvature_matrix", "grad_q"):
         monkeypatch.setattr(GaussianMixture, name,
                             counted(name, getattr(GaussianMixture, name)))
@@ -366,15 +367,39 @@ def test_score_then_wald_decorrelates_once_per_point(rng, monkeypatch, change, s
     full = solves if change == "lam_below_cross" else 0
     del counts["_column"]
     assert counts == Counter(_curvature_weights_at=points, grad_q=points,
-                             curvature_diagonal=full, dantzig_columns=full)
-    alphas = {score_cfg.alpha_index, wald_cfg.alpha_index}
-    assert sum(columns[a] for a in alphas) == solves
-    assert max(columns.values()) <= solves
+                             _diagonal=full, dantzig_columns=full)
+    assert max(columns.values()) == 1
+    assert len({point for point, _ in columns}) == points
+    assert {score_cfg.alpha_index, wald_cfg.alpha_index} <= {i for _, i in columns}
     assert (sres.w_hat is wres.w_hat) == (solves == 1)
     assert not sres.w_hat.flags.writeable
     assert not wres.w_hat.flags.writeable
     assert_same_result(sres, score_test(GaussianMixture(model.y, model.sigma), beta_hat, score_cfg))
     assert_same_result(wres, wald_test(GaussianMixture(model.y, model.sigma), beta_hat, wald_cfg))
+
+
+@pytest.mark.parametrize("kind", ["GMM", "GMM-LP", "MR"])
+def test_point_keeps_no_model_alive(rng, kind):
+    # the point kept on the model holds it by a weak proxy, so with the
+    # garbage collector off a model that ran both tests, by the column
+    # certificate or by the LP and its diagonal, is freed by del alone
+    if kind == "MR":
+        cfg = ExperimentConfig(model=kind).resolve()
+        model, trace, _ = fit_replicate(cfg, 0)
+        beta, icfg = trace.estimate, InferenceConfig(alpha_index=cfg.alpha_index)
+    else:  # lam below T_ga sends the mixture to the LP
+        model, beta = gmm_instance(rng)
+        icfg = InferenceConfig(alpha_index=4, lam=1e-9 if kind == "GMM-LP" else None)
+    gc.disable()
+    try:
+        score_test(model, beta, icfg)
+        wald_test(model, beta, icfg)
+        assert ("diagonal" in vars(model._point)) == (kind != "GMM")
+        ref = weakref.ref(model)
+        del model
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def assert_same_records(fast, ref, rel):
@@ -505,8 +530,8 @@ def assert_max_rule_exact(model, beta, alpha):
     ``default_lambda`` on the whole matrix, to 1e-13 of the larger of
     max|T| and the radii, which bound the rounding of every entry of T."""
     t_mat = model.curvature_matrix(beta)
-    cols = inference._Columns(model, beta)
-    diag, radii = model.curvature_diagonal(beta)
+    cols = inference._Point(model, beta)
+    diag, radii = cols.diagonal
     scale = 1e-13 * max(np.max(np.abs(t_mat)), np.max(radii))
     a_max = inference._abs_peak(cols, diag, radii, alpha)
     assert abs(a_max - lp._abs_max(t_mat, alpha)) <= scale
@@ -536,8 +561,8 @@ def test_max_rule_finds_an_off_diagonal_max(kind):
     t_mat = model.curvature_matrix(beta)
     assert np.max(np.abs(np.diag(t_mat))) < 0.7 * abs(t_mat[1, 2])
     assert_max_rule_exact(model, beta, 0)
-    cols = inference._Columns(model, beta)
-    a_max = inference._abs_peak(cols, *model.curvature_diagonal(beta), 0)
+    cols = inference._Point(model, beta)
+    a_max = inference._abs_peak(cols, *cols.diagonal, 0)
     assert a_max == pytest.approx(abs(t_mat[1, 2]), rel=1e-15)
 
 
@@ -547,7 +572,7 @@ def test_lazy_columns_are_symmetric(model_name, sigma):
     cfg = ExperimentConfig(model=model_name, sigma=sigma).resolve()
     for seed in range(3):
         model, trace, _ = fit_replicate(cfg, seed)
-        cols = inference._Columns(model, trace.estimate)
+        cols = inference._Point(model, trace.estimate)
         t_cols = np.array([cols[i] for i in range(model.dim)])
         assert np.max(np.abs(t_cols - t_cols.T)) <= 1e-15 * np.max(np.abs(t_cols))
 
@@ -561,9 +586,9 @@ def test_certificate_margin_at_the_cross_column(rng, monkeypatch, factor, matric
     lam = float(np.max(np.abs(np.delete(model.curvature_column(beta, 4), 4)))) * factor
     cfg = InferenceConfig(alpha_index=4, lam=lam)
     counts = count_curvature_matrices(monkeypatch)
-    diagonal = GaussianMixture.curvature_diagonal
-    monkeypatch.setattr(GaussianMixture, "curvature_diagonal",
-                        lambda self, b: counts.update(["diagonal"]) or diagonal(self, b))
+    diagonal = GaussianMixture._diagonal
+    monkeypatch.setattr(GaussianMixture, "_diagonal",
+                        lambda self, nu: counts.update(["diagonal"]) or diagonal(self, nu))
     res = score_test(model, beta, cfg)
     assert counts == Counter(diagonal=matrices)
     assert not res.w_hat.any()
@@ -592,3 +617,8 @@ def test_nonfinite_curvature_column_raises(monkeypatch, poisoned_index):
     with pytest.raises(ValueError, match="curvature column must be finite"):
         score_test(model, trace.estimate, InferenceConfig(alpha_index=cfg.alpha_index))
     assert len(read) == (1 if poisoned_index == "alpha" else 2)
+    # the point keeps no non-finite column: a second test reads it again
+    with pytest.raises(ValueError, match="curvature column must be finite"):
+        wald_test(model, trace.estimate, InferenceConfig(alpha_index=cfg.alpha_index))
+    assert len(read) == (2 if poisoned_index == "alpha" else 3)
+    assert read[-1] == read[-2]

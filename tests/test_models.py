@@ -8,9 +8,13 @@ from oracles import (
     fd_directional,
     fd_gradient,
     gmm_curvature_symmetrized,
+    gmm_loglik_per_class,
     gmm_q_naive,
+    gmm_q_value_per_class,
     mr_curvature_two_products,
+    mr_loglik_per_class,
     mr_q_naive,
+    mr_q_value_per_class,
     rmc_grad_q_materialized,
     rmc_loglik_materialized,
     rmc_q_naive,
@@ -95,7 +99,7 @@ def test_dimension_mismatch_rejected(rng):
 def test_gmm_weight_half_at_orthogonal():
     y = np.array([[1.0, 0.0]])
     model = GaussianMixture(y, 1.0)
-    assert model.posterior_weight(np.array([0.0, 3.0]), 0) == pytest.approx(0.5)
+    assert model._weights(np.array([0.0, 3.0]))[0] == pytest.approx(0.5)
 
 
 def test_gmm_weight_three_quarters():
@@ -103,12 +107,12 @@ def test_gmm_weight_three_quarters():
     sigma = 1.3
     y = np.array([[sigma**2 * math.log(3.0) / 2.0, 0.0]])
     model = GaussianMixture(y, sigma)
-    assert model.posterior_weight(np.array([1.0, 0.0]), 0) == pytest.approx(0.75)
+    assert model._weights(np.array([1.0, 0.0]))[0] == pytest.approx(0.75)
 
 
 def test_mr_weight_half_at_zero_margin():
     model = MixtureRegression(np.array([[1.0, 0.0]]), np.array([0.0]), 1.0)
-    assert model.posterior_weight(np.ones(2), 0) == pytest.approx(0.5)
+    assert model._weights(np.ones(2))[0] == pytest.approx(0.5)
 
 
 def test_gmm_weight_symmetry(rng):
@@ -116,29 +120,17 @@ def test_gmm_weight_symmetry(rng):
     beta = rng.standard_normal(4)
     pos = GaussianMixture(y, 0.8)
     neg = GaussianMixture(-y, 0.8)
-    for i in range(10):
-        total = pos.posterior_weight(beta, i) + neg.posterior_weight(beta, i)
-        assert total == pytest.approx(1.0, abs=1e-12)
+    total = pos._weights(beta) + neg._weights(beta)
+    assert np.allclose(total, 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_weights_stable_at_huge_arguments():
     y = np.array([[1e6], [-1e6]])
     model = GaussianMixture(y, 0.1)
     with np.errstate(all="raise"):
-        assert model.posterior_weight(np.array([1.0]), 0) == 1.0
-        assert model.posterior_weight(np.array([1.0]), 1) == 0.0
+        assert model._weights(np.array([1.0])).tolist() == [1.0, 0.0]
         t_mat = model.curvature_matrix(np.array([1.0]))
     assert np.all(np.isfinite(t_mat))
-
-
-def test_rmc_weight_unsupported(rng):
-    with pytest.raises(UnsupportedOperationError):
-        random_rmc(rng).posterior_weight(np.zeros(5), 0)
-
-
-def test_weight_index_out_of_range(rng):
-    with pytest.raises(ValueError):
-        random_gmm(rng, n=5).posterior_weight(np.zeros(5), 5)
 
 
 # ---------------------------------------------------------------------------
@@ -344,25 +336,6 @@ def test_curvature_column_matches_matrix(rng):
                 model.curvature_column(np.zeros(model.dim), alpha)
 
 
-def test_curvature_weights_computed_once_per_point(rng, monkeypatch):
-    model = random_mr(rng, sigma=0.6)
-    calls = []
-    weights_at = MixtureRegression._curvature_weights_at
-
-    def counted(self, beta):
-        calls.append(beta.copy())
-        return weights_at(self, beta)
-
-    monkeypatch.setattr(MixtureRegression, "_curvature_weights_at", counted)
-    beta = rng.standard_normal(model.dim)
-    model.curvature_column(beta, 0)
-    model.curvature_matrix(beta)
-    model.curvature_column(list(beta), 3)
-    assert len(calls) == 1
-    model.curvature_matrix(beta + 1.0)
-    assert len(calls) == 2
-
-
 def test_rmc_curvature_unsupported(rng):
     with pytest.raises(UnsupportedOperationError):
         random_rmc(rng).curvature_matrix(np.zeros(5))
@@ -372,9 +345,11 @@ def test_rmc_curvature_column_unsupported(rng):
     model = random_rmc(rng)
     with pytest.raises(UnsupportedOperationError) as column:
         model.curvature_column(np.zeros(5), 0)
+    with pytest.raises(UnsupportedOperationError) as diagonal:
+        model.curvature_diagonal(np.zeros(5))
     with pytest.raises(UnsupportedOperationError) as matrix:
         model.curvature_matrix(np.zeros(5))
-    assert str(column.value) == str(matrix.value)
+    assert str(column.value) == str(diagonal.value) == str(matrix.value)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +398,7 @@ def test_mr_m_step_clime_residual_bound(rng):
     model = MixtureRegression(x, y, 0.3, clime_lambda=lam)
     beta = rng.standard_normal(d)
     m = model.m_step_exact(beta)
-    w = np.array([model.posterior_weight(beta, i) for i in range(n)])
+    w = model._weights(beta)
     moment = x.T @ ((2.0 * w - 1.0) * y) / n
     residual = np.max(np.abs(model.design_covariance() @ m - moment))
     # entrywise CLIME feasibility propagated through the moment vector
@@ -474,6 +449,32 @@ def test_mr_loglik_at_zero_single_sample():
     model = MixtureRegression(np.array([[1.0, 0.0]]), np.array([0.7]), 0.5)
     expect = -0.5 * np.log(2 * np.pi * 0.25) - 0.7**2 / (2 * 0.25)
     assert model.loglik(np.zeros(2)) == pytest.approx(expect, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["GMM", "MR"])
+def test_shared_mixture_form_matches_per_class_bit_for_bit(kind):
+    # the one q_value and loglik over _sq_dists against the per-class forms
+    # they replaced, at the defaults: a sparse and a dense beta in either
+    # slot, list input, and the second data block of resampled EM
+    q_ref, loglik_ref = {
+        "GMM": (gmm_q_value_per_class, gmm_loglik_per_class),
+        "MR": (mr_q_value_per_class, mr_loglik_per_class),
+    }[kind]
+    cfg = ExperimentConfig(model=kind).resolve()
+    sparse = make_beta_star(cfg.d, cfg.beta_values)
+    rng = np.random.default_rng(0)
+    for seed in range(20):
+        model = gen_dataset(GenSpec(kind, cfg.n, cfg.d, sparse, cfg.sigma, seed=seed))
+        block = model.subset(np.arange(10, 20))  # n = 100 in n_iter = 10 blocks
+        dense = rng.standard_normal(cfg.d)
+        for m, bp, b in [(model, sparse, dense), (model, dense, sparse),
+                         (model, list(dense), list(sparse)), (block, dense, sparse)]:
+            assert m.q_value(bp, b) == q_ref(m, bp, b)
+            assert m.loglik(bp) == loglik_ref(m, bp)
+    with pytest.raises(ValueError, match=r"beta_prime must have shape \(256,\)"):
+        model.q_value(np.zeros(cfg.d + 1), sparse)
+    with pytest.raises(ValueError, match=r"^beta must have shape \(256,\)"):
+        model.q_value(sparse, np.zeros(cfg.d - 1))
 
 
 def test_jensen_minorization_bound(rng):
