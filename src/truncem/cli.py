@@ -89,49 +89,36 @@ def config_from_args(args):
     return ExperimentConfig(**settings)
 
 
+COMMANDS = {
+    "trace": run_trace,
+    "scaling": run_scaling,
+    "typeone": run_typeone,
+    "fit": run_fit,
+    "infer": run_infer,
+}
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     cfg = config_from_args(args)
-    if args.command == "trace":
-        rows = run_trace(cfg)
-        _emit_csv(rows, cfg)
-    elif args.command == "scaling":
-        rows = run_scaling(cfg)
-        _emit_csv(rows, cfg)
-    elif args.command == "typeone":
-        rows, summary = run_typeone(cfg)
+    result = COMMANDS[args.command](cfg)
+    if args.command == "typeone":
+        rows, summary = result
         if cfg.out:
             write_csv(rows, cfg.out + ".csv")
             write_json(summary, cfg.out + ".json")
             print(f"wrote {cfg.out}.csv and {cfg.out}.json")
         del summary["config"]
-        print(json.dumps(summary, indent=2))
-    elif args.command == "fit":
-        _emit_json(run_fit(cfg), cfg)
-    elif args.command == "infer":
-        _emit_json(run_infer(cfg), cfg)
+        write_json(summary)
+    elif args.command in ("trace", "scaling"):
+        write_csv(result, cfg.out)
+        if cfg.out:
+            print(f"wrote {cfg.out} ({len(result)} rows)")
+    else:
+        write_json(result, cfg.out)
+        if cfg.out:
+            print(f"wrote {cfg.out}")
     return 0
-
-
-def _emit_csv(rows, cfg):
-    if cfg.out:
-        write_csv(rows, cfg.out)
-        print(f"wrote {cfg.out} ({len(rows)} rows)")
-    else:
-        header = list(rows[0].keys())
-        print(",".join(header))
-        for row in rows:
-            print(",".join(repr(v) if isinstance(v, float) else str(v)
-                           for v in (row[k] for k in header)))
-
-
-def _emit_json(obj, cfg):
-    if cfg.out:
-        write_json(obj, cfg.out)
-        print(f"wrote {cfg.out}")
-    else:
-        json.dump(obj, sys.stdout, indent=2)
-        print()
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ the order in which replicates are executed.
 import csv
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -63,11 +64,16 @@ class ExperimentConfig:
     out: str | None = None
     data_csv: str | None = None
 
-    def resolve(self, scaling=False):
-        """Fill the model-dependent defaults and check the settings before
-        any fit.  ``scaling`` checks only what the scaling grid uses: its
-        cells have d = ``scaling_d`` and test no coordinate, so ``d``,
-        ``alpha_index``, ``s_star`` and ``s_hat`` are not checked."""
+    def resolve(self, command=None):
+        """Fill the model-dependent defaults and reject, before any fit,
+        every setting ``command`` cannot run.  ``scaling`` checks only what
+        its grid uses: its cells have d = ``scaling_d`` and test no
+        coordinate, so ``d``, ``alpha_index``, ``s_star`` and ``s_hat`` are
+        not checked.  With no command, the settings of a fit are checked."""
+        if self.data_csv is not None and command in ("trace", "scaling", "typeone"):
+            raise ValueError(
+                f"{command} generates its own data; data_csv is not supported"
+            )
         for key in ("replicates", "scaling_replicates", "s_star_grid", "n_grid"):
             values = np.ravel(getattr(self, key))
             if not (values.size and (values >= 1).all()):
@@ -86,24 +92,24 @@ class ExperimentConfig:
             self.rel_err = DEFAULT_REL_ERR[self.model]
         if self.beta_values is None:
             self.beta_values = default_beta_values(self.s_star)
-        # an external dataset sets its own dimension, checked once loaded
-        if self.data_csv is not None:
-            return self
-        if scaling:
+        if command == "scaling":
             if max(self.s_star_grid) > self.scaling_d:
                 raise ValueError(f"s_star_grid must be <= scaling_d = {self.scaling_d}")
-        else:
+        # an external dataset sets its own dimension, checked once loaded
+        elif self.data_csv is None:
             _check_alpha_index(self.alpha_index, self.d)
             if max(self.s_star, self.s_hat) > self.d:
                 raise ValueError(f"s_star and s_hat must be <= d = {self.d}")
+        if command in ("typeone", "infer") and self.model == "RMC":
+            raise UnsupportedOperationError("inference is not implemented for RMC")
+        if command == "typeone":
+            value = make_beta_star(self.d, self.beta_values)[self.alpha_index]
+            if value != 0.0:
+                raise ValueError(
+                    f"type-I experiment requires a null coordinate; "
+                    f"beta_star[{self.alpha_index}] = {value}"
+                )
         return self
-
-    def echo(self):
-        """JSON-friendly dump of the resolved configuration."""
-        out = asdict(self)
-        for key in ("beta_values", "s_star_grid", "n_grid"):
-            out[key] = list(out[key]) if out[key] is not None else None
-        return out
 
 
 def _check_alpha_index(alpha_index, d):
@@ -160,18 +166,9 @@ def _fit(cfg: ExperimentConfig, model, beta_star, seed):
     return run_em(model, init, em_cfg)
 
 
-def _generated_only(cfg: ExperimentConfig, command):
-    """Reject an external dataset for a command that draws its own."""
-    if cfg.data_csv is not None:
-        raise ValueError(
-            f"{command} generates its own data; data_csv is not supported"
-        )
-
-
 def run_trace(cfg: ExperimentConfig):
     """One fit; rows of (t, opt_error, est_error, loglik)."""
-    _generated_only(cfg, "trace")
-    cfg.resolve()
+    cfg.resolve("trace")
     model, trace, beta_star = fit_replicate(cfg, cfg.seed)
     beta_final = trace.estimate
     rows = []
@@ -180,7 +177,7 @@ def run_trace(cfg: ExperimentConfig):
             {
                 "t": t,
                 "opt_error": float(np.linalg.norm(beta_t - beta_final)),
-                "est_error": float(np.linalg.norm(beta_t - beta_star)),
+                "est_error": sign_aligned_error(beta_t, beta_star, cfg.model),
                 "loglik": model.loglik(beta_t),
             }
         )
@@ -189,14 +186,13 @@ def run_trace(cfg: ExperimentConfig):
 
 def run_scaling(cfg: ExperimentConfig):
     """Error-vs-rate grid: per-replicate rows plus per-cell mean rows."""
-    _generated_only(cfg, "scaling")
-    cfg.resolve(scaling=True)
+    cfg.resolve("scaling")
     rows = []
     for s_star in cfg.s_star_grid:
         for n in cfg.n_grid:
             cell = replace(
                 cfg, d=cfg.scaling_d, n=n, s_star=s_star, s_hat=None, beta_values=None
-            ).resolve(scaling=True)
+            ).resolve("scaling")
             x = math.sqrt(s_star * math.log(cfg.scaling_d) / n)
             errs = []
             for r in range(cfg.scaling_replicates):
@@ -224,12 +220,6 @@ def run_scaling(cfg: ExperimentConfig):
                 }
             )
     return rows
-
-
-def _check_inference(cfg: ExperimentConfig):
-    """Reject, before any fit, a model whose inference is not implemented."""
-    if cfg.model == "RMC":
-        raise UnsupportedOperationError("inference is not implemented for RMC")
 
 
 def _run_tests(cfg: ExperimentConfig, model, beta_hat):
@@ -289,15 +279,7 @@ def run_typeone(cfg: ExperimentConfig):
     Returns (rows, summary): per-replicate records and a summary dict
     with rejection rates over the non-degenerate replicates.
     """
-    _generated_only(cfg, "typeone")
-    cfg.resolve()
-    _check_inference(cfg)
-    beta_star = make_beta_star(cfg.d, cfg.beta_values)
-    if beta_star[cfg.alpha_index] != 0.0:
-        raise ValueError(
-            f"type-I experiment requires a null coordinate; "
-            f"beta_star[{cfg.alpha_index}] = {beta_star[cfg.alpha_index]}"
-        )
+    cfg.resolve("typeone")
     rows = []
     for r in range(cfg.replicates):
         record = infer_replicate(cfg, cfg.seed + r)
@@ -314,7 +296,7 @@ def run_typeone(cfg: ExperimentConfig):
         "wald_rejection_rate": (
             sum(row["wald_reject"] for row in valid) / n_valid if n_valid else None
         ),
-        "config": cfg.echo(),
+        "config": asdict(cfg),
     }
     return rows, summary
 
@@ -330,7 +312,7 @@ def _load_or_generate(cfg: ExperimentConfig, seed):
 
 def run_fit(cfg: ExperimentConfig):
     """Single fit; JSON-ready summary with the estimate and trace."""
-    cfg.resolve()
+    cfg.resolve("fit")
     model, trace, beta_star = _load_or_generate(cfg, cfg.seed)
     beta_hat = trace.estimate
     return {
@@ -342,17 +324,16 @@ def run_fit(cfg: ExperimentConfig):
             float(np.linalg.norm(b - beta_hat)) for b in trace.iterates
         ],
         "est_error": sign_aligned_error(beta_hat, beta_star, cfg.model),
-        "config": cfg.echo(),
+        "config": asdict(cfg),
     }
 
 
 def run_infer(cfg: ExperimentConfig):
     """Single generate/load -> fit -> test run; JSON-ready result."""
-    cfg.resolve()
-    _check_inference(cfg)
+    cfg.resolve("infer")
     model, trace, _ = _load_or_generate(cfg, cfg.seed)
     sres, wres, reason = _run_tests(cfg, model, trace.estimate)
-    out = {"config": cfg.echo()}
+    out = {"config": asdict(cfg)}
     if reason is not None:
         out["degenerate"] = True
         out["error"] = reason
@@ -374,28 +355,41 @@ def run_infer(cfg: ExperimentConfig):
     return out
 
 
-def write_csv(rows, path):
-    """Write dict rows as CSV with round-trip float formatting."""
+def write_csv(rows, path=None):
+    """Write dict rows as CSV with round-trip float formatting, to ``path``
+    or, when it is None, to standard output."""
     if not rows:
         raise ValueError("no rows to write")
+    header = list(rows[0].keys())
+
+    def write(fh):
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                [repr(float(v)) if isinstance(v, float) else v
+                 for v in (row[k] for k in header)]
+            )
+
+    _write(write, path, "CSV")
+
+
+def write_json(obj, path=None):
+    """Write ``obj`` as indented JSON to ``path`` or to standard output."""
+
+    def write(fh):
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+    _write(write, path, "JSON")
+
+
+def _write(write, path, kind):
+    if path is None:
+        write(sys.stdout)
+        return
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = list(rows[0].keys())
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow(
-                    [repr(float(v)) if isinstance(v, float) else v
-                     for v in (row[k] for k in header)]
-                )
+            write(fh)
     except OSError as exc:
-        raise OSError(f"cannot write CSV to {path}: {exc}") from exc
-
-
-def write_json(obj, path):
-    try:
-        with open(path, "w") as fh:
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"cannot write JSON to {path}: {exc}") from exc
+        raise OSError(f"cannot write {kind} to {path}: {exc}") from exc

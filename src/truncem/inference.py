@@ -138,13 +138,6 @@ def _scaled_lambda(max_abs, d, n):
     return 0.5 * math.sqrt(math.log(d) / n) * float(max_abs)
 
 
-def _two_sided(statistic, delta):
-    p_value = 2.0 * (1.0 - std_normal_cdf(abs(statistic)))
-    crit = std_normal_quantile(1.0 - delta / 2.0)
-    # strict inequality: the boundary case does not reject
-    return p_value, abs(statistic) > crit
-
-
 def _frozen(a):
     a.flags.writeable = False
     return a
@@ -241,14 +234,14 @@ def _information(model, quad):
 def _result(model, statistic, center, w, info, cfg: InferenceConfig):
     """Two-sided decision and the level-(1 - delta) interval around
     ``center``."""
-    p_value, reject = _two_sided(statistic, cfg.delta)
-    half = std_normal_quantile(1.0 - cfg.delta / 2.0) / math.sqrt(
-        model.n_samples * info
-    )
+    crit = std_normal_quantile(1.0 - cfg.delta / 2.0)
+    half = crit / math.sqrt(model.n_samples * info)
     return InferenceResult(
         statistic=statistic,
-        p_value=p_value,
-        reject=reject,
+        # 2(1 - Phi(|z|)) without the cancellation that makes it 0 for |z| > 8.3
+        p_value=math.erfc(abs(statistic) / _SQRT2),
+        # strict inequality: the boundary case does not reject
+        reject=abs(statistic) > crit,
         ci_lo=center - half,
         ci_hi=center + half,
         w_hat=w,

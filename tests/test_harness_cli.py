@@ -471,3 +471,26 @@ def test_cli_rejects_degenerate_scaling_grids_before_any_fit(settings, flags, ke
         run_cli("scaling", "--config", str(cfg_path), "--model", "GMM",
                 "--scaling-replicates", "1", *flags)
     assert capsys.readouterr().out == ""
+
+
+def test_trace_est_error_is_sign_aligned():
+    # from rel_err = 10, seed 0 converges to -beta*: the trace reported
+    # ||beta_T - beta*|| = 11.1 where fit reports 0.29 for the same run
+    rows = run_trace(small_cfg(model="GMM", rel_err=10.0))
+    fit = run_fit(small_cfg(model="GMM", rel_err=10.0))
+    assert rows[-1]["est_error"] == fit["est_error"] < 1.0
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("trace", ("--d", "16", "--n", "60", "--s-star", "2", "--T", "3")),
+    ("scaling", ("--s-star-grid", "2", "--n-grid", "60", "--scaling-replicates", "2",
+                 "--scaling-d", "16", "--T", "2")),
+])
+def test_cli_stdout_equals_the_out_file(command, flags, tmp_path, capsys):
+    # stdout ended lines with LF while --out kept the csv module's CRLF
+    run_cli(command, "--model", "GMM", *flags)
+    stdout = capsys.readouterr().out
+    out = tmp_path / "out.csv"
+    run_cli(command, "--model", "GMM", *flags, "--out", str(out))
+    assert capsys.readouterr().out.startswith(f"wrote {out} (")
+    assert stdout.encode() == out.read_bytes()

@@ -622,3 +622,18 @@ def test_nonfinite_curvature_column_raises(monkeypatch, poisoned_index):
         wald_test(model, trace.estimate, InferenceConfig(alpha_index=cfg.alpha_index))
     assert len(read) == (2 if poisoned_index == "alpha" else 3)
     assert read[-1] == read[-2]
+
+
+def test_p_values_keep_their_tail():
+    # 2(1 - Phi(|z|)) was exactly 0 for every |z| >= 8.3; at a support
+    # coordinate both statistics here are about 30
+    from scipy.special import ndtr
+
+    cfg = ExperimentConfig(model="GMM", d=16, n=60, s_star=2, alpha_index=0).resolve()
+    model, trace, _ = fit_replicate(cfg, 0)
+    icfg = InferenceConfig(alpha_index=0)
+    for res in (score_test(model, trace.estimate, icfg),
+                wald_test(model, trace.estimate, icfg)):
+        assert 8.3 < abs(res.statistic) < 35 and res.reject
+        assert res.p_value > 0
+        assert res.p_value == pytest.approx(2 * ndtr(-abs(res.statistic)), rel=1e-12)
