@@ -31,7 +31,7 @@ In the other rows the native solver is ``truncem.lp`` as it stands: the
 homotopy in lambda, with HiGHS only as its fallback.  The full LP is
 ``full_l1_linf_lp`` from ``tests/oracles.py``, the reference the tests
 compare against, which puts all 2m rows and 2m columns into one
-``solve_lp`` call.  It replaces
+HiGHS call.  It replaces
 ``lp._l1_min_linf_residual`` for the full runs, so both sides of the MR
 row run the same public function: ``dantzig_direction`` hands that seam
 the whole curvature matrix with row and column alpha masked out, and the

@@ -10,12 +10,11 @@ intervals for single coordinates of the fitted parameter.
 from .errors import (
     DegenerateInformationError,
     LpInfeasibleError,
-    LpUnboundedError,
     UnsupportedOperationError,
 )
 from .sparsity import hard_truncate, top_support
 from .models import GaussianMixture, MissingCovariateRegression, MixtureRegression
-from .lp import LpSolution, clime_inverse, dantzig_direction, solve_lp
+from .lp import clime_inverse, dantzig_direction
 from .em import EmConfig, EmTrace, run_em
 from .inference import (
     InferenceConfig,
@@ -23,8 +22,6 @@ from .inference import (
     info_quadratic_form,
     score_function,
     score_test,
-    std_normal_cdf,
-    std_normal_quantile,
     wald_estimator,
     wald_test,
 )
@@ -39,8 +36,6 @@ __all__ = [
     "InferenceConfig",
     "InferenceResult",
     "LpInfeasibleError",
-    "LpSolution",
-    "LpUnboundedError",
     "MissingCovariateRegression",
     "MixtureRegression",
     "UnsupportedOperationError",
@@ -54,9 +49,6 @@ __all__ = [
     "run_em",
     "score_function",
     "score_test",
-    "solve_lp",
-    "std_normal_cdf",
-    "std_normal_quantile",
     "top_support",
     "wald_estimator",
     "wald_test",

@@ -8,6 +8,7 @@ import argparse
 import json
 import sys
 
+from .datagen import MODEL_TAGS
 from .harness import (
     ExperimentConfig,
     run_fit,
@@ -21,7 +22,7 @@ from .harness import (
 
 
 def _add_common(parser):
-    parser.add_argument("--model", choices=("GMM", "MR", "RMC"))
+    parser.add_argument("--model", choices=MODEL_TAGS)
     parser.add_argument("--d", type=int)
     parser.add_argument("--n", type=int)
     parser.add_argument("--s-star", dest="s_star", type=int)

@@ -19,7 +19,3 @@ class DegenerateInformationError(RuntimeError):
 
 class LpInfeasibleError(RuntimeError):
     """Raised when a linear program has no feasible point."""
-
-
-class LpUnboundedError(RuntimeError):
-    """Raised when a linear program has unbounded objective."""

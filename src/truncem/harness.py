@@ -28,6 +28,10 @@ DEFAULT_REL_ERR = {"GMM": 0.125, "MR": 1.0 / 64.0, "RMC": 0.125}
 DEFAULT_SIGMA = {"GMM": 1.0, "MR": 0.1, "RMC": 1.0}
 DEFAULT_M_STEP = {"GMM": "exact", "MR": "gradient", "RMC": "gradient"}
 BETA_VALUE_CYCLE = (4.0, 4.0, 4.0, 6.0, 6.0)
+#: the test columns of a type-I record, in CSV order; blank for a
+#: degenerate replicate
+_TEST_KEYS = ("score_stat", "score_p", "score_reject", "wald_stat", "wald_p",
+             "wald_reject", "ci_lo", "ci_hi")
 
 
 @dataclass
@@ -246,31 +250,13 @@ def infer_replicate(cfg: ExperimentConfig, seed):
     """
     model, trace, _ = fit_replicate(cfg, seed)
     sres, wres, reason = _run_tests(cfg, model, trace.estimate)
-    record = {"replicate": None, "degenerate": int(reason is not None)}
-    if reason is not None:
-        for key in (
-            "score_stat",
-            "score_p",
-            "score_reject",
-            "wald_stat",
-            "wald_p",
-            "wald_reject",
-            "ci_lo",
-            "ci_hi",
-        ):
-            record[key] = ""
-        return record
-    record.update(
-        score_stat=sres.statistic,
-        score_p=sres.p_value,
-        score_reject=int(sres.reject),
-        wald_stat=wres.statistic,
-        wald_p=wres.p_value,
-        wald_reject=int(wres.reject),
-        ci_lo=wres.ci_lo,
-        ci_hi=wres.ci_hi,
-    )
-    return record
+    if reason is None:
+        values = (sres.statistic, sres.p_value, int(sres.reject),
+                  wres.statistic, wres.p_value, int(wres.reject), wres.ci_lo, wres.ci_hi)
+    else:
+        values = ("",) * len(_TEST_KEYS)
+    return {"replicate": None, "degenerate": int(reason is not None),
+            **dict(zip(_TEST_KEYS, values))}
 
 
 def run_typeone(cfg: ExperimentConfig):

@@ -54,19 +54,6 @@ _SQRT2 = math.sqrt(2.0)
 _CERTIFICATE_MARGIN = 1e-9
 
 
-def std_normal_cdf(x):
-    """Standard normal CDF via the C library's erfc (abs error ~1 ulp)."""
-    return 0.5 * math.erfc(-float(x) / _SQRT2)
-
-
-def std_normal_quantile(p):
-    """Inverse of the standard normal CDF on (0, 1)."""
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in the open interval (0, 1)")
-    return float(ndtri(p))
-
-
 @dataclass
 class InferenceConfig:
     """Settings for single-coordinate inference.
@@ -234,7 +221,7 @@ def _information(model, quad):
 def _result(model, statistic, center, w, info, cfg: InferenceConfig):
     """Two-sided decision and the level-(1 - delta) interval around
     ``center``."""
-    crit = std_normal_quantile(1.0 - cfg.delta / 2.0)
+    crit = float(ndtri(1.0 - cfg.delta / 2.0))
     half = crit / math.sqrt(model.n_samples * info)
     return InferenceResult(
         statistic=statistic,

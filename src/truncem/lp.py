@@ -83,7 +83,7 @@ FEAS_TOL``, ``||A^T u||_inf <= 1 + tol`` and a closed duality gap,
 ``||w||_1 = t.u - lam ||u||_1``; by weak duality no feasible point has
 a smaller l1 norm; ``A w = w_J A[J, :]`` and ``A^T u = u A[S, :]`` are
 read from the basis buffers.  The whole LP, every row of A gathered, goes
-to HiGHS in one ``solve_lp`` call on its positive/negative split ``w = w+
+to HiGHS in one ``linprog`` call on its positive/negative split ``w = w+
 - w-``, with one pair of rows ``+-(t_i - a_i w) <= lam`` per residual,
 when the certificate fails, when a pivot of the ratio test or of a basis
 update is not above ``_PIVOT_TOL`` (relative to ``max |a_ij|`` where it
@@ -105,12 +105,10 @@ Correctness is cross-checked in the test suite against an exhaustive
 vertex-enumeration oracle and against the full LP solved by HiGHS.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import LpInfeasibleError, LpUnboundedError
+from .errors import LpInfeasibleError
 
 #: entrywise feasibility tolerance for the l-infinity constraints
 FEAS_TOL = 1e-8
@@ -121,39 +119,6 @@ _CERT_TOL = 1e-9
 _PIVOT_TOL = 1e-11
 #: rows of the homotopy's basis buffers at the start; they double when full
 _BASIS_ROWS = 16
-
-
-@dataclass
-class LpSolution:
-    """Optimal point and objective of ``min c.x, A x <= b, x >= 0``."""
-
-    x: np.ndarray
-    objective: float
-
-
-def solve_lp(c, a_ub, b_ub):
-    """Solve ``min c.x  s.t.  a_ub @ x <= b_ub,  x >= 0``.
-
-    Raises
-    ------
-    LpInfeasibleError
-        If no feasible point exists.
-    LpUnboundedError
-        If the objective is unbounded below on the feasible set.
-    """
-    c = np.asarray(c, dtype=float)
-    a_ub = np.asarray(a_ub, dtype=float)
-    b_ub = np.asarray(b_ub, dtype=float)
-    if a_ub.ndim != 2 or a_ub.shape != (b_ub.shape[0], c.shape[0]):
-        raise ValueError("inconsistent LP dimensions")
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
-    if res.status == 2:
-        raise LpInfeasibleError("LP infeasible")
-    if res.status == 3:
-        raise LpUnboundedError("LP unbounded")
-    if not res.success:
-        raise RuntimeError(f"LP solver failure: {res.message}")
-    return LpSolution(x=np.asarray(res.x, dtype=float), objective=float(res.fun))
 
 
 class _Basis:
@@ -423,15 +388,20 @@ def _infeasible_ray(lam, a_max, delta, a_s, t_s, masked=None):
 
 
 def _full_lp(a, target, lam, masked=None):
-    """The Dantzig LP in one ``solve_lp`` call, on its split form, over
-    the rows of A gathered but row and column ``masked``, where w is 0."""
+    """The Dantzig LP in one HiGHS call, on its split form, over the rows
+    of A gathered but row and column ``masked``, where w is 0.  Its cost
+    is 1 on ``x >= 0``, so it is bounded below by 0 and never unbounded."""
     keep = np.delete(np.arange(target.size), [] if masked is None else masked)
     a_mat, t, m = np.array([a[i][keep] for i in keep]), target[keep], keep.size
     split = np.hstack([a_mat, -a_mat])
-    sol = solve_lp(np.ones(2 * m), np.vstack([split, -split]),
-                   np.concatenate([t + lam, lam - t]))
+    res = linprog(np.ones(2 * m), A_ub=np.vstack([split, -split]),
+                  b_ub=np.concatenate([t + lam, lam - t]), bounds=(0, None), method="highs")
+    if res.status == 2:
+        raise LpInfeasibleError("LP infeasible")
+    if not res.success:
+        raise RuntimeError(f"LP solver failure: {res.message}")
     w = np.zeros(target.size)
-    w[keep] = sol.x[:m] - sol.x[m:]
+    w[keep] = res.x[:m] - res.x[m:]
     return w
 
 
@@ -501,8 +471,6 @@ def dantzig_columns(rows, alpha_index, lam, a_max):
     a = alpha_index
     target = np.array(rows[a], dtype=float)
     target[a] = 0.0
-    if np.abs(target).max() <= lam:
-        return np.zeros(target.size - 1)
     return np.delete(_l1_min_linf_residual(rows, target, lam, a_max, masked=a), a)
 
 

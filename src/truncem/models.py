@@ -8,15 +8,14 @@ surrogate ``q_value``, its first-slot gradient ``grad_q`` evaluated on
 the diagonal, exact and gradient M-steps, the curvature matrix used for
 inference, and the observed-data log likelihood.
 
-The two mixtures also give one column of the curvature matrix,
-``curvature_column(beta, alpha)``: one O(nd) matrix-vector product
-instead of the O(nd^2) matrix, equal to ``curvature_matrix(beta)[:,
-alpha]`` up to rounding, and ``curvature_diagonal(beta)``: T's diagonal and
-the radii ``r_i = sum_k |c_k| z_ki^2`` of its Gram form ``sum_k c_k z_k
-z_k^T``, so ``|T_ij| <= sqrt(r_i r_j)``.  Both are read from the weights c
-of one beta, ``_curvature_weights_at(beta)``, through ``_column(c, alpha)``
-and ``_diagonal(c)``.  The models keep no per-point state: the
-inference module keeps what it reads at one point (see ``inference``).
+The two mixtures also give, from the weights c of one beta,
+``_curvature_weights_at(beta)``, one column of the curvature matrix,
+``_column(c, alpha)``: one O(nd) matrix-vector product instead of the
+O(nd^2) matrix, equal to ``curvature_matrix(beta)[:, alpha]`` up to
+rounding, and ``_diagonal(c)``: T's diagonal and the radii ``r_i = sum_k
+|c_k| z_ki^2`` of its Gram form ``sum_k c_k z_k z_k^T``, so ``|T_ij| <=
+sqrt(r_i r_j)``.  The models keep no per-point state: the inference
+module keeps what it reads at one point (see ``inference``).
 
 Normalization convention
 ------------------------
@@ -74,12 +73,9 @@ def _check_response(y, n):
 class _Model:
     """What every model shares: its samples ``y`` (one row or entry per
     sample), their count ``n_samples``, the dimension ``dim``, the noise
-    level ``sigma``, the gradient M-step, and a column and the diagonal of
-    the curvature matrix T at ``beta``, from the weights
-    ``_curvature_weights_at(beta)`` through ``_column(weights, alpha)`` and
-    ``_diagonal(weights)``.  The regression models also keep their (n, d)
-    design ``x``.  Each subclass validates its arrays before calling this
-    constructor."""
+    level ``sigma`` and the gradient M-step.  The regression models also
+    keep their (n, d) design ``x``.  Each subclass validates its arrays
+    before calling this constructor."""
 
     def __init__(self, y, sigma):
         if not sigma > 0:
@@ -89,19 +85,9 @@ class _Model:
         self.n_samples = y.shape[0]
 
     def m_step_gradient(self, beta, eta):
-        if eta < 0:
+        if not 0 <= eta < np.inf:
             raise ValueError("eta must be nonnegative")
         return np.asarray(beta, dtype=float) + eta * self.grad_q(beta)
-
-    def curvature_column(self, beta, alpha):
-        if not 0 <= alpha < self.dim:
-            raise ValueError("alpha out of range")
-        weights = self._curvature_weights_at(beta)  # a model without T raises here
-        return self._column(weights, alpha)
-
-    def curvature_diagonal(self, beta):
-        weights = self._curvature_weights_at(beta)
-        return self._diagonal(weights)
 
 
 class _Mixture(_Model):

@@ -13,7 +13,7 @@ import numpy as np
 from truncem import lp
 from truncem.errors import LpInfeasibleError
 from truncem.inference import default_lambda
-from truncem.lp import dantzig_direction, solve_lp
+from truncem.lp import dantzig_direction
 from truncem.models import _check_vector
 
 FEAS_TOL = 1e-8
@@ -47,32 +47,6 @@ def top_support_argsort(beta, s):
 # linear programs
 
 
-def lp_vertex_oracle(c, a_ub, b_ub):
-    """Minimum of c.x over {a_ub x <= b_ub, x >= 0} by vertex enumeration.
-
-    Only valid for bounded feasible regions (the caller must ensure
-    boundedness, e.g. with explicit box rows).  Returns (x, objective) or
-    None if infeasible.
-    """
-    c = np.asarray(c, dtype=float)
-    a_ub = np.asarray(a_ub, dtype=float)
-    b_ub = np.asarray(b_ub, dtype=float)
-    m = c.shape[0]
-    rows = np.vstack([a_ub, -np.eye(m)])
-    rhs = np.concatenate([b_ub, np.zeros(m)])
-    best = None
-    for subset in itertools.combinations(range(rows.shape[0]), m):
-        sub = rows[list(subset)]
-        if abs(np.linalg.det(sub)) < 1e-12:
-            continue
-        x = np.linalg.solve(sub, rhs[list(subset)])
-        if np.all(a_ub @ x <= b_ub + FEAS_TOL) and np.all(x >= -FEAS_TOL):
-            obj = float(c @ x)
-            if best is None or obj < best[1]:
-                best = (x, obj)
-    return best
-
-
 def l1_linf_oracle(g_mat, target, lam):
     """argmin ||w||_1 s.t. ||g_mat w - target||_inf <= lam, exhaustively.
 
@@ -103,8 +77,10 @@ def full_l1_linf_lp(a_mat, target, lam, masked=None):
     """argmin ||w||_1 s.t. ||target - a_mat w||_inf <= lam as one LP.
 
     Every residual row and every split column ``w = w+ - w-`` enters a
-    single ``solve_lp`` call: the 2m-row, 2m-column program that the
-    native solver in ``truncem.lp`` must reproduce.  With ``masked`` set,
+    single HiGHS call: the 2m-row, 2m-column program that the native
+    solver in ``truncem.lp`` must reproduce.  The call goes through the
+    name ``lp.linprog`` (scipy's own), so that a recorder patched there,
+    as in ``scripts/bench_lp.py``, counts it.  With ``masked`` set,
     as ``dantzig_direction`` poses its LP on the whole curvature matrix,
     row and column ``masked`` are dropped before the solve and a 0 is
     re-inserted there after it.  Raises ``LpInfeasibleError`` when no w
@@ -118,12 +94,17 @@ def full_l1_linf_lp(a_mat, target, lam, masked=None):
         return np.insert(w, masked, 0.0)
     m = a_mat.shape[1]
     block = np.hstack([a_mat, -a_mat])
-    sol = solve_lp(
+    res = lp.linprog(
         np.ones(2 * m),
-        np.vstack([block, -block]),
-        np.concatenate([target + lam, lam - target]),
+        A_ub=np.vstack([block, -block]),
+        b_ub=np.concatenate([target + lam, lam - target]),
+        bounds=(0, None),
+        method="highs",
     )
-    return sol.x[:m] - sol.x[m:]
+    if res.status == 2:
+        raise LpInfeasibleError("LP infeasible")
+    assert res.success, res.message
+    return res.x[:m] - res.x[m:]
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@ import gc
 import math
 import weakref
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 
 from conftest import random_gmm
 from hypothesis import given, settings
@@ -21,8 +23,6 @@ from truncem.inference import (
     info_quadratic_form,
     score_function,
     score_test,
-    std_normal_cdf,
-    std_normal_quantile,
     wald_estimator,
     wald_test,
 )
@@ -30,35 +30,48 @@ from truncem.models import GaussianMixture, MixtureRegression
 
 
 # ---------------------------------------------------------------------------
-# normal distribution helpers
+# p-values and critical values of the standard normal
+
+
+def two_sided(statistic, delta=0.05):
+    """The result of ``statistic`` at ``n * info = 1``, centred at 0, so
+    the interval's upper end is the critical value."""
+    cfg = InferenceConfig(alpha_index=0, delta=delta)
+    return inference._result(SimpleNamespace(n_samples=1), statistic, 0.0, None, 1.0, cfg)
 
 
 def test_cdf_basics():
-    assert std_normal_cdf(0.0) == pytest.approx(0.5, abs=1e-12)
-    assert std_normal_cdf(1.0) == pytest.approx(0.8413447460685429, abs=1e-10)
+    assert two_sided(0.0).p_value == 1.0
+    assert two_sided(1.0).p_value == pytest.approx(2.0 * ndtr(-1.0), rel=1e-14)
+    # 2 (1 - Phi(9)) would cancel to 0
+    assert two_sided(9.0).p_value == pytest.approx(2.0 * ndtr(-9.0), rel=1e-12)
 
 
 def test_cdf_symmetry(rng):
     for x in rng.standard_normal(20) * 3:
-        assert std_normal_cdf(-x) == pytest.approx(
-            1.0 - std_normal_cdf(x), abs=1e-12
-        )
+        assert two_sided(-x).p_value == two_sided(x).p_value
+        assert two_sided(x).p_value == pytest.approx(2.0 * ndtr(-abs(x)), rel=1e-12)
 
 
 def test_quantile_value():
-    assert std_normal_quantile(0.975) == pytest.approx(1.9599640, abs=1e-6)
+    assert two_sided(0.0).ci_hi == pytest.approx(1.9599640, abs=1e-6)
 
 
 def test_quantile_inverts_cdf(rng):
-    for p in rng.uniform(0.001, 0.999, size=30):
-        x = std_normal_quantile(p)
-        assert std_normal_cdf(x) == pytest.approx(p, abs=1e-7)
+    # at the critical value the p-value is delta, and the test does not
+    # reject; one ulp above it, it does
+    for delta in rng.uniform(0.002, 0.998, size=30):
+        crit = two_sided(0.0, delta).ci_hi
+        assert crit == ndtri(1.0 - delta / 2.0)
+        assert two_sided(crit, delta).p_value == pytest.approx(delta, abs=1e-7)
+        assert not two_sided(crit, delta).reject
+        assert two_sided(np.nextafter(crit, np.inf), delta).reject
 
 
 def test_quantile_domain():
-    for p in (0.0, 1.0, -0.1, 1.1):
-        with pytest.raises(ValueError):
-            std_normal_quantile(p)
+    for delta in (0.0, 1.0, -0.1, 1.1, float("nan")):
+        with pytest.raises(ValueError, match="delta must lie in"):
+            InferenceConfig(alpha_index=0, delta=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +217,7 @@ def test_score_test_null_coordinate(rng):
     cfg = InferenceConfig(alpha_index=4)
     res = score_test(model, beta_star, cfg)
     assert res.p_value == pytest.approx(
-        2.0 * (1.0 - std_normal_cdf(abs(res.statistic))), abs=1e-12
+        2.0 * (1.0 - ndtr(abs(res.statistic))), abs=1e-12
     )
     assert res.reject == (res.p_value < cfg.delta)
     assert res.ci_lo <= res.ci_hi
@@ -257,7 +270,7 @@ def test_wald_ci_width_and_midpoint(rng):
     model, beta_star = gmm_instance(rng)
     cfg = InferenceConfig(alpha_index=1, delta=0.1)
     res = wald_test(model, beta_star, cfg)
-    width = 2.0 * std_normal_quantile(0.95) / math.sqrt(
+    width = 2.0 * ndtri(0.95) / math.sqrt(
         model.n_samples * res.info_scalar
     )
     assert res.ci_hi - res.ci_lo == pytest.approx(width, abs=1e-12)
@@ -583,7 +596,7 @@ def test_certificate_margin_at_the_cross_column(rng, monkeypatch, factor, matric
     # diagonal counted here), and its own shortcut still gives w = 0; 1e-8
     # above it, the column certifies w = 0 alone; no path builds the matrix
     model, beta = gmm_instance(rng)
-    lam = float(np.max(np.abs(np.delete(model.curvature_column(beta, 4), 4)))) * factor
+    lam = float(np.max(np.abs(np.delete(inference._Point(model, beta)[4], 4)))) * factor
     cfg = InferenceConfig(alpha_index=4, lam=lam)
     counts = count_curvature_matrices(monkeypatch)
     diagonal = GaussianMixture._diagonal

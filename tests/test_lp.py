@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult, linprog
 
 from oracles import (
     NumpyScanBasis,
@@ -9,12 +10,11 @@ from oracles import (
     full_l1_linf_lp,
     l1_linf_oracle,
     l1_min_linf_residual_reference,
-    lp_vertex_oracle,
     numpy_scan_homotopy,
 )
 from truncem import lp
 from truncem.datagen import GenSpec, gen_dataset, make_beta_star
-from truncem.errors import LpInfeasibleError, LpUnboundedError
+from truncem.errors import LpInfeasibleError
 from truncem.harness import ExperimentConfig, fit_replicate
 from truncem.inference import default_lambda
 from truncem.lp import (
@@ -23,7 +23,6 @@ from truncem.lp import (
     _l1_min_linf_residual,
     clime_inverse,
     dantzig_direction,
-    solve_lp,
 )
 
 
@@ -43,46 +42,6 @@ def l1_min(a_mat, target, lam):
     """The native solver with the pivot scale ``max |A|`` of the whole
     matrix, as ``clime_inverse`` passes it."""
     return _l1_min_linf_residual(a_mat, target, lam, lp._abs_max(a_mat))
-
-
-# ---------------------------------------------------------------------------
-# solve_lp
-
-
-def test_solve_lp_simple():
-    sol = solve_lp([1.0, 1.0], [[-1.0, 0.0]], [-1.0])
-    assert np.allclose(sol.x, [1.0, 0.0], atol=1e-9)
-    assert sol.objective == pytest.approx(1.0, abs=1e-9)
-
-
-def test_solve_lp_infeasible():
-    with pytest.raises(LpInfeasibleError):
-        solve_lp([1.0], [[1.0]], [-1.0])
-
-
-def test_solve_lp_unbounded():
-    with pytest.raises(LpUnboundedError):
-        solve_lp([-1.0], [[0.0]], [1.0])
-
-
-def test_solve_lp_bad_shapes():
-    with pytest.raises(ValueError):
-        solve_lp([1.0, 1.0], [[1.0]], [1.0])
-
-
-def test_solve_lp_matches_vertex_enumeration(rng):
-    for _ in range(20):
-        c = rng.standard_normal(3)
-        a_ub = rng.standard_normal((4, 3))
-        b_ub = rng.uniform(0.5, 2.0, size=4)
-        # box rows keep the region bounded so the oracle applies
-        a_ub = np.vstack([a_ub, np.eye(3)])
-        b_ub = np.concatenate([b_ub, np.full(3, 10.0)])
-        sol = solve_lp(c, a_ub, b_ub)
-        x_ref, obj_ref = lp_vertex_oracle(c, a_ub, b_ub)
-        assert sol.objective == pytest.approx(obj_ref, abs=1e-8)
-        assert np.all(a_ub @ sol.x <= b_ub + 1e-8)
-        assert np.all(sol.x >= -1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +345,13 @@ def test_homotopy_finds_support_outside_start_rows(monkeypatch):
 
 
 def split_lp(block, t_r, lam):
-    """The Dantzig LP of a small block on its split form, through ``solve_lp``."""
-    return solve_lp(
+    """The Dantzig LP of a small block on its split form, solved by HiGHS."""
+    return linprog(
         np.ones(2 * block.shape[1]),
-        np.block([[block, -block], [-block, block]]),
-        np.concatenate([t_r + lam, lam - t_r]),
+        A_ub=np.block([[block, -block], [-block, block]]),
+        b_ub=np.concatenate([t_r + lam, lam - t_r]),
+        bounds=(0, None),
+        method="highs",
     )
 
 
@@ -405,17 +366,15 @@ def test_one_by_one_lp_matches_solve_lp(rng, monkeypatch):
                     got = l1_min(block, t_r, lam)
                     assert calls == []
                     ref = split_lp(block, t_r, lam)
-                    calls.clear()
                     assert got[0] == ref.x[0] - ref.x[1]
-                    assert abs(got[0]) == ref.objective
+                    assert abs(got[0]) == ref.fun
 
 
 def test_zero_start_diagonal_matches_full_lp(monkeypatch):
     a_mat = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     target = np.array([1.0, 0.0, 0.0])
     # the start row's own column alone cannot meet it
-    with pytest.raises(LpInfeasibleError):
-        split_lp(a_mat[:1, :1], target[:1], 0.5)
+    assert split_lp(a_mat[:1, :1], target[:1], 0.5).status == 2
     ref = full_l1_linf_lp(a_mat, target, 0.5)
     calls = counting_linprog(monkeypatch)
     assert np.array_equal(l1_min(a_mat, target, 0.5), ref)
@@ -572,6 +531,18 @@ def test_failed_certificate_falls_back_to_one_full_lp(monkeypatch):
     calls.clear()
     assert np.array_equal(dantzig_direction(t_mat, 1, 0.1), ref)
     assert calls == [(4, 4)]
+
+
+@pytest.mark.parametrize("status, error", [(2, LpInfeasibleError), (4, RuntimeError)])
+def test_full_lp_maps_solver_status(monkeypatch, status, error):
+    # status 2 is infeasibility; any other failure carries the solver's message
+    monkeypatch.setattr(lp, "_certified", lambda *args: False)
+    monkeypatch.setattr(lp, "linprog", lambda *args, **kwargs: OptimizeResult(
+        status=status, success=False, message="numerical difficulties"))
+    with pytest.raises(error) as raised:
+        l1_min(np.array([[0.1, 1.0], [1.0, 1.0]]), np.array([1.0, 0.0]), 0.1)
+    assert type(raised.value) is error  # LpInfeasibleError is a RuntimeError
+    assert ("numerical difficulties" in str(raised.value)) == (status == 4)
 
 
 def test_infeasible_masked_lp_is_certified_by_a_ray(monkeypatch):

@@ -20,10 +20,12 @@ from oracles import (
     rmc_q_naive,
     rmc_q_value_materialized,
 )
+from truncem import inference
 from truncem.datagen import GenSpec, gen_dataset, make_beta_star
 from truncem.em import EmConfig, run_em
 from truncem.errors import UnsupportedOperationError
 from truncem.harness import ExperimentConfig, fit_replicate
+from truncem.inference import InferenceConfig, score_test, wald_test
 from truncem.models import GaussianMixture, MissingCovariateRegression, MixtureRegression
 
 
@@ -328,12 +330,9 @@ def test_curvature_column_matches_matrix(rng):
     for model in (random_gmm(rng, sigma=0.6), random_mr(rng, sigma=0.6)):
         for beta in (np.zeros(model.dim), rng.standard_normal(model.dim)):
             t_mat = model.curvature_matrix(beta)
+            cols = inference._Point(model, beta)
             for alpha in range(model.dim):
-                col = model.curvature_column(beta, alpha)
-                assert np.max(np.abs(col - t_mat[:, alpha])) <= 1e-14 * np.max(np.abs(t_mat))
-        for alpha in (-1, model.dim):
-            with pytest.raises(ValueError, match="alpha out of range"):
-                model.curvature_column(np.zeros(model.dim), alpha)
+                assert np.max(np.abs(cols[alpha] - t_mat[:, alpha])) <= 1e-14 * np.max(np.abs(t_mat))
 
 
 def test_rmc_curvature_unsupported(rng):
@@ -343,13 +342,13 @@ def test_rmc_curvature_unsupported(rng):
 
 def test_rmc_curvature_column_unsupported(rng):
     model = random_rmc(rng)
-    with pytest.raises(UnsupportedOperationError) as column:
-        model.curvature_column(np.zeros(5), 0)
-    with pytest.raises(UnsupportedOperationError) as diagonal:
-        model.curvature_diagonal(np.zeros(5))
+    with pytest.raises(UnsupportedOperationError) as score:
+        score_test(model, np.zeros(5), InferenceConfig(alpha_index=0))
+    with pytest.raises(UnsupportedOperationError) as wald:
+        wald_test(model, np.zeros(5), InferenceConfig(alpha_index=0))
     with pytest.raises(UnsupportedOperationError) as matrix:
         model.curvature_matrix(np.zeros(5))
-    assert str(column.value) == str(diagonal.value) == str(matrix.value)
+    assert str(score.value) == str(wald.value) == str(matrix.value)
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +384,9 @@ def test_m_step_gradient_definition(rng):
         assert np.array_equal(model.m_step_gradient(beta, 0.0), beta)
         out = model.m_step_gradient(beta, 0.3)
         assert np.allclose(out, beta + 0.3 * model.grad_q(beta), atol=0)
-        with pytest.raises(ValueError):
-            model.m_step_gradient(beta, -0.1)
+        for eta in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="eta must be nonnegative"):
+                model.m_step_gradient(beta, eta)
 
 
 def test_mr_m_step_clime_residual_bound(rng):
