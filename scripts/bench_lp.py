@@ -49,14 +49,12 @@ which includes the per-LP work around the pivots (and, on the columns
 row, the curvature columns, the diagonal bound and ``grad_q``).
 
 ``--baseline DIR`` adds a third side to every row: the native solver of
-the checkout at DIR (for instance the parent commit), whose
-``src/truncem`` is imported as the package ``truncem_baseline`` and run on
-the same inputs (its own models, from the same arrays, on the columns
-row), in every repeat before the full LP, taking turns with this tree's
-solver at going first.  Where the
-baseline's ``inference._decorrelate`` does not return the gradient, the
-columns row evaluates its ``grad_q`` after it, so both sides do the same
-work.  The row then reports ``max_abs_dw_baseline`` and
+the checkout at DIR (for instance the parent commit; checkouts from
+fb3570c on, which keep the per-point cache), whose ``src/truncem`` is
+imported as the package ``truncem_baseline`` and run on the same inputs
+(its own models, from the same arrays, on the columns row), in every
+repeat before the full LP, taking turns with this tree's solver at going
+first.  The row then reports ``max_abs_dw_baseline`` and
 ``speedup_vs_baseline_p50``.
 """
 
@@ -176,13 +174,8 @@ def mr_columns_case(points, base):
         def solve():
             out = []
             for model, beta in points:
-                # the point cache, and those of older checkouts as a baseline
-                for memo in ("_point", "_decorrelated", "_curvature_memo"):
-                    vars(model).pop(memo, None)
-                got = decorrelate(model, beta, icfg)
-                if len(got) == 3:  # a baseline that leaves the gradient to the tests
-                    model.grad_q(beta)
-                out.append(got[1])
+                vars(model).pop("_point", None)
+                out.append(decorrelate(model, beta, icfg)[1])
             return np.concatenate(out)
 
         return solve

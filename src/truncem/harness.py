@@ -19,6 +19,7 @@ from .datagen import GenSpec, dataset_from_csv, gen_dataset, make_beta_star, mak
 from .em import EmConfig, run_em
 from .errors import DegenerateInformationError, UnsupportedOperationError
 from .inference import InferenceConfig, score_test, wald_test
+from .models import MissingCovariateRegression
 
 #: default initialization distance, as a fraction of ||beta*||, per model
 #: (half the basin radius fraction suggested by the local-convergence
@@ -106,6 +107,8 @@ class ExperimentConfig:
                 raise ValueError(f"s_star and s_hat must be <= d = {self.d}")
         if command in ("typeone", "infer") and self.model == "RMC":
             raise UnsupportedOperationError("inference is not implemented for RMC")
+        if self.m_step == "exact" and self.model == "RMC":
+            raise UnsupportedOperationError(MissingCovariateRegression._NO_EXACT_M_STEP)
         if command == "typeone":
             value = make_beta_star(self.d, self.beta_values)[self.alpha_index]
             if value != 0.0:

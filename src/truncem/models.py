@@ -8,14 +8,16 @@ surrogate ``q_value``, its first-slot gradient ``grad_q`` evaluated on
 the diagonal, exact and gradient M-steps, the curvature matrix used for
 inference, and the observed-data log likelihood.
 
-The two mixtures also give, from the weights c of one beta,
-``_curvature_weights_at(beta)``, one column of the curvature matrix,
-``_column(c, alpha)``: one O(nd) matrix-vector product instead of the
-O(nd^2) matrix, equal to ``curvature_matrix(beta)[:, alpha]`` up to
-rounding, and ``_diagonal(c)``: T's diagonal and the radii ``r_i = sum_k
-|c_k| z_ki^2`` of its Gram form ``sum_k c_k z_k z_k^T``, so ``|T_ij| <=
-sqrt(r_i r_j)``.  The models keep no per-point state: the inference
-module keeps what it reads at one point (see ``inference``).
+The two mixtures define the curvature matrix T by three readers: the
+weights c of one beta, ``_curvature_weights_at(beta)``; one column,
+``_column(c, alpha)``, one O(nd) matrix-vector product; and
+``_diagonal(c)``, T's diagonal and the radii ``r_i = sum_k |c_k| z_ki^2``
+of its Gram form ``sum_k c_k z_k z_k^T``, so ``|T_ij| <= sqrt(r_i r_j)``.
+``curvature_matrix(beta)``, one O(nd^2) build for every model, stacks the
+columns: column alpha fills ``T[alpha:, alpha]`` and its mirror, so T is
+exactly symmetric and its lower triangle is, bit for bit, what inference
+reads.  The models keep no per-point state: the inference module keeps
+what it reads at one point (see ``inference``).
 
 Normalization convention
 ------------------------
@@ -35,7 +37,6 @@ forced by Bayes' rule for the two symmetric components.
 """
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
 from scipy.special import expit
 
 from .errors import UnsupportedOperationError
@@ -44,9 +45,6 @@ from .lp import clime_inverse
 GMM = "GMM"
 MR = "MR"
 RMC = "RMC"
-
-#: rows per block of the copy that completes the MR curvature matrix
-_BLOCK = 32
 
 
 def _check_vector(beta, d, name="beta"):
@@ -73,9 +71,10 @@ def _check_response(y, n):
 class _Model:
     """What every model shares: its samples ``y`` (one row or entry per
     sample), their count ``n_samples``, the dimension ``dim``, the noise
-    level ``sigma`` and the gradient M-step.  The regression models also
-    keep their (n, d) design ``x``.  Each subclass validates its arrays
-    before calling this constructor."""
+    level ``sigma``, the gradient M-step and the curvature matrix, built
+    from the subclass's ``_curvature_weights_at`` and ``_column``.  The
+    regression models also keep their (n, d) design ``x``.  Each subclass
+    validates its arrays before calling this constructor."""
 
     def __init__(self, y, sigma):
         if not sigma > 0:
@@ -89,14 +88,22 @@ class _Model:
             raise ValueError("eta must be nonnegative")
         return np.asarray(beta, dtype=float) + eta * self.grad_q(beta)
 
+    def curvature_matrix(self, beta):
+        # column i fills T[i:, i] and its mirror T[i, i:]: T is exactly
+        # symmetric, and its lower triangle is what inference reads
+        c = self._curvature_weights_at(beta)
+        t_mat = np.empty((self.dim, self.dim))
+        for i in range(self.dim):
+            t_mat[i:, i] = t_mat[i, i:] = self._column(c, i)[i:]
+        return t_mat
+
 
 class _Mixture(_Model):
     """A symmetric two-component mixture; ``_weights`` gives the posterior
     probability of the positive component per sample and ``_sq_dists`` each
     sample's squared distances to the components' means at +beta and -beta,
     which the surrogate and the log likelihood read.  The curvature matrix
-    is a Gram form built in place, within 1e-12 max|T| of the two-product
-    form ``(T + T^T) / 2``."""
+    is a weighted Gram form of the samples, read one column at a time."""
 
     def q_value(self, beta_prime, beta):
         plus, minus = self._sq_dists(_check_vector(beta_prime, self.dim, "beta_prime"))
@@ -114,7 +121,8 @@ class _Mixture(_Model):
 class GaussianMixture(_Mixture):
     """Symmetric two-component Gaussian mixture with known noise level:
     each row of the (n, d) matrix ``y`` is Z * beta + noise, Z a random
-    sign.  Its curvature matrix is ``Z^T Z - I``, ``Z = sqrt(nu / n) y``."""
+    sign.  Its curvature matrix is ``y^T diag(nu) y / n - I``; column alpha
+    is the one product ``y^T (nu y[:, alpha]) / n``."""
 
     tag = GMM
 
@@ -158,12 +166,6 @@ class GaussianMixture(_Mixture):
         gram = np.einsum("k,ki,ki->i", nu, self.y, self.y)
         return gram / self.n_samples - 1.0, gram / self.n_samples
 
-    def curvature_matrix(self, beta):
-        z = np.sqrt(self._curvature_weights_at(beta) / self.n_samples)[:, None] * self.y
-        t_mat = z.T @ z  # one syrk: exactly symmetric
-        t_mat.flat[:: self.dim + 1] -= 1.0
-        return t_mat
-
 
 class MixtureRegression(_Mixture):
     """Symmetric two-component mixture of linear regressions:
@@ -171,9 +173,10 @@ class MixtureRegression(_Mixture):
 
     The exact M-step premultiplies by a CLIME estimate of the inverse
     covariance of the design, computed once per model and cached.  The
-    curvature matrix is ``Z^T Z - X^T X / n``, Z the rows of x, scaled by
-    ``sqrt(nu y^2 / n)``, whose weight is not -1/n (3-9 of 100 by default);
-    its diagonal and radii are the column norms of x / n plus their terms.
+    curvature matrix is ``x^T diag(c) x``, ``c = (nu y^2 - 1) / n``; column
+    alpha is the one product ``(c x[:, alpha]) @ x``.  Its diagonal and radii
+    are the column norms of x / n plus the terms of the samples whose
+    weight is not -1/n (3-9 of 100 by default).
 
     The default ``clime_lambda = 2 sqrt(log d / n)`` over-shrinks at
     small n: at n=100 and d=64 (lambda 0.41) every CLIME column is a
@@ -251,22 +254,6 @@ class MixtureRegression(_Mixture):
         return (np.einsum("k,ki,ki->i", lift[lifted], z, z) - base,
                 np.einsum("k,ki,ki->i", np.abs(c[lifted]) - 1.0 / n, z, z) + base)
 
-    def curvature_matrix(self, beta):
-        # BLAS fills the lower triangle in place; the copy onto the upper makes
-        # T exactly symmetric, as an in-place dgemm is not for every d (d = 199)
-        lift = self._curvature_weights_at(beta) + 1.0 / self.n_samples
-        lifted = np.flatnonzero(lift)
-        z = self.x[lifted]
-        z *= np.sqrt(lift[lifted])[:, None]
-        t_mat = dsyrk(-1.0 / self.n_samples, self.x.T)
-        t_mat = dsyrk(1.0, z.T, beta=1.0, c=t_mat, overwrite_c=1).T
-        for lo in range(0, self.dim, _BLOCK):
-            hi = lo + _BLOCK
-            t_mat[lo:hi, hi:] = t_mat[hi:, lo:hi].T  # disjoint spans: no copy
-            block = t_mat[lo:hi, lo:hi]
-            block[...] = np.tril(block) + np.tril(block, -1).T
-        return t_mat
-
 
 class MissingCovariateRegression(_Model):
     """Linear regression with covariates missing completely at random.
@@ -288,6 +275,8 @@ class MissingCovariateRegression(_Model):
 
     tag = RMC
     _NO_CURVATURE = "curvature matrix not implemented for missing-covariate regression"
+    _NO_EXACT_M_STEP = ("exact M-step is unavailable for missing-covariate regression: "
+                        "the per-sample second-moment matrix need not be invertible")
 
     def __init__(self, x, mask, y, sigma):
         x = _check_matrix(x, "x")
@@ -335,13 +324,7 @@ class MissingCovariateRegression(_Model):
         return (self.x_obs.T @ a + beta * miss_coef) * (self.sigma**2 / self.n_samples)
 
     def m_step_exact(self, beta):
-        raise UnsupportedOperationError(
-            "exact M-step is unavailable for missing-covariate regression: "
-            "the per-sample second-moment matrix need not be invertible"
-        )
-
-    def curvature_matrix(self, beta):
-        raise UnsupportedOperationError(self._NO_CURVATURE)
+        raise UnsupportedOperationError(self._NO_EXACT_M_STEP)
 
     def _curvature_weights_at(self, beta):  # what every other curvature reads
         raise UnsupportedOperationError(self._NO_CURVATURE)

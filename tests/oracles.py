@@ -595,8 +595,8 @@ def mr_loglik_per_class(model, beta):
 
 def gmm_curvature_symmetrized(model, beta):
     """The Gaussian-mixture curvature matrix as ``(y nu)^T y / n - I``,
-    symmetrized out of place: the reference for the Gram form
-    ``Z^T Z - I`` in ``GaussianMixture``."""
+    symmetrized out of place: a reference built apart from the columns
+    ``GaussianMixture`` reads."""
     y = model.y
     w = model._weights(beta)
     nu = (4.0 / model.sigma**2) * w * (1.0 - w)
@@ -606,8 +606,8 @@ def gmm_curvature_symmetrized(model, beta):
 
 def mr_curvature_two_products(model, beta):
     """The mixture-of-regressions curvature matrix as two d x d products,
-    ``X^T diag(nu y^2) X / n - X^T X / n``, symmetrized out of place: the
-    reference for the Gram form in ``MixtureRegression``."""
+    ``X^T diag(nu y^2) X / n - X^T X / n``, symmetrized out of place: a
+    reference built apart from the columns ``MixtureRegression`` reads."""
     x, y = model.x, model.y
     w = model._weights(beta)
     nu = (4.0 / model.sigma**2) * w * (1.0 - w)

@@ -7,8 +7,8 @@ far less than one d x d array, so that a reintroduced d x d temporary (the
 curvature matrix on the inference path, an ``np.abs`` copy of T, a second
 product in the curvature matrix, a copy of T for its symmetrization, a
 copy of T_gg for the LP) fails here.  Measured for MR: ``curvature_matrix``
-1.03 (T itself, which BLAS fills in place, and the rows of the few lifted
-samples) and ``default_lambda`` 0.00, both off the replicate path now, and
+1.01 (T itself, filled one column at a time, and that column) and
+``default_lambda`` 0.00, both off the replicate path now, and
 ``infer_replicate`` 0.98 (the data, 0.39, the homotopy's basis buffers,
 0.38 while its rows of A[S, :] and A[:, J] double from 16 to 32, and the
 few dozen curvature columns the LP reads; no d x d array).  A GMM

@@ -416,6 +416,29 @@ def test_cli_rejects_rmc_inference_before_any_fit(command, monkeypatch):
                 "--alpha-index", "5", "--replicates", "2")
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("fit", ()), ("fit", ("--data", "unread.csv")), ("trace", ()), ("scaling", ()),
+])
+def test_cli_rejects_rmc_exact_m_step_before_any_data(command, extra, monkeypatch):
+    from truncem import harness
+    from truncem.models import MissingCovariateRegression
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("loaded, generated or fitted before rejecting the M-step")
+
+    with pytest.raises(UnsupportedOperationError) as model_raised:
+        MissingCovariateRegression(np.ones((2, 2)), np.ones((2, 2)), np.ones(2),
+                                   1.0).m_step_exact(np.zeros(2))
+    for name in ("gen_dataset", "dataset_from_csv", "run_em"):
+        monkeypatch.setattr(harness, name, no_data)
+    with pytest.raises(UnsupportedOperationError) as cli_raised:
+        run_cli(command, "--model", "RMC", "--m-step", "exact", "--d", "16", "--n", "40",
+                "--s-star", "2", *extra)
+    with pytest.raises(UnsupportedOperationError) as resolve_raised:
+        ExperimentConfig(model="RMC", m_step="exact").resolve()
+    assert str(cli_raised.value) == str(resolve_raised.value) == str(model_raised.value)
+
+
 def test_cli_rejects_unknown_config_keys(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"modle": "GMM"}))

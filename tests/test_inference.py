@@ -12,7 +12,12 @@ from scipy.special import ndtr, ndtri
 from conftest import random_gmm
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import decorrelate_full_matrix, full_l1_linf_lp, mr_curvature_two_products
+from oracles import (
+    decorrelate_full_matrix,
+    full_l1_linf_lp,
+    gmm_curvature_symmetrized,
+    mr_curvature_two_products,
+)
 from truncem import inference, lp
 from truncem.errors import DegenerateInformationError
 from truncem.harness import ExperimentConfig, fit_replicate, infer_replicate
@@ -451,20 +456,6 @@ def test_statistics_match_full_lp_reference(monkeypatch):
     assert_same_records(fast, ref, rel=1e-9)
 
 
-def test_statistics_match_two_product_curvature(monkeypatch):
-    # the column path against the whole-matrix decorrelation on the
-    # two-product MR curvature matrix, which sums in yet another order: the
-    # statistics must agree to rel 1e-12
-    cfg = ExperimentConfig(model="MR").resolve()
-    fast = [infer_replicate(cfg, seed) for seed in range(20)]
-    monkeypatch.setattr(MixtureRegression, "curvature_matrix",
-                        mr_curvature_two_products)
-    monkeypatch.setattr(inference, "_decorrelate", decorrelate_full_matrix)
-    ref = [infer_replicate(cfg, seed) for seed in range(20)]
-    assert not any(r["degenerate"] for r in fast)
-    assert_same_records(fast, ref, rel=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # the column path against the whole curvature matrix
 
@@ -506,6 +497,23 @@ COLUMN_PATH_CASES = {
     "gmm-lam-below-cross": (dict(model="GMM", d=24, n=80, s_star=3, alpha_index=5,
                                  lam=0.0), range(7, 17)),
 }
+
+
+def test_statistics_match_two_product_curvature(monkeypatch):
+    # curvature_matrix stacks the columns the fast path reads, so the
+    # whole-matrix reference here reads a matrix built apart from them: the
+    # two-product forms, which sum in yet another order; the statistics must
+    # agree to rel 1e-12, on MR and on the GMM cases that take the LP
+    runs = [(dict(model="MR"), range(20)), COLUMN_PATH_CASES["gmm-lam-below-cross"],
+            COLUMN_PATH_CASES["gmm-n20-sigma20"]]
+    runs = [(ExperimentConfig(**overrides).resolve(), seeds) for overrides, seeds in runs]
+    fast = [infer_replicate(cfg, seed) for cfg, seeds in runs for seed in seeds]
+    monkeypatch.setattr(MixtureRegression, "curvature_matrix", mr_curvature_two_products)
+    monkeypatch.setattr(GaussianMixture, "curvature_matrix", gmm_curvature_symmetrized)
+    monkeypatch.setattr(inference, "_decorrelate", decorrelate_full_matrix)
+    ref = [infer_replicate(cfg, seed) for cfg, seeds in runs for seed in seeds]
+    assert not any(r["degenerate"] for r in fast)
+    assert_same_records(fast, ref, rel=1e-12)
 
 
 @pytest.mark.parametrize("case", COLUMN_PATH_CASES)

@@ -274,8 +274,8 @@ def test_curvature_symmetry_and_fd(rng):
 
 
 def test_mr_curvature_matches_two_product_form(rng):
-    # the Gram form sums in another order, so it agrees to rounding only;
-    # the completed triangle must still be exactly symmetric
+    # the columns sum in another order, so they agree to rounding only; the
+    # mirrored triangle must still be exactly symmetric
     fitted, trace, _ = fit_replicate(ExperimentConfig(model="MR").resolve(), 0)
     small = random_mr(rng, sigma=0.6)
     cases = [(fitted, trace.estimate), (fitted, np.zeros(fitted.dim)),
@@ -296,9 +296,9 @@ def test_gmm_curvature_at_zero_closed_form(rng):
                        atol=1e-12)
 
 
-# blocks of 32 rows complete the triangle BLAS fills: d = 1, 5, 16 and 17
-# sit in one block, 40 spans a full and a ragged one; d = 199 is a size at
-# which an in-place dgemm update is not exactly symmetric
+# the columns against the two-product form, from one column to d = 199, with
+# few, most or no samples lifted off the weight -1/n, on which the radii of
+# ``_diagonal`` split
 @pytest.mark.parametrize("d", [1, 5, 16, 17, 40, 199])
 @pytest.mark.parametrize("sigma, scale, lifted_range", [
     pytest.param(0.1, 1.0, (1, 9), id="few"),
@@ -333,6 +333,17 @@ def test_curvature_column_matches_matrix(rng):
             cols = inference._Point(model, beta)
             for alpha in range(model.dim):
                 assert np.max(np.abs(cols[alpha] - t_mat[:, alpha])) <= 1e-14 * np.max(np.abs(t_mat))
+
+
+@pytest.mark.parametrize("d", [1, 5, 40])
+def test_curvature_lower_triangle_is_the_columns_inference_reads(rng, d):
+    for model in (random_gmm(rng, n=30, d=d, sigma=0.6), random_mr(rng, n=30, d=d, sigma=0.6)):
+        for beta in (np.zeros(d), rng.standard_normal(d)):
+            t_mat = model.curvature_matrix(beta)
+            cols = inference._Point(model, beta)
+            assert np.array_equal(t_mat, t_mat.T)
+            for i in range(d):
+                assert np.array_equal(t_mat[i:, i], cols[i][i:])
 
 
 def test_rmc_curvature_unsupported(rng):
