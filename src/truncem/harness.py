@@ -15,8 +15,9 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .datagen import GenSpec, dataset_from_csv, gen_dataset, make_beta_star, make_init
-from .em import EmConfig, run_em
+from .datagen import (MODEL_TAGS, GenSpec, dataset_from_csv, gen_dataset, make_beta_star,
+                      make_init)
+from .em import EXACT, GRADIENT, EmConfig, run_em
 from .errors import DegenerateInformationError, UnsupportedOperationError
 from .inference import InferenceConfig, score_test, wald_test
 from .models import MissingCovariateRegression
@@ -87,6 +88,11 @@ class ExperimentConfig:
             raise ValueError("delta must lie in (0, 1)")
         if self.lam is not None and not self.lam >= 0:
             raise ValueError("lam must be nonnegative")
+        if self.model not in MODEL_TAGS:
+            raise ValueError(f"model must be one of {', '.join(MODEL_TAGS)}; "
+                             f"got {self.model!r}")
+        if self.m_step not in (None, EXACT, GRADIENT):
+            raise ValueError(f"m_step must be {EXACT} or {GRADIENT}; got {self.m_step!r}")
         if self.sigma is None:
             self.sigma = DEFAULT_SIGMA[self.model]
         if self.m_step is None:

@@ -91,7 +91,11 @@ has that scale), when the final basis is singular, or when the pivot
 count reaches a fixed cap (ties and degenerate vertices can make a path
 stall).  That call is the only solver call left; the MR decorrelation
 LPs at the command-line defaults and the CLIME inputs of
-``scripts/bench_lp.py`` never take it.
+``scripts/bench_lp.py`` never take it.  So ``scipy.optimize`` is imported
+on the first fallback, not with this module: the module attribute
+``linprog`` resolves on first access (PEP 562) and then stays a plain
+global, which ``_full_lp`` looks up at each call and which callers may
+read or patch.  A process that never falls back never loads HiGHS.
 
 ``clime_inverse`` takes the first breakpoint of all d columns at once.
 Column j starts at lam_0 = 1 with row j active; if ``sigma_jj != 0`` and
@@ -106,7 +110,6 @@ vertex-enumeration oracle and against the full LP solved by HiGHS.
 """
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import LpInfeasibleError
 
@@ -119,6 +122,17 @@ _CERT_TOL = 1e-9
 _PIVOT_TOL = 1e-11
 #: rows of the homotopy's basis buffers at the start; they double when full
 _BASIS_ROWS = 16
+
+
+def __getattr__(name):
+    """``linprog`` from ``scipy.optimize``, imported on first access and
+    then kept as a module global (PEP 562); every other name is missing."""
+    if name != "linprog":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.optimize import linprog
+
+    globals()["linprog"] = linprog
+    return linprog
 
 
 class _Basis:
@@ -390,10 +404,12 @@ def _infeasible_ray(lam, a_max, delta, a_s, t_s, masked=None):
 def _full_lp(a, target, lam, masked=None):
     """The Dantzig LP in one HiGHS call, on its split form, over the rows
     of A gathered but row and column ``masked``, where w is 0.  Its cost
-    is 1 on ``x >= 0``, so it is bounded below by 0 and never unbounded."""
+    is 1 on ``x >= 0``, so it is bounded below by 0 and never unbounded.
+    The first call imports HiGHS, through the module's ``linprog``."""
     keep = np.delete(np.arange(target.size), [] if masked is None else masked)
     a_mat, t, m = np.array([a[i][keep] for i in keep]), target[keep], keep.size
     split = np.hstack([a_mat, -a_mat])
+    linprog = globals().get("linprog") or __getattr__("linprog")  # patched or not
     res = linprog(np.ones(2 * m), A_ub=np.vstack([split, -split]),
                   b_ub=np.concatenate([t + lam, lam - t]), bounds=(0, None), method="highs")
     if res.status == 2:

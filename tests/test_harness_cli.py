@@ -439,6 +439,30 @@ def test_cli_rejects_rmc_exact_m_step_before_any_data(command, extra, monkeypatc
     assert str(cli_raised.value) == str(resolve_raised.value) == str(model_raised.value)
 
 
+@pytest.mark.parametrize("settings, message", [
+    # an unknown model died in a KeyError on its default sigma, and an
+    # unknown M-step only in EmConfig, after replicate 0's data was drawn
+    pytest.param({"model": "gmm"}, "model must be one of GMM, MR, RMC; got 'gmm'",
+                 id="model"),
+    pytest.param({"model": "MR", "m_step": "Exact"},
+                 "m_step must be exact or gradient; got 'Exact'", id="m-step"),
+])
+def test_cli_rejects_unknown_model_or_m_step_before_any_data(settings, message, tmp_path,
+                                                             monkeypatch):
+    from truncem import harness
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("generated or fitted before validating the config")
+
+    for name in ("gen_dataset", "run_em"):
+        monkeypatch.setattr(harness, name, no_data)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**settings, "d": 16, "n": 40, "s_star": 2}))
+    with pytest.raises(ValueError) as raised:
+        run_cli("fit", "--config", str(cfg_path))
+    assert str(raised.value) == message
+
+
 def test_cli_rejects_unknown_config_keys(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"modle": "GMM"}))

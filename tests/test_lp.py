@@ -1,3 +1,9 @@
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -719,3 +725,61 @@ def test_clime_infeasible_names_column():
 def test_clime_rejects_negative_or_nan_lambda(lam):
     with pytest.raises(ValueError, match="lam must be nonnegative"):
         clime_inverse(np.eye(3), lam)
+
+
+# ---------------------------------------------------------------------------
+# HiGHS is imported on the first fallback only
+
+#: run in a fresh interpreter, whose ``sys.modules`` this process cannot taint
+_FRESH_PROCESS_SCRIPT = textwrap.dedent("""
+    import sys
+
+    import numpy as np
+
+    import truncem
+    import truncem.cli
+    from truncem import harness, lp
+
+    for model, d in (("GMM", 64), ("MR", 64)):
+        cfg = harness.ExperimentConfig(model=model, d=d).resolve("infer")
+        harness.infer_replicate(cfg, 0)
+    harness.fit_replicate(harness.ExperimentConfig(model="RMC", d=32).resolve(), 0)
+    harness.fit_replicate(
+        harness.ExperimentConfig(model="MR", d=16, m_step="exact").resolve(), 0)
+    assert "scipy.optimize" not in sys.modules, "HiGHS loaded with no fallback"
+
+    from oracles import full_l1_linf_lp
+
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((6, 6))
+    a = 0.5 * (a + a.T)
+    lp._homotopy = lambda *args: None
+    w = lp.dantzig_direction(a, 2, 0.1)
+    assert np.abs(w).max() > 0
+    assert np.abs(w - np.delete(full_l1_linf_lp(a, a[:, 2], 0.1, masked=2), 2)).max() <= 1e-9
+
+    import scipy.optimize
+
+    assert lp.linprog is scipy.optimize.linprog
+    try:
+        getattr(lp, "no_such_name")
+    except AttributeError:
+        pass
+    else:
+        raise AssertionError("lp.no_such_name resolved")
+    print("ok")
+""")
+
+
+def test_fresh_process_loads_highs_only_on_fallback():
+    """Importing the package and command line, fitting every model and
+    testing GMM and MR leave ``scipy.optimize`` unloaded; the first
+    fallback imports it behind ``lp.linprog``, and its w is the full LP's."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]),
+               **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                       "MKL_NUM_THREADS")})
+    done = subprocess.run([sys.executable, "-c", _FRESH_PROCESS_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
