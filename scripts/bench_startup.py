@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Start-up and footprint of the truncem commands, in fresh processes.
 
-    python3 scripts/bench_startup.py [--rounds 10] [--baseline DIR] [--out BENCH_startup.json]
+    python3 scripts/bench_startup.py [--baseline DIR] [--out BENCH_startup.json]
 
 Each case runs in a new interpreter with BLAS pinned to one thread and
 ``PYTHONPATH`` set to the side's ``src`` alone:
@@ -22,7 +22,7 @@ also counts the resident set it was started from, this script's, so
 the script imports neither numpy nor scipy: its own footprint
 (``script_peak_rss_mb``), below every figure reported, is the floor of
 the measurement.  Each case reports the
-median and quartiles of the first two over ``--rounds`` rounds (the
+median and quartiles of the first two over ``ROUNDS`` rounds (the
 module count does not vary).
 
 ``--baseline DIR`` runs every case on the checkout at DIR as well (for
@@ -38,6 +38,10 @@ the package is built on, each in a fresh process: ``numpy``, then
 
 One untimed run of every case and side precedes the rounds, so both
 sides read compiled bytecode.
+
+The provenance names HEAD's commit (``git_sha``) only when the sources
+under ``src`` are HEAD's; otherwise it is null and ``src_sha256`` alone
+identifies the tree measured.
 """
 
 import os
@@ -63,6 +67,8 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 from run import git_sha, src_digest  # noqa: E402
 
+#: timed runs of every case and side, after one untimed run
+ROUNDS = 10
 #: case name -> the arguments of ``truncem.cli.main``, or None to import only
 CASES = {
     "import truncem.cli": None,
@@ -111,6 +117,17 @@ def run_child(code, src):
     return elapsed, usage.ru_maxrss / 1024.0, int(err.rsplit("\nmodules ", 1)[1])
 
 
+def committed_sha():
+    """HEAD's commit id if the package sources are HEAD's, else None, so
+    that a run on an uncommitted tree names no commit."""
+    sha = git_sha()
+    if sha is None:
+        return None
+    status = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=ROOT,
+                            capture_output=True, text=True)
+    return sha if status.returncode == 0 and not status.stdout else None
+
+
 def tree_digest(src):
     """sha256 over the package sources under ``src``, as ``src_digest``
     hashes this tree's."""
@@ -132,14 +149,14 @@ def summarize(samples):
             "modules": statistics.median_low(modules)}
 
 
-def bench_case(code, sides, rounds):
-    """Run one case on every side ``rounds`` times after a warm-up,
+def bench_case(code, sides):
+    """Run one case on every side ``ROUNDS`` times after a warm-up,
     alternating which side goes first; returns the case's row."""
     names = list(sides)
     for name in names:
         run_child(code, sides[name])
     samples = {name: [] for name in names}
-    for r in range(rounds):
+    for r in range(ROUNDS):
         for name in names if r % 2 == 0 else names[::-1]:
             samples[name].append(run_child(code, sides[name]))
     row = {name: summarize(samples[name]) for name in names}
@@ -168,13 +185,10 @@ def line(name, row):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--baseline", metavar="DIR",
                         help="a checkout whose commands to run in every round as well")
     parser.add_argument("--out", default=str(ROOT / "BENCH_startup.json"))
     args = parser.parse_args(argv)
-    if args.rounds < 1:
-        parser.error("--rounds must be positive")
     sides = {"this": ROOT / "src"}
     if args.baseline:
         sides["baseline"] = pathlib.Path(args.baseline).resolve() / "src"
@@ -182,15 +196,15 @@ def main(argv=None):
             sys.exit(f"--baseline: no truncem package under {sides['baseline']}")
     rows = {}
     for name, cli_args in CASES.items():
-        rows[name] = bench_case(command_code(cli_args), sides, args.rounds)
+        rows[name] = bench_case(command_code(cli_args), sides)
         print(line(name, rows[name]), flush=True)
     budget = {}
     for name, modules in BUDGET.items():
-        budget[name] = bench_case(import_code(modules), {"this": ROOT / "src"}, args.rounds)
+        budget[name] = bench_case(import_code(modules), {"this": ROOT / "src"})
         print(line(name, budget[name]), flush=True)
     out = {
         "provenance": {
-            "git_sha": git_sha(),
+            "git_sha": committed_sha(),
             "src_sha256": src_digest(),
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
@@ -198,7 +212,7 @@ def main(argv=None):
             "scipy": version("scipy"),
             "platform": platform.platform(),
             "script_peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-            "rounds": args.rounds,
+            "rounds": ROUNDS,
             **({"baseline_src_sha256": tree_digest(sides["baseline"])}
                if args.baseline else {}),
         },

@@ -113,7 +113,7 @@ class ExperimentConfig:
                 raise ValueError(f"s_star and s_hat must be <= d = {self.d}")
         if command in ("typeone", "infer") and self.model == "RMC":
             raise UnsupportedOperationError("inference is not implemented for RMC")
-        if self.m_step == "exact" and self.model == "RMC":
+        if self.m_step == EXACT and self.model == "RMC":
             raise UnsupportedOperationError(MissingCovariateRegression._NO_EXACT_M_STEP)
         if command == "typeone":
             value = make_beta_star(self.d, self.beta_values)[self.alpha_index]
