@@ -79,13 +79,13 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
 
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
-from oracles import decorrelate_full_matrix, full_l1_linf_lp  # noqa: E402
+from oracles import decorrelate_full_matrix, default_lambda, full_l1_linf_lp  # noqa: E402
 from run import blas_runtime, git_sha, src_digest  # noqa: E402
 
 from truncem import inference, lp  # noqa: E402
 from truncem.datagen import GenSpec, gen_dataset, make_beta_star  # noqa: E402
 from truncem.harness import ExperimentConfig, fit_replicate  # noqa: E402
-from truncem.inference import InferenceConfig, default_lambda  # noqa: E402
+from truncem.inference import InferenceConfig  # noqa: E402
 
 ALPHA_INDEX = 9
 MR_SEEDS = range(5)

@@ -16,15 +16,7 @@ from .sparsity import hard_truncate, top_support
 from .models import GaussianMixture, MissingCovariateRegression, MixtureRegression
 from .lp import clime_inverse, dantzig_direction
 from .em import EmConfig, EmTrace, run_em
-from .inference import (
-    InferenceConfig,
-    InferenceResult,
-    info_quadratic_form,
-    score_function,
-    score_test,
-    wald_estimator,
-    wald_test,
-)
+from .inference import InferenceConfig, InferenceResult, score_test, wald_test
 from .datagen import GenSpec, gen_dataset, make_beta_star, make_init
 
 __all__ = [
@@ -43,13 +35,10 @@ __all__ = [
     "dantzig_direction",
     "gen_dataset",
     "hard_truncate",
-    "info_quadratic_form",
     "make_beta_star",
     "make_init",
     "run_em",
-    "score_function",
     "score_test",
     "top_support",
-    "wald_estimator",
     "wald_test",
 ]

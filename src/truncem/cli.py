@@ -85,7 +85,7 @@ def config_from_args(args):
         if value is not None:
             settings[key] = value
     for key in ("beta_values", "s_star_grid", "n_grid"):
-        if key in settings and settings[key] is not None:
+        if isinstance(settings.get(key), list):  # resolve rejects other values
             settings[key] = tuple(settings[key])
     return ExperimentConfig(**settings)
 

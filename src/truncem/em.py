@@ -32,6 +32,8 @@ class EmConfig:
             raise ValueError("s_hat must be >= 1")
         if self.n_iter < 0:
             raise ValueError("n_iter must be >= 0")
+        if self.resample and self.n_iter < 1:
+            raise ValueError("resampled EM needs n_iter >= 1")
         if self.m_step not in (EXACT, GRADIENT):
             raise ValueError(f"unknown m_step {self.m_step!r}")
         if self.m_step == GRADIENT and not 0 <= self.eta < np.inf:
@@ -68,6 +70,13 @@ def _check_setup(model, init, cfg):
     return init
 
 
+def resample_block(n_samples, n_iter):
+    """Samples per block of resampled EM over ``n_iter >= 1`` iterations."""
+    if n_samples < n_iter:
+        raise ValueError(f"cannot split {n_samples} samples into {n_iter} blocks")
+    return n_samples // n_iter
+
+
 def _m_step(model, beta, cfg):
     if cfg.m_step == EXACT:
         return model.m_step_exact(beta)
@@ -85,13 +94,7 @@ def run_em(model, init, cfg: EmConfig):
     """
     init = _check_setup(model, init, cfg)
     if cfg.resample:
-        if cfg.n_iter < 1:
-            raise ValueError("resampled EM needs n_iter >= 1")
-        block = model.n_samples // cfg.n_iter
-        if block == 0:
-            raise ValueError(
-                f"cannot split {model.n_samples} samples into {cfg.n_iter} blocks"
-            )
+        block = resample_block(model.n_samples, cfg.n_iter)
     trace = EmTrace()
     beta = hard_truncate(init, top_support(init, cfg.s_hat))
     trace.iterates.append(beta)

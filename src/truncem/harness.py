@@ -10,14 +10,16 @@ the order in which replicates are executed.
 import csv
 import json
 import math
+import numbers
 import sys
-from dataclasses import asdict, dataclass, replace
+import typing
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .datagen import (MODEL_TAGS, GenSpec, dataset_from_csv, gen_dataset, make_beta_star,
                       make_init)
-from .em import EXACT, GRADIENT, EmConfig, run_em
+from .em import EXACT, GRADIENT, EmConfig, resample_block, run_em
 from .errors import DegenerateInformationError, UnsupportedOperationError
 from .inference import InferenceConfig, score_test, wald_test
 from .models import MissingCovariateRegression
@@ -34,6 +36,21 @@ BETA_VALUE_CYCLE = (4.0, 4.0, 4.0, 6.0, 6.0)
 #: degenerate replicate
 _TEST_KEYS = ("score_stat", "score_p", "score_reject", "wald_stat", "wald_p",
              "wald_reject", "ci_lo", "ci_hi")
+#: what an int or a float config field admits besides its own type
+_KINDS = {int: numbers.Integral, float: numbers.Real}
+
+
+def _is_a(value, kind):
+    """Whether ``value`` fits the field annotation ``kind``: ``T``,
+    ``tuple[T, ...]`` or ``T | None``; only a bool field takes a bool."""
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is tuple:
+        return isinstance(value, tuple) and all(_is_a(v, args[0]) for v in value)
+    if args:
+        return value is None or _is_a(value, args[0])
+    if kind is bool:
+        return isinstance(value, bool)
+    return isinstance(value, _KINDS.get(kind, kind)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -61,21 +78,27 @@ class ExperimentConfig:
     replicates: int = 500
     seed: int = 0
     rel_err: float | None = None
-    beta_values: tuple | None = None
+    beta_values: tuple[float, ...] | None = None
     resample: bool = False
-    s_star_grid: tuple = (2, 4, 6, 8)
-    n_grid: tuple = (200, 400, 800)
+    s_star_grid: tuple[int, ...] = (2, 4, 6, 8)
+    n_grid: tuple[int, ...] = (200, 400, 800)
     scaling_replicates: int = 20
     scaling_d: int = 128
     out: str | None = None
     data_csv: str | None = None
 
     def resolve(self, command=None):
-        """Fill the model-dependent defaults and reject, before any fit,
-        every setting ``command`` cannot run.  ``scaling`` checks only what
+        """Fill the model-dependent defaults and reject, before any data is
+        drawn or loaded, every value not of its field's type and every
+        setting ``command`` cannot run.  ``scaling`` checks only what
         its grid uses: its cells have d = ``scaling_d`` and test no
         coordinate, so ``d``, ``alpha_index``, ``s_star`` and ``s_hat`` are
         not checked.  With no command, the settings of a fit are checked."""
+        for field in fields(self):
+            value, kind = getattr(self, field.name), field.type
+            if not _is_a(value, kind):
+                kind = kind.__name__ if isinstance(kind, type) else kind
+                raise ValueError(f"{field.name} must be {kind}; got {value!r}")
         if self.data_csv is not None and command in ("trace", "scaling", "typeone"):
             raise ValueError(
                 f"{command} generates its own data; data_csv is not supported"
@@ -103,7 +126,13 @@ class ExperimentConfig:
             self.rel_err = DEFAULT_REL_ERR[self.model]
         if self.beta_values is None:
             self.beta_values = default_beta_values(self.s_star)
-        if command == "scaling":
+        if not 0 <= self.rel_err < np.inf:
+            raise ValueError("rel_err must be nonnegative")
+        scaling = command == "scaling"
+        _em_config(self, min(self.s_star_grid) if scaling else self.s_hat)
+        if self.resample and self.data_csv is None:
+            resample_block(min(self.n_grid) if scaling else self.n, self.n_iter)
+        if scaling:
             if max(self.s_star_grid) > self.scaling_d:
                 raise ValueError(f"s_star_grid must be <= scaling_d = {self.scaling_d}")
         # an external dataset sets its own dimension, checked once loaded
@@ -169,14 +198,14 @@ def _fit(cfg: ExperimentConfig, model, beta_star, seed):
     """Truncated EM on ``model`` from the seeded initialization around
     ``beta_star``."""
     init = make_init(beta_star, cfg.rel_err, init_stream(seed))
-    em_cfg = EmConfig(
-        s_hat=cfg.s_hat,
-        n_iter=cfg.n_iter,
-        m_step=cfg.m_step,
-        eta=cfg.eta,
-        resample=cfg.resample,
-    )
-    return run_em(model, init, em_cfg)
+    return run_em(model, init, _em_config(cfg, cfg.s_hat))
+
+
+def _em_config(cfg: ExperimentConfig, s_hat):
+    """The EM settings of ``cfg`` at truncation level ``s_hat``, which
+    ``EmConfig`` checks."""
+    return EmConfig(s_hat=s_hat, n_iter=cfg.n_iter, m_step=cfg.m_step, eta=cfg.eta,
+                    resample=cfg.resample)
 
 
 def run_trace(cfg: ExperimentConfig):
@@ -207,31 +236,14 @@ def run_scaling(cfg: ExperimentConfig):
                 cfg, d=cfg.scaling_d, n=n, s_star=s_star, s_hat=None, beta_values=None
             ).resolve("scaling")
             x = math.sqrt(s_star * math.log(cfg.scaling_d) / n)
-            errs = []
+            reps = []
             for r in range(cfg.scaling_replicates):
                 _, trace, beta_star = fit_replicate(cell, cfg.seed + r)
                 err = sign_aligned_error(trace.estimate, beta_star, cfg.model)
-                errs.append(err)
-                rows.append(
-                    {
-                        "kind": "rep",
-                        "s_star": s_star,
-                        "n": n,
-                        "replicate": r,
-                        "x": x,
-                        "err": err,
-                    }
-                )
-            rows.append(
-                {
-                    "kind": "mean",
-                    "s_star": s_star,
-                    "n": n,
-                    "replicate": -1,
-                    "x": x,
-                    "err": float(np.mean(errs)),
-                }
-            )
+                reps.append({"kind": "rep", "s_star": s_star, "n": n, "replicate": r,
+                             "x": x, "err": err})
+            mean = float(np.mean([row["err"] for row in reps]))
+            rows += reps + [dict(reps[0], kind="mean", replicate=-1, err=mean)]
     return rows
 
 
@@ -282,17 +294,11 @@ def run_typeone(cfg: ExperimentConfig):
         rows.append(record)
     valid = [row for row in rows if not row["degenerate"]]
     n_valid = len(valid)
-    summary = {
-        "replicates": cfg.replicates,
-        "degenerate": cfg.replicates - n_valid,
-        "score_rejection_rate": (
-            sum(row["score_reject"] for row in valid) / n_valid if n_valid else None
-        ),
-        "wald_rejection_rate": (
-            sum(row["wald_reject"] for row in valid) / n_valid if n_valid else None
-        ),
-        "config": asdict(cfg),
-    }
+    summary = {"replicates": cfg.replicates, "degenerate": cfg.replicates - n_valid}
+    for test in ("score", "wald"):
+        rejected = sum(row[f"{test}_reject"] for row in valid)
+        summary[f"{test}_rejection_rate"] = rejected / n_valid if n_valid else None
+    summary["config"] = asdict(cfg)
     return rows, summary
 
 
@@ -334,19 +340,10 @@ def run_infer(cfg: ExperimentConfig):
         out["error"] = reason
         return out
     out["degenerate"] = False
-    out["score"] = {
-        "statistic": sres.statistic,
-        "p_value": sres.p_value,
-        "reject": bool(sres.reject),
-    }
-    out["wald"] = {
-        "statistic": wres.statistic,
-        "p_value": wres.p_value,
-        "reject": bool(wres.reject),
-        "ci_lo": wres.ci_lo,
-        "ci_hi": wres.ci_hi,
-        "info_scalar": wres.info_scalar,
-    }
+    for name, res in (("score", sres), ("wald", wres)):
+        out[name] = {"statistic": res.statistic, "p_value": res.p_value,
+                     "reject": bool(res.reject)}
+    out["wald"].update(ci_lo=wres.ci_lo, ci_hi=wres.ci_hi, info_scalar=wres.info_scalar)
     return out
 
 

@@ -91,34 +91,13 @@ class InferenceResult:
     info_scalar: float  # Fisher-scaled plug-in partial information
 
 
-def score_function(model, beta, w, cfg: InferenceConfig):
-    """Decorrelated score: the alpha component of the surrogate gradient
-    minus its projection onto the nuisance components."""
-    return _score(model.grad_q(beta), w, cfg.alpha_index)
-
-
 def _score(grad, w, alpha):
-    """``score_function`` from the gradient ``grad`` at the point."""
+    """Decorrelated score from the gradient ``grad`` at the point: its alpha
+    component minus its projection onto the nuisance components."""
     w = np.asarray(w, dtype=float)
     if w.shape != (grad.size - 1,):
         raise ValueError(f"w must have shape ({grad.size - 1},)")
     return float(grad[alpha] - w @ np.delete(grad, alpha))
-
-
-def info_quadratic_form(t_mat, w, alpha_index):
-    """Quadratic form ``v.T @ t_mat @ v`` with v equal to 1 at
-    ``alpha_index`` and ``-w`` on the remaining coordinates."""
-    t_mat = np.asarray(t_mat, dtype=float)
-    d = t_mat.shape[0]
-    w = np.asarray(w, dtype=float)
-    if t_mat.shape != (d, d) or w.shape != (d - 1,):
-        raise ValueError("inconsistent dimensions")
-    v = np.insert(-w, alpha_index, 1.0)
-    return float(v @ t_mat @ v)
-
-
-def default_lambda(t_mat, n):
-    return _scaled_lambda(max(t_mat.max(), -t_mat.min()), t_mat.shape[0], n)
 
 
 def _scaled_lambda(max_abs, d, n):
@@ -171,10 +150,11 @@ def _abs_peak(cols, diag, radii, skip):
 
 def _decorrelate(model, beta, cfg: InferenceConfig):
     """Column alpha of the curvature matrix T at ``beta``, the
-    decorrelation direction w, the quadratic form ``v.T @ T @ v`` (see
-    ``info_quadratic_form``), by the column certificate of w = 0 or by the
-    LP on the columns of T (see the module docstring), and ``grad_q(beta)``,
-    all read-only and kept on the model's ``_Point`` at ``beta``.
+    decorrelation direction w, the quadratic form ``v.T @ T @ v`` with v
+    equal to 1 at alpha and -w elsewhere, by the column certificate of w = 0
+    or by the LP on the columns of T (see the module docstring), and
+    ``grad_q(beta)``, all read-only and kept on the model's ``_Point`` at
+    ``beta``.
     """
     a = cfg.alpha_index
     if not 0 <= a < model.dim:
@@ -264,12 +244,6 @@ def _wald_pieces(model, beta_hat, cfg: InferenceConfig):
     score = _score(grad, w, cfg.alpha_index)
     # the sigma^2 scalings of score and curvature cancel in the ratio
     return float(beta_hat[cfg.alpha_index] - score / denom), w, quad
-
-
-def wald_estimator(model, beta_hat, cfg: InferenceConfig):
-    """One-step corrected estimate of the tested coordinate."""
-    alpha_bar, _, _ = _wald_pieces(model, beta_hat, cfg)
-    return alpha_bar
 
 
 def wald_test(model, beta_hat, cfg: InferenceConfig):

@@ -1,101 +1,32 @@
 """Small dense linear programs backing the l1-constrained estimators.
 
-Two estimators live here: the decorrelation direction (l1 minimization
-under an l-infinity residual constraint on a curvature matrix) and the
-column-wise CLIME inverse-covariance estimator.  Both solve the Dantzig
-program
+The decorrelation direction and the column-wise CLIME inverse both solve
+the Dantzig program
 
     argmin ||w||_1  s.t.  ||t - A w||_inf <= lam,
 
-whose dual is ``max t.u - lam ||u||_1  s.t.  ||A^T u||_inf <= 1``.
-
-It is solved by a homotopy in lam, the parametric simplex of fastclime
-(Pang, Liu & Vanderbei, JMLR 2014) and DASSO (James, Radchenko & Lv,
-JRSS-B 2009), written in numpy:
-
-1. At ``lam_0 = ||t||_inf`` the point ``w = 0`` is feasible, and every
-   other w has a positive l1 norm, so it is the unique optimum.  For
-   ``lam >= lam_0`` it is returned without any work; this holds for
-   every decorrelation direction whose cross column lies within lam of
-   zero, and for every CLIME column once ``lam >= 1``.
-2. Below lam_0 the optimum is carried by a basis: active rows S with
-   signs s (``t_i - a_i w = s_i lam``) and support columns J with signs
-   z, |S| = |J|.  On a stretch of lam where the basis stays optimal,
-   ``w_J = A[S, J]^-1 (t_S - lam s)`` is linear in lam and the dual
-   ``u_S = A[S, J]^-T z`` is constant.  A breakpoint is the largest lam
-   below the current one at which an inactive row reaches +-lam or a
-   support coordinate reaches 0.
-3. Each breakpoint is one dual simplex pivot.  The variable that hits
-   its bound leaves the basis, which fixes a ray delta along which the
-   dual may move: the new row's multiplier grows, or the leaving
-   coordinate's reduced cost.  The ratio test on ``A[S, :]^T u`` and
-   ``A[S, :]^T delta`` finds the first column k whose ``|(A^T u)_k|``
-   reaches 1 (it joins J with sign ``sign((A^T delta)_k)``, or replaces
-   the leaving coordinate, possibly with the sign flipped) or the first
-   row of S whose multiplier reaches 0 (it leaves S).  The new basis is
-   dual feasible by the ratio test and primal feasible just below the
-   breakpoint, so it is optimal there, and the path is exact: no lam is
-   skipped and nothing is approximated between breakpoints.
-4. When the next breakpoint is at or below the target lam, the answer
-   is ``w_J = A[S, J]^-1 (t_S - lam s)`` from the final basis, by a fresh
-   ``np.linalg.solve``.  If the ratio test finds no usable pivot, delta
-   may be a ray with ``A^T delta = 0`` and ``t.delta = lam_b ||delta||_1``
-   at the breakpoint lam_b; then ``delta.(t - A w) = t.delta`` gives
-   ``||t - A w||_inf >= lam_b`` for every w.  When that holds up to
-   rounding and lam_b exceeds ``lam + FEAS_TOL``, it certifies that the
-   LP is infeasible, and ``LpInfeasibleError`` is raised.
-
-The basis is never re-gathered or re-inverted (Vanderbei, *Linear
-Programming*, ch. 8).  A[S, :], A[:, J] (stored as rows), (t_S, s) and z
-live in buffers that start at 16 rows and double when full, in the
-order the rows and columns joined, and ``inv = A[S, J]^-1``, a contiguous
-k x k array, changes with them by one row or column per pivot:
-
-- a row i and a column j join: bordering.  With ``y = a_{i,J} inv`` (the
-  ray's own product), ``x = inv a_{S,j}`` and the Schur complement
-  ``sigma = a_ij - y.a_{S,j}``, the new inverse is ``[[inv + x y^T /
-  sigma, -x / sigma], [-y^T / sigma, 1 / sigma]]``;
-- row i replaces row l of S: Sherman-Morrison, ``inv - inv[:, l] (y -
-  e_l)^T / y_l``;
-- column j replaces support coordinate p: Sherman-Morrison, ``inv - (x -
-  e_p) inv[p] / x_p``; when j is p itself only its sign flips;
-- row l and coordinate p leave together: the Schur downdate ``inv -
-  inv[:, l] inv[p] / inv[p, l]``, then row p and column l are deleted.
-
-Each pivot is about 30 numpy calls on arrays of m or k entries, and
-scalar loops in Python, whose floats round as numpy's do; the comments in
-``_homotopy`` and ``_Basis`` say how each scan and update is written.
-
-Since the final solve starts afresh, w is bit-identical to that of a
-basis re-inverted at every pivot whenever the two take the same pivots.
-
-A is symmetric and read only as rows ``a[i]`` (row j is column j), from
-an array or from a mapping that forms them on demand, as ``inference``
-does with curvature columns; the pivot scale ``a_max = max |a_ij|`` comes
-from the caller.  ``dantzig_columns`` poses its LP on T itself: target
+whose dual is ``max t.u - lam ||u||_1  s.t.  ||A^T u||_inf <= 1``.  A is
+symmetric and read only as rows ``a[i]`` (row j is column j), from an
+array or from a mapping that forms them on demand, as ``inference`` does
+with curvature columns; the pivot scale ``a_max = max |a_ij|`` comes
+from the caller.  The entry points are ``dantzig_direction`` (checked,
+on a matrix), ``dantzig_columns`` (unchecked, on rows) and
+``clime_inverse``.  A direction's LP is posed on T itself: target
 ``T[:, alpha]`` with entry alpha set to 0, and row and column alpha
-masked out.  Row alpha never binds (its c is 0), column alpha never
-enters (its ratio is +inf), and the certificate and the infeasible ray
-ignore both.
+masked out.  Row alpha never binds, column alpha never enters, and the
+certificate and the infeasible ray ignore both.
 
-Before it returns, the answer is certified: ``||t - A w||_inf <= lam +
-FEAS_TOL``, ``||A^T u||_inf <= 1 + tol`` and a closed duality gap,
-``||w||_1 = t.u - lam ||u||_1``; by weak duality no feasible point has
-a smaller l1 norm; ``A w = w_J A[J, :]`` and ``A^T u = u A[S, :]`` are
-read from the basis buffers.  The whole LP, every row of A gathered, goes
-to HiGHS in one ``linprog`` call on its positive/negative split ``w = w+
-- w-``, with one pair of rows ``+-(t_i - a_i w) <= lam`` per residual,
-when the certificate fails, when a pivot of the ratio test or of a basis
-update is not above ``_PIVOT_TOL`` (relative to ``max |a_ij|`` where it
-has that scale), when the final basis is singular, or when the pivot
-count reaches a fixed cap (ties and degenerate vertices can make a path
-stall).  That call is the only solver call left; the MR decorrelation
-LPs at the command-line defaults and the CLIME inputs of
-``scripts/bench_lp.py`` never take it.  So ``scipy.optimize`` is imported
-on the first fallback, not with this module: the module attribute
-``linprog`` resolves on first access (PEP 562) and then stays a plain
-global, which ``_full_lp`` looks up at each call and which callers may
-read or patch.  A process that never falls back never loads HiGHS.
+The LP is solved by a homotopy in lam (see ``_homotopy``), whose answer
+is certified before it returns: ``||t - A w||_inf <= lam + FEAS_TOL``,
+``||A^T u||_inf <= 1 + tol`` and a closed duality gap, so by weak duality
+no feasible point has a smaller l1 norm.  When the certificate fails, a
+pivot is not above ``_PIVOT_TOL``, the final basis is singular or the
+pivot count reaches its cap, the whole LP goes to HiGHS in one
+``linprog`` call on the split ``w = w+ - w-``.  The LPs at the
+command-line defaults and the CLIME inputs of ``scripts/bench_lp.py``
+never take that path, so ``scipy.optimize`` is imported on the first
+fallback: the module attribute ``linprog`` resolves on first access (PEP
+562) and then stays a plain global, which callers may read or patch.
 
 ``clime_inverse`` takes the first breakpoint of all d columns at once.
 Column j starts at lam_0 = 1 with row j active; if ``sigma_jj != 0`` and
@@ -146,8 +77,9 @@ class _Basis:
     the rows that may bind and 0 on S and the masked row; ``barred_cols`` is
     0 on the columns that may enter and +inf on J and the masked column, the
     floor the column ratio is clipped at.  The buffers start at ``_BASIS_ROWS``
-    rows and double when full; each pivot changes them by one row or
-    column (see the module docstring).  An update returns False, and
+    rows and double when full; each pivot changes them, and ``inv``, by one
+    row or column, and nothing is re-gathered or re-inverted (Vanderbei,
+    *Linear Programming*, ch. 8).  An update returns False, and
     changes nothing, when its pivot is not above ``_PIVOT_TOL``, scaled by
     ``a_max`` for a pivot in the units of A or of its inverse."""
 
@@ -181,7 +113,10 @@ class _Basis:
 
     def border(self, i, side, j, sign, y):
         """Row i (staged) joins S with sign ``side`` and column j joins J
-        with sign ``sign``, by bordering; ``y = A[i, J] inv``."""
+        with sign ``sign``, by bordering: with ``y = A[i, J] inv``, ``x = inv
+        A[S, j]`` and the Schur complement ``sigma = a_ij - y.A[S, j]``, the
+        new inverse is ``[[inv + x y^T / sigma, -x / sigma], [-y^T / sigma,
+        1 / sigma]]``."""
         k = len(self.rows)
         b = self.a_rows[:k, j]
         sigma = self.a_rows[k, j] - np.dot(y, b)
@@ -206,8 +141,9 @@ class _Basis:
         return True
 
     def replace_row(self, leave, i, side, y):
-        """Row i (staged) takes the place of row ``leave`` of S, by
-        Sherman-Morrison; ``y = A[i, J] inv``."""
+        """Row i (staged) takes the place of row l = ``leave`` of S, by
+        Sherman-Morrison: ``inv - inv[:, l] (y - e_l)^T / y_l`` with ``y =
+        A[i, J] inv``."""
         k, pivot, inv = len(self.rows), y[leave], self.inv
         if not abs(pivot) > _PIVOT_TOL:
             return False
@@ -221,8 +157,9 @@ class _Basis:
         return True
 
     def replace_col(self, pos, j, sign):
-        """Column j takes the place of support coordinate ``pos``, by
-        Sherman-Morrison; if j is that coordinate, only its sign flips."""
+        """Column j takes the place of support coordinate p = ``pos``, by
+        Sherman-Morrison: ``inv - (x - e_p) inv[p] / x_p`` with ``x = inv
+        A[S, j]``; if j is that coordinate, only its sign flips."""
         if j != self.cols[pos]:
             k, inv = len(self.rows), self.inv
             x = np.dot(inv, self.a_rows[:k, j])
@@ -238,8 +175,9 @@ class _Basis:
         return True
 
     def downdate(self, leave, pos):
-        """Row ``leave`` of S and support coordinate ``pos`` leave
-        together, by the Schur downdate."""
+        """Row l = ``leave`` of S and support coordinate p = ``pos`` leave
+        together, by the Schur downdate ``inv - inv[:, l] inv[p] / inv[p,
+        l]``, then row p and column l of it are deleted."""
         k, inv = len(self.rows), self.inv
         pivot = inv[pos, leave]
         if not abs(pivot) * self.a_max > _PIVOT_TOL:
@@ -258,10 +196,37 @@ class _Basis:
 @np.errstate(divide="ignore", invalid="ignore")  # the scans divide by 0 on purpose
 def _homotopy(a, target, lam, a_max, masked=None):
     """Follow the optimal basis from ``lam_0 = ||target||_inf > lam`` down
-    to lam (see the module docstring), with row and column ``masked``, if
-    given, left out of the LP.  Returns the certified optimum, or None
-    when the path is not trusted and HiGHS must solve the LP; raises
-    ``LpInfeasibleError`` on a certified infeasible ray."""
+    to lam, with row and column ``masked``, if given, left out of the LP:
+    the parametric simplex of fastclime (Pang, Liu & Vanderbei, JMLR 2014)
+    and DASSO (James, Radchenko & Lv, JRSS-B 2009).
+
+    1. Below lam_0, where w = 0 stops being feasible, the optimum is
+       carried by a basis: active rows S with signs s (``t_i - a_i w = s_i
+       lam``) and support columns J with signs z, |S| = |J|.  While it
+       stays optimal, ``w_J = A[S, J]^-1 (t_S - lam s)`` is linear in lam
+       and the dual ``u_S = A[S, J]^-T z`` is constant.  A breakpoint is
+       the largest lam below the current one at which a free row reaches
+       +-lam or a support coordinate reaches 0.
+    2. Each breakpoint is one dual simplex pivot.  The variable that hits
+       its bound leaves the basis, which fixes a ray delta for the dual.
+       The ratio test on ``A[S, :]^T u`` and ``A[S, :]^T delta`` finds the
+       first column k whose ``|(A^T u)_k|`` reaches 1 (it joins J, or
+       replaces the leaving coordinate, possibly with the sign flipped) or
+       the first row of S whose multiplier reaches 0 (it leaves S).  The
+       new basis is dual feasible by the ratio test and primal feasible
+       just below the breakpoint, so the path is exact.
+    3. At the first breakpoint at or below lam, ``w_J`` is solved afresh
+       from the final basis, so w is bit-identical to that of a basis
+       re-inverted at every pivot whenever both take the same pivots.  If
+       no pivot is usable, delta may be a ray with ``A^T delta = 0`` and
+       ``t.delta = lam_b ||delta||_1`` at the breakpoint lam_b; then
+       ``||t - A w||_inf >= lam_b`` for every w, which certifies an
+       infeasible LP when lam_b exceeds ``lam + FEAS_TOL``.
+
+    A pivot is about 30 numpy calls on arrays of m or k entries, and scalar
+    loops whose floats round as numpy's do.  Returns the certified optimum,
+    or None when the path is not trusted and HiGHS must solve the LP;
+    raises ``LpInfeasibleError`` on a certified infeasible ray."""
     m = target.size
     basis = _Basis(a, target, a_max, masked)
     rows, cols = basis.rows, basis.cols

@@ -2,8 +2,9 @@
 
 Each model is one class built directly from its sample arrays, which the
 constructor validates: ``GaussianMixture(y, sigma)``,
-``MixtureRegression(x, y, sigma, clime_lambda=None)`` and
-``MissingCovariateRegression(x, mask, y, sigma)``.  Each exposes the EM
+``MixtureRegression(x, y, sigma)`` and
+``MissingCovariateRegression(x, mask, y, sigma)``; the CLIME lambda of
+the mixture of regressions is fixed by n and d.  Each exposes the EM
 surrogate ``q_value``, its first-slot gradient ``grad_q`` evaluated on
 the diagonal, exact and gradient M-steps, the curvature matrix used for
 inference, and the observed-data log likelihood.
@@ -178,17 +179,17 @@ class MixtureRegression(_Mixture):
     are the column norms of x / n plus the terms of the samples whose
     weight is not -1/n (3-9 of 100 by default).
 
-    The default ``clime_lambda = 2 sqrt(log d / n)`` over-shrinks at
-    small n: at n=100 and d=64 (lambda 0.41) every CLIME column is a
-    scaled unit vector, and the exact M-step ends at relative error
-    0.31-0.56 over seeds 0-5, against 0.0013-0.0027 for the gradient
-    M-step.  That is why the gradient M-step is the default for MR
-    fitting and inference.
+    The CLIME lambda is fixed, ``clime_lambda = 2 sqrt(log d / n)`` (n of
+    this model, so a ``subset`` has its own), and it over-shrinks at small
+    n: at n=100 and d=64 (lambda 0.41) every CLIME column is a scaled unit
+    vector, and the exact M-step ends at relative error 0.31-0.56 over
+    seeds 0-5, against 0.0013-0.0027 for the gradient M-step.  That is why
+    the gradient M-step is the default for MR fitting and inference.
     """
 
     tag = MR
 
-    def __init__(self, x, y, sigma, clime_lambda=None):
+    def __init__(self, x, y, sigma):
         x = _check_matrix(x, "x")
         y = _check_response(y, x.shape[0])
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
@@ -196,17 +197,14 @@ class MixtureRegression(_Mixture):
         super().__init__(y, sigma)
         self.x = x
         self.dim = x.shape[1]
-        if clime_lambda is None:
-            clime_lambda = 2.0 * np.sqrt(np.log(self.dim) / self.n_samples)
-        if not clime_lambda >= 0:
-            raise ValueError("clime_lambda must be nonnegative")
-        self.clime_lambda = float(clime_lambda)
         self._theta_hat = None
 
+    @property
+    def clime_lambda(self):
+        return float(2.0 * np.sqrt(np.log(self.dim) / self.n_samples))
+
     def subset(self, indices):
-        return MixtureRegression(
-            self.x[indices], self.y[indices], self.sigma, self.clime_lambda
-        )
+        return MixtureRegression(self.x[indices], self.y[indices], self.sigma)
 
     def design_covariance(self):
         return self.x.T @ self.x / self.n_samples

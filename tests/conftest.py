@@ -21,10 +21,10 @@ def random_gmm(rng, n=20, d=5, sigma=1.0, scale=2.0):
     return GaussianMixture(y, sigma)
 
 
-def random_mr(rng, n=20, d=5, sigma=1.0, scale=2.0, clime_lambda=None):
+def random_mr(rng, n=20, d=5, sigma=1.0, scale=2.0):
     x = rng.standard_normal((n, d))
     y = scale * rng.standard_normal(n)
-    return MixtureRegression(x, y, sigma, clime_lambda=clime_lambda)
+    return MixtureRegression(x, y, sigma)
 
 
 def random_rmc(rng, n=20, d=5, sigma=1.0, p_missing=0.3):

@@ -12,7 +12,6 @@ import numpy as np
 
 from truncem import lp
 from truncem.errors import LpInfeasibleError
-from truncem.inference import default_lambda
 from truncem.lp import dantzig_direction
 from truncem.models import _check_vector
 
@@ -614,6 +613,14 @@ def mr_curvature_two_products(model, beta):
     weighted = (x * (nu * y**2)[:, None]).T @ x / model.n_samples
     t_mat = weighted - x.T @ x / model.n_samples
     return 0.5 * (t_mat + t_mat.T)
+
+
+def default_lambda(t_mat, n):
+    """The default decorrelation lam from the whole matrix, ``0.5 sqrt(log d
+    / n) max|T|``, with ``max(max T, -min T)`` for ``max|T|``: it equals the
+    max-abs entry bit for bit, NaN and inf included, and copies nothing."""
+    max_abs = max(t_mat.max(), -t_mat.min())
+    return 0.5 * math.sqrt(math.log(t_mat.shape[0]) / n) * float(max_abs)
 
 
 def decorrelate_full_matrix(model, beta, cfg):

@@ -27,7 +27,8 @@ import pytest
 
 from truncem.datagen import GenSpec, gen_dataset, make_beta_star
 from truncem.harness import ExperimentConfig, fit_replicate, infer_replicate
-from truncem.inference import InferenceConfig, default_lambda, score_test, wald_test
+from oracles import default_lambda
+from truncem.inference import InferenceConfig, score_test, wald_test
 from truncem.models import GaussianMixture, MixtureRegression
 
 

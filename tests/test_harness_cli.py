@@ -470,6 +470,69 @@ def test_cli_rejects_unknown_config_keys(tmp_path):
         run_cli("fit", "--config", str(cfg_path))
 
 
+def no_data(monkeypatch):
+    """Make drawing or loading a dataset fail the test."""
+    from truncem import harness
+
+    def raise_(*args, **kwargs):
+        raise AssertionError("drew or loaded data before validating the config")
+
+    for name in ("gen_dataset", "dataset_from_csv"):
+        monkeypatch.setattr(harness, name, raise_)
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    # each was raised by EmConfig, make_init or run_em after the data was drawn
+    pytest.param("fit", ("--s-hat", "0"), "s_hat must be >= 1", id="s-hat-zero"),
+    pytest.param("fit", ("--T", "-1"), "n_iter must be >= 0", id="T-negative"),
+    pytest.param("fit", ("--rel-err", "-1"), "rel_err must be nonnegative",
+                 id="rel-err-negative"),
+    pytest.param("fit", ("--resample", "--T", "0"), "resampled EM needs n_iter >= 1",
+                 id="resample-T-zero"),
+    pytest.param("fit", ("--data", "unread.csv", "--resample", "--T", "0"),
+                 "resampled EM needs n_iter >= 1", id="data-resample-T-zero"),
+    pytest.param("fit", ("--n", "5", "--T", "10", "--resample"),
+                 "cannot split 5 samples into 10 blocks", id="resample-split"),
+    pytest.param("scaling", ("--n-grid", "200", "5", "--T", "10", "--resample"),
+                 "cannot split 5 samples into 10 blocks", id="scaling-resample-split"),
+    pytest.param("fit", ("--model", "MR", "--eta", "-1"), "eta must be nonnegative",
+                 id="mr-eta-negative"),
+    pytest.param("fit", ("--model", "MR", "--eta", "inf"), "eta must be nonnegative",
+                 id="mr-eta-inf"),
+])
+def test_cli_rejects_em_settings_before_any_data(command, flags, message, monkeypatch):
+    no_data(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        run_cli(command, "--d", "16", "--s-star", "2", "--alpha-index", "5", *flags)
+
+
+@pytest.mark.parametrize("command, settings, key", [
+    # "no" ran resampled EM, 9.5 failed in score_test, 2.5 in run_em, and
+    # 3 in config_from_args, the last three with a TypeError
+    pytest.param("fit", {"resample": "no"}, "resample", id="resample-str"),
+    pytest.param("infer", {"alpha_index": 9.5}, "alpha_index", id="alpha-index-float"),
+    pytest.param("fit", {"n_iter": 2.5}, "n_iter", id="n-iter-float"),
+    pytest.param("scaling", {"s_star_grid": 3}, "s_star_grid", id="grid-int"),
+    pytest.param("scaling", {"n_grid": [200, 400.0]}, "n_grid", id="grid-float-entry"),
+    pytest.param("fit", {"d": True}, "d", id="d-bool"),
+    pytest.param("fit", {"sigma": "1.0"}, "sigma", id="sigma-str"),
+])
+def test_cli_rejects_config_values_of_the_wrong_type(command, settings, key, tmp_path,
+                                                      monkeypatch):
+    no_data(monkeypatch)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(settings))
+    with pytest.raises(ValueError, match=f"^{key} must be "):
+        run_cli(command, "--config", str(cfg_path))
+
+
+def test_config_types_admit_numpy_integers_ints_as_floats_and_none():
+    cfg = ExperimentConfig(d=np.int64(16), n=60, s_star=2, alpha_index=np.int32(5),
+                           sigma=1, eta=2, beta_values=(4, 4.0), s_star_grid=(2,),
+                           lam=None, resample=True, n_iter=3).resolve()
+    assert (cfg.d, cfg.sigma, cfg.beta_values) == (16, 1, (4, 4.0))
+
+
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         run_cli()

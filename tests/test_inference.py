@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     decorrelate_full_matrix,
+    default_lambda,
     full_l1_linf_lp,
     gmm_curvature_symmetrized,
     mr_curvature_two_products,
@@ -21,16 +22,7 @@ from oracles import (
 from truncem import inference, lp
 from truncem.errors import DegenerateInformationError
 from truncem.harness import ExperimentConfig, fit_replicate, infer_replicate
-from truncem.inference import (
-    InferenceConfig,
-    InferenceResult,
-    default_lambda,
-    info_quadratic_form,
-    score_function,
-    score_test,
-    wald_estimator,
-    wald_test,
-)
+from truncem.inference import InferenceConfig, InferenceResult, score_test, wald_test
 from truncem.models import GaussianMixture, MixtureRegression
 
 
@@ -98,6 +90,16 @@ def test_inference_config_validation():
 # decorrelated score pieces
 
 
+def score_function(model, beta, w, cfg):
+    """The decorrelated score at ``beta``, from the model's gradient."""
+    return inference._score(model.grad_q(beta), w, cfg.alpha_index)
+
+
+def wald_estimator(model, beta_hat, cfg):
+    """The one-step corrected estimate of the tested coordinate."""
+    return inference._wald_pieces(model, beta_hat, cfg)[0]
+
+
 def test_score_function_definitional(rng):
     model = random_gmm(rng, d=5)
     cfg = InferenceConfig(alpha_index=2)
@@ -135,52 +137,6 @@ def test_score_function_w_shape_checked(rng):
     with pytest.raises(ValueError):
         score_function(model, np.zeros(4), np.zeros(4),
                        InferenceConfig(alpha_index=0))
-
-
-def test_info_form_zero_w():
-    t_mat = np.array([[2.0, 1.0], [1.0, 3.0]])
-    assert info_quadratic_form(t_mat, np.zeros(1), 0) == pytest.approx(2.0)
-
-
-def test_info_form_d2_hand_expansion(rng):
-    for _ in range(10):
-        a, b, c = rng.standard_normal(3)
-        v = float(rng.standard_normal())
-        t_mat = np.array([[a, b], [b, c]])
-        got = info_quadratic_form(t_mat, np.array([v]), 0)
-        assert got == pytest.approx(a - 2 * b * v + c * v**2, abs=1e-12)
-
-
-def test_info_form_matches_independent_matvec(rng):
-    t_mat = rng.standard_normal((5, 5))
-    t_mat = 0.5 * (t_mat + t_mat.T)
-    w = rng.standard_normal(4)
-    for alpha in range(5):
-        v = np.empty(5)
-        v[alpha] = 1.0
-        v[np.delete(np.arange(5), alpha)] = -w
-        expect = sum(v[i] * sum(t_mat[i, j] * v[j] for j in range(5))
-                     for i in range(5))
-        got = info_quadratic_form(t_mat, w, alpha)
-        assert got == pytest.approx(expect, abs=1e-12)
-
-
-def test_info_form_gamma_permutation_invariance(rng):
-    t_mat = rng.standard_normal((6, 6))
-    t_mat = 0.5 * (t_mat + t_mat.T)
-    w = rng.standard_normal(5)
-    alpha = 2
-    base = info_quadratic_form(t_mat, w, alpha)
-    # permute the nuisance block of T and w simultaneously
-    keep = np.delete(np.arange(6), alpha)
-    perm = rng.permutation(5)
-    order = np.empty(6, dtype=int)
-    order[alpha] = alpha
-    order[np.sort(keep)] = keep[perm]
-    t_perm = t_mat[np.ix_(order, order)]
-    assert info_quadratic_form(t_perm, w[perm], alpha) == pytest.approx(
-        base, abs=1e-12
-    )
 
 
 def test_default_lambda_rule():

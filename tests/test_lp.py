@@ -13,6 +13,7 @@ from scipy.optimize import OptimizeResult, linprog
 from oracles import (
     NumpyScanBasis,
     dantzig_direction_reference,
+    default_lambda,
     full_l1_linf_lp,
     l1_linf_oracle,
     l1_min_linf_residual_reference,
@@ -22,7 +23,6 @@ from truncem import lp
 from truncem.datagen import GenSpec, gen_dataset, make_beta_star
 from truncem.errors import LpInfeasibleError
 from truncem.harness import ExperimentConfig, fit_replicate
-from truncem.inference import default_lambda
 from truncem.lp import (
     FEAS_TOL,
     _certified,

@@ -405,8 +405,11 @@ def test_mr_m_step_clime_residual_bound(rng):
     x = rng.standard_normal((n, d))
     beta0 = np.array([1.0, -2.0, 0.0, 0.5])
     y = rng.choice([-1.0, 1.0], n) * (x @ beta0) + 0.3 * rng.standard_normal(n)
-    lam = 0.2
-    model = MixtureRegression(x, y, 0.3, clime_lambda=lam)
+    model = MixtureRegression(x, y, 0.3)
+    lam = model.clime_lambda  # fixed by n and d, and read-only
+    assert lam == 2.0 * np.sqrt(np.log(d) / n)
+    with pytest.raises(AttributeError):
+        model.clime_lambda = 0.2
     beta = rng.standard_normal(d)
     m = model.m_step_exact(beta)
     w = model._weights(beta)
@@ -414,13 +417,6 @@ def test_mr_m_step_clime_residual_bound(rng):
     residual = np.max(np.abs(model.design_covariance() @ m - moment))
     # entrywise CLIME feasibility propagated through the moment vector
     assert residual <= lam * np.sum(np.abs(moment)) + 1e-8
-
-
-@pytest.mark.parametrize("lam", [-0.1, np.nan])
-def test_mr_rejects_negative_or_nan_clime_lambda(rng, lam):
-    x = rng.standard_normal((5, 2))
-    with pytest.raises(ValueError, match="clime_lambda must be nonnegative"):
-        MixtureRegression(x, np.zeros(5), 1.0, clime_lambda=lam)
 
 
 def test_mr_clime_cache_reused(rng):
