@@ -16,14 +16,16 @@ Each case runs in a new interpreter with BLAS pinned to one thread and
 A command runs as the ``truncem`` console script does, ``main`` from
 ``truncem.cli`` on its arguments, with standard output discarded.  Per
 process the script records the wall time from start to exit, the peak
-resident set (``ru_maxrss`` of that child, from ``os.wait4``) and the
-number of modules in ``sys.modules`` at exit.  A child's ``ru_maxrss``
+resident set (``ru_maxrss`` of that child, from ``os.wait4``), the
+number of modules in ``sys.modules`` at exit and how many of those are
+``scipy`` or ``scipy.*`` (none on a command path, so a change that
+brings scipy back shows here).  A child's ``ru_maxrss``
 also counts the resident set it was started from, this script's, so
 the script imports neither numpy nor scipy: its own footprint
 (``script_peak_rss_mb``), below every figure reported, is the floor of
 the measurement.  Each case reports the
 median and quartiles of the first two over ``ROUNDS`` rounds (the
-module count does not vary).
+module counts do not vary).
 
 ``--baseline DIR`` runs every case on the checkout at DIR as well (for
 instance the parent commit), taking turns with this tree at going first
@@ -32,9 +34,11 @@ the ratios of the medians (baseline over this tree, so above 1 means
 this tree is faster or smaller) and in how many rounds this tree's
 process was the faster and the smaller of the pair.
 
-The ``budget`` rows time, on this tree's interpreter only, the imports
-the package is built on, each in a fresh process: ``numpy``, then
-``scipy.special``, ``scipy.linalg`` and ``scipy.optimize`` on top of it.
+The ``budget`` rows time, on this tree's interpreter only, each in a
+fresh process, ``numpy``, which the commands are built on, and then
+``scipy.special``, ``scipy.linalg`` or ``scipy.optimize`` on top of it:
+what a command would pay if its path imported one of them (only the LP
+fallback imports ``scipy.optimize``).
 
 One untimed run of every case and side precedes the rounds, so both
 sides read compiled bytecode.
@@ -81,11 +85,12 @@ CASES = {
 BUDGET = {
     "numpy": ("numpy",),
     "numpy + scipy.special": ("numpy", "scipy.special"),
-    "numpy + scipy.special + scipy.linalg": ("numpy", "scipy.special", "scipy.linalg"),
-    "numpy + scipy.special + scipy.optimize": ("numpy", "scipy.special", "scipy.optimize"),
+    "numpy + scipy.linalg": ("numpy", "scipy.linalg"),
+    "numpy + scipy.optimize": ("numpy", "scipy.optimize"),
 }
-#: every child writes its module count last, on standard error
-_COUNT = "import sys\nsys.stderr.write(f'\\nmodules {len(sys.modules)}\\n')\n"
+#: every child writes its module counts last, on standard error: all, then scipy's
+_COUNT = ("import sys\nscipy = sum(name.split('.')[0] == 'scipy' for name in sys.modules)\n"
+          "sys.stderr.write(f'\\nmodules {len(sys.modules)} {scipy}\\n')\n")
 
 
 def command_code(args):
@@ -99,8 +104,9 @@ def import_code(modules):
 
 
 def run_child(code, src):
-    """(wall seconds, peak RSS in MiB, modules loaded) of one fresh
-    interpreter running ``code`` with ``src`` as its only path entry."""
+    """(wall seconds, peak RSS in MiB, modules loaded, scipy modules
+    loaded) of one fresh interpreter running ``code`` with ``src`` as its
+    only path entry."""
     env = dict(os.environ, PYTHONPATH=str(src))
     start = time.perf_counter()
     child = subprocess.Popen([sys.executable, "-c", code], env=env, cwd=ROOT,
@@ -114,7 +120,8 @@ def run_child(code, src):
     child.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait
     if child.returncode != 0 or "\nmodules " not in err:
         sys.exit(f"child failed ({child.returncode}):\n{err}")
-    return elapsed, usage.ru_maxrss / 1024.0, int(err.rsplit("\nmodules ", 1)[1])
+    modules, scipy = map(int, err.rsplit("\nmodules ", 1)[1].split())
+    return elapsed, usage.ru_maxrss / 1024.0, modules, scipy
 
 
 def committed_sha():
@@ -144,9 +151,10 @@ def quartiles(values):
 
 
 def summarize(samples):
-    walls, rss, modules = zip(*samples)
+    walls, rss, modules, scipy = zip(*samples)
     return {"wall_s": quartiles(walls), "peak_rss_mb": quartiles(rss),
-            "modules": statistics.median_low(modules)}
+            "modules": statistics.median_low(modules),
+            "scipy_modules": statistics.median_low(scipy)}
 
 
 def bench_case(code, sides):
@@ -174,11 +182,12 @@ def bench_case(code, sides):
 def line(name, row):
     this = row["this"]
     text = (f"{name}: {this['wall_s']['p50']:.3f} s, {this['peak_rss_mb']['p50']:.1f} MiB, "
-            f"{this['modules']} modules")
+            f"{this['modules']} modules ({this['scipy_modules']} scipy)")
     if "baseline" in row:
         base = row["baseline"]
         text += (f"; baseline {base['wall_s']['p50']:.3f} s, "
-                 f"{base['peak_rss_mb']['p50']:.1f} MiB, {base['modules']} modules; "
+                 f"{base['peak_rss_mb']['p50']:.1f} MiB, {base['modules']} modules "
+                 f"({base['scipy_modules']} scipy); "
                  f"{row['wall_ratio_p50']:.2f}x time, {row['rss_ratio_p50']:.2f}x RSS")
     return text
 

@@ -107,10 +107,9 @@ class ExperimentConfig:
             values = np.ravel(getattr(self, key))
             if not (values.size and (values >= 1).all()):
                 raise ValueError(f"{key} must be >= 1 (a grid needs an entry)")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.lam is not None and not self.lam >= 0:
-            raise ValueError("lam must be nonnegative")
+        # the tests' settings, which InferenceConfig checks; alpha_index is
+        # checked against d below, where a command tests a coordinate
+        InferenceConfig(alpha_index=0, lam=self.lam, delta=self.delta)
         if self.model not in MODEL_TAGS:
             raise ValueError(f"model must be one of {', '.join(MODEL_TAGS)}; "
                              f"got {self.model!r}")

@@ -728,7 +728,7 @@ def test_clime_rejects_negative_or_nan_lambda(lam):
 
 
 # ---------------------------------------------------------------------------
-# HiGHS is imported on the first fallback only
+# no scipy on a command path; HiGHS is imported on the first fallback only
 
 #: run in a fresh interpreter, whose ``sys.modules`` this process cannot taint
 _FRESH_PROCESS_SCRIPT = textwrap.dedent("""
@@ -746,7 +746,9 @@ _FRESH_PROCESS_SCRIPT = textwrap.dedent("""
     harness.fit_replicate(harness.ExperimentConfig(model="RMC", d=32).resolve(), 0)
     harness.fit_replicate(
         harness.ExperimentConfig(model="MR", d=16, m_step="exact").resolve(), 0)
-    assert "scipy.optimize" not in sys.modules, "HiGHS loaded with no fallback"
+    harness.run_typeone(harness.ExperimentConfig(model="GMM", d=32, replicates=2))
+    scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+    assert not scipy, f"scipy loaded with no fallback: {scipy}"
 
     from oracles import full_l1_linf_lp
 
@@ -772,9 +774,10 @@ _FRESH_PROCESS_SCRIPT = textwrap.dedent("""
 
 
 def test_fresh_process_loads_highs_only_on_fallback():
-    """Importing the package and command line, fitting every model and
-    testing GMM and MR leave ``scipy.optimize`` unloaded; the first
-    fallback imports it behind ``lp.linprog``, and its w is the full LP's."""
+    """Importing the package and command line, fitting every model,
+    testing GMM and MR and a small ``typeone`` load no ``scipy`` module;
+    the first fallback imports HiGHS behind ``lp.linprog``, and its w is
+    the full LP's."""
     root = pathlib.Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]),
                **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",

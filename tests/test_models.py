@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from conftest import random_gmm, random_mr, random_rmc
 from oracles import (
@@ -26,7 +27,8 @@ from truncem.em import EmConfig, run_em
 from truncem.errors import UnsupportedOperationError
 from truncem.harness import ExperimentConfig, fit_replicate
 from truncem.inference import InferenceConfig, score_test, wald_test
-from truncem.models import GaussianMixture, MissingCovariateRegression, MixtureRegression
+from truncem.models import (GaussianMixture, MissingCovariateRegression, MixtureRegression,
+                            _sigmoid)
 
 
 def all_models(rng, sigma=1.0):
@@ -133,6 +135,16 @@ def test_weights_stable_at_huge_arguments():
         assert model._weights(np.array([1.0])).tolist() == [1.0, 0.0]
         t_mat = model.curvature_matrix(np.array([1.0]))
     assert np.all(np.isfinite(t_mat))
+
+
+def test_sigmoid_matches_scipy_expit():
+    x = np.concatenate([np.linspace(-745.0, 745.0, 200_001), [1e6, -1e6, 1e308, -1e308]])
+    with np.errstate(all="raise"):
+        got, want = _sigmoid(x), expit(x)
+    normal = want >= 1e-300
+    assert np.all(np.abs(got[normal] - want[normal]) <= 1e-15 * want[normal])
+    assert np.all(np.abs(got[~normal] - want[~normal]) <= 1e-300)
+    assert got[-4:].tolist() == [1.0, 0.0, 1.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
