@@ -44,16 +44,15 @@ class EmConfig:
 class EmTrace:
     """Full iterate history of one EM run.
 
-    ``iterates`` holds beta^(0) ... beta^(T); ``half_iterates`` the raw
-    M-step outputs; ``supports`` the truncation supports, with
-    ``supports[t] == top_support(half_iterates[t], s_hat)``.  The log
+    ``iterates`` holds beta^(0) ... beta^(T) and ``supports`` the
+    truncation supports: ``iterates[t + 1]`` keeps, at ``supports[t]``, the
+    ``s_hat`` largest entries of the M-step from ``iterates[t]``.  The log
     likelihood is not recorded: neither the estimate nor the decorrelated
     tests read it, so callers that report it evaluate ``model.loglik`` on
     the iterates.
     """
 
     iterates: list = field(default_factory=list)
-    half_iterates: list = field(default_factory=list)
     supports: list = field(default_factory=list)
 
     @property
@@ -77,12 +76,6 @@ def resample_block(n_samples, n_iter):
     return n_samples // n_iter
 
 
-def _m_step(model, beta, cfg):
-    if cfg.m_step == EXACT:
-        return model.m_step_exact(beta)
-    return model.m_step_gradient(beta, cfg.eta)
-
-
 def run_em(model, init, cfg: EmConfig):
     """Truncated EM: alternate the M-step with hard truncation.
 
@@ -102,11 +95,13 @@ def run_em(model, init, cfg: EmConfig):
         source = model
         if cfg.resample:
             source = model.subset(np.arange(t * block, (t + 1) * block))
-        half = _m_step(source, beta, cfg)
+        if cfg.m_step == EXACT:
+            half = source.m_step_exact(beta)
+        else:
+            half = source.m_step_gradient(beta, cfg.eta)
         support = top_support(half, cfg.s_hat)
         beta = np.zeros_like(half)  # hard_truncate without re-checking the support
         beta[support] = half[support]
-        trace.half_iterates.append(half)
         trace.supports.append(support)
         trace.iterates.append(beta)
     return trace

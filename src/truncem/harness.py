@@ -117,6 +117,8 @@ class ExperimentConfig:
             raise ValueError(f"m_step must be {EXACT} or {GRADIENT}; got {self.m_step!r}")
         if self.sigma is None:
             self.sigma = DEFAULT_SIGMA[self.model]
+        if not self.sigma > 0:
+            raise ValueError("sigma must be positive")
         if self.m_step is None:
             self.m_step = DEFAULT_M_STEP[self.model]
         if self.s_hat is None:
@@ -178,26 +180,20 @@ def sign_aligned_error(beta_hat, beta_star, tag):
 
 
 def fit_replicate(cfg: ExperimentConfig, seed):
-    """Generate one dataset and fit it; returns (model, trace, beta_star)."""
-    beta_star = make_beta_star(cfg.d, cfg.beta_values)
-    spec = GenSpec(
-        model=cfg.model,
-        n=cfg.n,
-        d=cfg.d,
-        beta_star=beta_star,
-        sigma=cfg.sigma,
-        p_missing=cfg.p_missing if cfg.model == "RMC" else 0.0,
-        seed=seed,
-    )
-    model = gen_dataset(spec)
-    return model, _fit(cfg, model, beta_star, seed), beta_star
-
-
-def _fit(cfg: ExperimentConfig, model, beta_star, seed):
-    """Truncated EM on ``model`` from the seeded initialization around
-    ``beta_star``."""
+    """Generate one dataset, or load ``cfg.data_csv``, and fit it by
+    truncated EM from the seeded initialization around ``beta_star``;
+    returns (model, trace, beta_star)."""
+    if cfg.data_csv is None:
+        beta_star = make_beta_star(cfg.d, cfg.beta_values)
+        p_missing = cfg.p_missing if cfg.model == "RMC" else 0.0
+        model = gen_dataset(GenSpec(model=cfg.model, n=cfg.n, d=cfg.d, beta_star=beta_star,
+                                    sigma=cfg.sigma, p_missing=p_missing, seed=seed))
+    else:
+        model = dataset_from_csv(cfg.model, cfg.data_csv, sigma=cfg.sigma)
+        _check_alpha_index(cfg.alpha_index, model.dim)
+        beta_star = make_beta_star(model.dim, cfg.beta_values)
     init = make_init(beta_star, cfg.rel_err, init_stream(seed))
-    return run_em(model, init, _em_config(cfg, cfg.s_hat))
+    return model, run_em(model, init, _em_config(cfg, cfg.s_hat)), beta_star
 
 
 def _em_config(cfg: ExperimentConfig, s_hat):
@@ -301,19 +297,10 @@ def run_typeone(cfg: ExperimentConfig):
     return rows, summary
 
 
-def _load_or_generate(cfg: ExperimentConfig, seed):
-    if cfg.data_csv is None:
-        return fit_replicate(cfg, seed)
-    model = dataset_from_csv(cfg.model, cfg.data_csv, sigma=cfg.sigma)
-    _check_alpha_index(cfg.alpha_index, model.dim)
-    beta_star = make_beta_star(model.dim, cfg.beta_values)
-    return model, _fit(cfg, model, beta_star, seed), beta_star
-
-
 def run_fit(cfg: ExperimentConfig):
     """Single fit; JSON-ready summary with the estimate and trace."""
     cfg.resolve("fit")
-    model, trace, beta_star = _load_or_generate(cfg, cfg.seed)
+    model, trace, beta_star = fit_replicate(cfg, cfg.seed)
     beta_hat = trace.estimate
     return {
         "beta_hat": [float(v) for v in beta_hat],
@@ -331,7 +318,7 @@ def run_fit(cfg: ExperimentConfig):
 def run_infer(cfg: ExperimentConfig):
     """Single generate/load -> fit -> test run; JSON-ready result."""
     cfg.resolve("infer")
-    model, trace, _ = _load_or_generate(cfg, cfg.seed)
+    model, trace, _ = fit_replicate(cfg, cfg.seed)
     sres, wres, reason = _run_tests(cfg, model, trace.estimate)
     out = {"config": asdict(cfg)}
     if reason is not None:

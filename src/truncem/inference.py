@@ -9,10 +9,8 @@ T is read by columns, each computed when first needed; no d x d matrix is
 formed.  The LP returns w = 0 exactly when the cross column T_ga lies
 within lam of zero, and ``0.5 sqrt(log d / n) max|T[:, alpha]|`` is at
 most the default lam (a lam set by the caller is its own bound).  If
-``max|T_ga|`` lies below that bound by a relative margin of
-``_CERTIFICATE_MARGIN`` (1e-9, against a rounding gap of about n eps
-between a column and the matrix product), w = 0 and both statistics need
-only T_aa, as for every Gaussian-mixture replicate at the defaults.
+``max|T_ga|`` is at most that bound, w = 0 and both statistics need only
+T_aa, as for every Gaussian-mixture replicate at the defaults.
 Otherwise the LP reads the columns its basis asks for (about 15 of 256
 at the mixture-of-regressions defaults) and ``v.T @ T @ v`` those on the
 support of v.  Its pivot scale ``max|T_gg|`` (with column alpha, max|T|
@@ -50,9 +48,9 @@ from .lp import dantzig_columns, dantzig_direction  # noqa: F401 (bench/tracing.
 
 _SQRT2 = math.sqrt(2.0)
 _STANDARD_NORMAL = NormalDist()
-#: relative margin by which the cross column must clear lam for the
-#: column certificate of w = 0
-_CERTIFICATE_MARGIN = 1e-9
+#: relative slack, against rounding, by which a radius may fall short of the
+#: largest diagonal entry and ``_abs_peak`` still read its column
+_RADIUS_MARGIN = 1e-9
 
 
 @dataclass
@@ -95,9 +93,6 @@ class InferenceResult:
 def _score(grad, w, alpha):
     """Decorrelated score from the gradient ``grad`` at the point: its alpha
     component minus its projection onto the nuisance components."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (grad.size - 1,):
-        raise ValueError(f"w must have shape ({grad.size - 1},)")
     return float(grad[alpha] - w @ np.delete(grad, alpha))
 
 
@@ -141,7 +136,7 @@ def _abs_peak(cols, diag, radii, skip):
     peak_of = np.abs(diag)
     peak_of[skip] = 0.0  # every |T_ij| >= 0, so 0 leaves the max unchanged
     peak = peak_of.max()
-    for i in np.flatnonzero(radii >= peak * (1.0 - _CERTIFICATE_MARGIN)).tolist():
+    for i in np.flatnonzero(radii >= peak * (1.0 - _RADIUS_MARGIN)).tolist():
         if i != skip:
             peak_of = np.abs(cols[i])
             peak_of[skip] = 0.0
@@ -173,7 +168,7 @@ def _decorrelate(model, beta, cfg: InferenceConfig):
         bound = _scaled_lambda(peak_of.max(), model.dim, model.n_samples)
     peak_of[a] = 0.0  # max|T_ga|, as every |T_ia| >= 0
     cross = peak_of.max()
-    if cross < bound * (1.0 - _CERTIFICATE_MARGIN):
+    if cross <= bound:
         w, quad = np.zeros(model.dim - 1), float(col[a])
     else:
         a_max = _abs_peak(point, *point.diagonal, a)

@@ -42,10 +42,6 @@ import numpy as np
 from .errors import UnsupportedOperationError
 from .lp import clime_inverse
 
-GMM = "GMM"
-MR = "MR"
-RMC = "RMC"
-
 
 @np.errstate(over="ignore", under="ignore")
 def _sigmoid(x):
@@ -138,7 +134,7 @@ class GaussianMixture(_Mixture):
     sign.  Its curvature matrix is ``y^T diag(nu) y / n - I``; column alpha
     is the one product ``y^T (nu y[:, alpha]) / n``."""
 
-    tag = GMM
+    tag = "GMM"
 
     def __init__(self, y, sigma):
         y = _check_matrix(y, "y")
@@ -200,7 +196,7 @@ class MixtureRegression(_Mixture):
     the gradient M-step is the default for MR fitting and inference.
     """
 
-    tag = MR
+    tag = "MR"
 
     def __init__(self, x, y, sigma):
         x = _check_matrix(x, "x")
@@ -284,7 +280,7 @@ class MissingCovariateRegression(_Model):
     ``x_obs`` (x, zero where unobserved) and ``miss`` are kept, not ``mask``.
     """
 
-    tag = RMC
+    tag = "RMC"
     _NO_CURVATURE = "curvature matrix not implemented for missing-covariate regression"
     _NO_EXACT_M_STEP = ("exact M-step is unavailable for missing-covariate regression: "
                         "the per-sample second-moment matrix need not be invertible")

@@ -31,7 +31,7 @@ def test_zero_iterations_returns_truncated_init(rng):
     assert np.array_equal(trace.iterates[0], expect)
     assert np.array_equal(trace.estimate, expect)
     assert np.isfinite([model.loglik(b) for b in trace.iterates]).all()
-    assert trace.half_iterates == [] and trace.supports == []
+    assert trace.supports == []
 
 
 def test_iterates_are_sparse_and_supports_consistent(rng):
@@ -42,9 +42,8 @@ def test_iterates_are_sparse_and_supports_consistent(rng):
     assert len(trace.iterates) == 7
     for beta in trace.iterates:
         assert np.count_nonzero(beta) <= 3
-    for half, support, nxt in zip(
-        trace.half_iterates, trace.supports, trace.iterates[1:]
-    ):
+    for beta, support, nxt in zip(trace.iterates, trace.supports, trace.iterates[1:]):
+        half = model.m_step_exact(beta)
         assert np.array_equal(support, top_support(half, 3))
         assert np.array_equal(nxt, hard_truncate(half, support))
 

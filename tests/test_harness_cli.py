@@ -403,6 +403,21 @@ def test_cli_rejects_lambda_before_any_fit(lam, monkeypatch):
                 "--alpha-index", "5", "--replicates", "2", "--lambda", lam)
 
 
+@pytest.mark.parametrize("sigma", ["-1", "0", "nan"])
+@pytest.mark.parametrize("command", ["fit", "infer"])
+def test_cli_rejects_sigma_before_the_data_load(command, sigma, monkeypatch):
+    # the whole file was read before the model constructor rejected sigma
+    from truncem import harness
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("loaded the data before validating sigma")
+
+    monkeypatch.setattr(harness, "dataset_from_csv", no_load)
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        run_cli(command, "--model", "GMM", "--s-star", "2", "--data", "unread.csv",
+                "--sigma", sigma)
+
+
 @pytest.mark.parametrize("command", ["typeone", "infer"])
 def test_cli_rejects_rmc_inference_before_any_fit(command, monkeypatch):
     from truncem import harness

@@ -557,21 +557,24 @@ def test_lazy_columns_are_symmetric(model_name, sigma):
         assert np.max(np.abs(t_cols - t_cols.T)) <= 1e-15 * np.max(np.abs(t_cols))
 
 
-@pytest.mark.parametrize("factor, matrices", [(1.0, 1), (1.0 + 1e-8, 0)])
-def test_certificate_margin_at_the_cross_column(rng, monkeypatch, factor, matrices):
-    # lam equal to max|T_ga| is within the margin: the LP path runs (its
-    # diagonal counted here), and its own shortcut still gives w = 0; 1e-8
-    # above it, the column certifies w = 0 alone; no path builds the matrix
+@pytest.mark.parametrize("below, diagonals", [(False, 0), (True, 1)],
+                         ids=["at", "one_ulp_below"])
+def test_certificate_margin_at_the_cross_column(rng, monkeypatch, below, diagonals):
+    # lam equal to max|T_ga| certifies w = 0 from column alpha alone; one ulp
+    # below it, the LP runs (its diagonal counted here) and w is not 0; no
+    # path builds the matrix, and both give the full-matrix statistics
     model, beta = gmm_instance(rng)
-    lam = float(np.max(np.abs(np.delete(inference._Point(model, beta)[4], 4)))) * factor
+    lam = float(np.max(np.abs(np.delete(inference._Point(model, beta)[4], 4))))
+    if below:
+        lam = float(np.nextafter(lam, 0.0))
     cfg = InferenceConfig(alpha_index=4, lam=lam)
     counts = count_curvature_matrices(monkeypatch)
     diagonal = GaussianMixture._diagonal
     monkeypatch.setattr(GaussianMixture, "_diagonal",
                         lambda self, nu: counts.update(["diagonal"]) or diagonal(self, nu))
     res = score_test(model, beta, cfg)
-    assert counts == Counter(diagonal=matrices)
-    assert not res.w_hat.any()
+    assert counts == Counter(diagonal=diagonals)
+    assert res.w_hat.any() == below
     monkeypatch.setattr(inference, "_decorrelate", decorrelate_full_matrix)
     ref = score_test(GaussianMixture(model.y, model.sigma), beta, cfg)
     assert res.statistic == pytest.approx(ref.statistic, rel=1e-12, abs=0.0)
