@@ -18,7 +18,8 @@ one thread:
   against ``decorrelate_full_matrix`` from ``tests/oracles.py`` (the
   curvature matrix, ``default_lambda``, ``dantzig_direction`` and ``v^T T
   v`` on T), both with the native LP, both evaluating ``grad_q`` at the
-  point, and with the model's memos cleared before each point, so both
+  point, and with the decorrelation the model keeps (``_decorrelated``,
+  or ``_point`` in an older checkout) cleared before each point, so both
   compute the curvature weights;
 - ``clime-d32``, ``clime-d64``, ``clime-d128``: ``clime_inverse`` of the
   MR design covariance at n=100 and seed 0 with the model's default CLIME
@@ -50,7 +51,7 @@ row, the curvature columns, the diagonal bound and ``grad_q``).
 
 ``--baseline DIR`` adds a third side to every row: the native solver of
 the checkout at DIR (for instance the parent commit; checkouts from
-fb3570c on, which keep the per-point cache), whose ``src/truncem`` is
+fb3570c on, which keep a decorrelation on the model), whose ``src/truncem`` is
 imported as the package ``truncem_baseline`` and run on the same inputs
 (its own models, from the same arrays, on the columns row), in every
 repeat before the full LP, taking turns with this tree's solver at going
@@ -174,6 +175,8 @@ def mr_columns_case(points, base):
         def solve():
             out = []
             for model, beta in points:
+                # this tree keeps the finished result, older ones the point
+                vars(model).pop("_decorrelated", None)
                 vars(model).pop("_point", None)
                 out.append(decorrelate(model, beta, icfg)[1])
             return np.concatenate(out)

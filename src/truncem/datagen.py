@@ -41,8 +41,8 @@ class GenSpec:
             raise ValueError("beta_star must have length d")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError("sigma must be positive and finite")
         if not 0 <= self.p_missing < 1:
             raise ValueError("p_missing must lie in [0, 1)")
         if self.model in ("GMM", "MR") and not np.any(self.beta_star):

@@ -19,3 +19,7 @@ class DegenerateInformationError(RuntimeError):
 
 class LpInfeasibleError(RuntimeError):
     """Raised when a linear program has no feasible point."""
+
+
+class LpSolverError(RuntimeError):
+    """Raised when an LP solver returns a point off the constraints."""

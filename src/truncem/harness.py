@@ -90,10 +90,10 @@ class ExperimentConfig:
     def resolve(self, command=None):
         """Fill the model-dependent defaults and reject, before any data is
         drawn or loaded, every value not of its field's type and every
-        setting ``command`` cannot run.  ``scaling`` checks only what
-        its grid uses: its cells have d = ``scaling_d`` and test no
-        coordinate, so ``d``, ``alpha_index``, ``s_star`` and ``s_hat`` are
-        not checked.  With no command, the settings of a fit are checked."""
+        setting ``command`` cannot run; ``alpha_index`` only where it is
+        tested.  ``scaling`` checks only what its grid uses: its cells have
+        d = ``scaling_d``, so ``d``, ``s_star`` and ``s_hat`` are not
+        checked.  With no command, the settings of a fit are checked."""
         for field in fields(self):
             value, kind = getattr(self, field.name), field.type
             if not _is_a(value, kind):
@@ -108,7 +108,7 @@ class ExperimentConfig:
             if not (values.size and (values >= 1).all()):
                 raise ValueError(f"{key} must be >= 1 (a grid needs an entry)")
         # the tests' settings, which InferenceConfig checks; alpha_index is
-        # checked against d below, where a command tests a coordinate
+        # checked against d below, for a command that tests a coordinate
         InferenceConfig(alpha_index=0, lam=self.lam, delta=self.delta)
         if self.model not in MODEL_TAGS:
             raise ValueError(f"model must be one of {', '.join(MODEL_TAGS)}; "
@@ -117,8 +117,8 @@ class ExperimentConfig:
             raise ValueError(f"m_step must be {EXACT} or {GRADIENT}; got {self.m_step!r}")
         if self.sigma is None:
             self.sigma = DEFAULT_SIGMA[self.model]
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
         if self.m_step is None:
             self.m_step = DEFAULT_M_STEP[self.model]
         if self.s_hat is None:
@@ -138,7 +138,8 @@ class ExperimentConfig:
                 raise ValueError(f"s_star_grid must be <= scaling_d = {self.scaling_d}")
         # an external dataset sets its own dimension, checked once loaded
         elif self.data_csv is None:
-            _check_alpha_index(self.alpha_index, self.d)
+            if command in ("typeone", "infer"):
+                _check_alpha_index(self.alpha_index, self.d)
             if max(self.s_star, self.s_hat) > self.d:
                 raise ValueError(f"s_star and s_hat must be <= d = {self.d}")
         if command in ("typeone", "infer") and self.model == "RMC":
@@ -179,10 +180,11 @@ def sign_aligned_error(beta_hat, beta_star, tag):
     return float(err)
 
 
-def fit_replicate(cfg: ExperimentConfig, seed):
+def fit_replicate(cfg: ExperimentConfig, seed, *, tested=False):
     """Generate one dataset, or load ``cfg.data_csv``, and fit it by
     truncated EM from the seeded initialization around ``beta_star``;
-    returns (model, trace, beta_star)."""
+    returns (model, trace, beta_star).  With ``tested``, a loaded dataset's
+    dimension is checked against ``alpha_index`` before the fit."""
     if cfg.data_csv is None:
         beta_star = make_beta_star(cfg.d, cfg.beta_values)
         p_missing = cfg.p_missing if cfg.model == "RMC" else 0.0
@@ -190,7 +192,8 @@ def fit_replicate(cfg: ExperimentConfig, seed):
                                     sigma=cfg.sigma, p_missing=p_missing, seed=seed))
     else:
         model = dataset_from_csv(cfg.model, cfg.data_csv, sigma=cfg.sigma)
-        _check_alpha_index(cfg.alpha_index, model.dim)
+        if tested:
+            _check_alpha_index(cfg.alpha_index, model.dim)
         beta_star = make_beta_star(model.dim, cfg.beta_values)
     init = make_init(beta_star, cfg.rel_err, init_stream(seed))
     return model, run_em(model, init, _em_config(cfg, cfg.s_hat)), beta_star
@@ -318,7 +321,7 @@ def run_fit(cfg: ExperimentConfig):
 def run_infer(cfg: ExperimentConfig):
     """Single generate/load -> fit -> test run; JSON-ready result."""
     cfg.resolve("infer")
-    model, trace, _ = fit_replicate(cfg, cfg.seed)
+    model, trace, _ = fit_replicate(cfg, cfg.seed, tested=True)
     sres, wres, reason = _run_tests(cfg, model, trace.estimate)
     out = {"config": asdict(cfg)}
     if reason is not None:

@@ -18,15 +18,15 @@ for lam) is exact from T's diagonal and radii: an entry above every
 diagonal one lies in a column whose radius reaches that, and those few
 columns are read.  All agrees with the whole matrix to rel 1e-12.
 
-Everything read at an evaluation point is kept in one ``_Point``, the
-model's ``_point`` attribute, for the model's last point: ``grad_q``, the
-curvature weights, each column of T read (once per point, not per test),
-the diagonal and radii once the LP needs them, and the last ``(alpha,
-lam)`` with its direction and quadratic form.  So the Wald test at an
-estimate whose tested coordinate already equals the null value reuses the
-score test's work, and both results share one read-only ``w_hat``.  The
-point holds the model by a weak proxy: a model freed by ``del`` takes its
-point with it, without waiting for the garbage collector.
+A ``_Point`` reads the columns of T at one point, for one
+``_decorrelate`` call: each column once, from the curvature weights, and
+the diagonal and radii when the LP needs them.  The model keeps only the
+finished result, ``model._decorrelated``: the key ``(beta bytes, alpha,
+lam)`` and the read-only column alpha, direction, quadratic form and
+``grad_q``, which reference no model.  So the Wald test at an estimate
+whose tested coordinate already equals the null value reuses the score
+test's whole result, and both share one ``w_hat``; any other test
+decorrelates afresh.
 
 The model classes expose ``grad_q`` and the curvature in the
 sigma^2-scaled surrogate normalization (see ``models``); the statistics
@@ -36,9 +36,7 @@ noise level.
 """
 
 import math
-import weakref
 from dataclasses import dataclass
-from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
@@ -106,17 +104,13 @@ def _frozen(a):
 
 
 class _Point(dict):
-    """What inference reads at ``beta``: its bytes ``key``, ``grad_q(beta)``,
-    the curvature weights, the columns of T, each formed on first read
-    (T is symmetric: rows), its diagonal and radii on first use, and the last
-    ``task`` ``(alpha, lam)`` with its ``result``; every array read-only."""
+    """The columns of T at ``beta``, each formed on first read from the
+    curvature weights (T is symmetric: rows), read-only, and its
+    ``diagonal`` and radii."""
 
     def __init__(self, model, beta):
-        # a proxy: a strong reference would make a cycle with model._point
-        self.key, self.model = beta.tobytes(), weakref.proxy(model)
-        self.grad = _frozen(model.grad_q(beta))
+        self.model = model
         self.weights = _frozen(model._curvature_weights_at(beta))
-        self.task = self.result = None
 
     def __missing__(self, i):
         col = _frozen(self.model._column(self.weights, i))
@@ -126,7 +120,7 @@ class _Point(dict):
         self[i] = col
         return col
 
-    @cached_property
+    @property
     def diagonal(self):
         return self.model._diagonal(self.weights)
 
@@ -149,26 +143,24 @@ def _decorrelate(model, beta, cfg: InferenceConfig):
     decorrelation direction w, the quadratic form ``v.T @ T @ v`` with v
     equal to 1 at alpha and -w elsewhere, by the column certificate of w = 0
     or by the LP on the columns of T (see the module docstring), and
-    ``grad_q(beta)``, all read-only and kept on the model's ``_Point`` at
-    ``beta``.
+    ``grad_q(beta)``, all read-only.  The result is kept as the model's
+    ``_decorrelated`` and returned again for the same beta, alpha and lam.
     """
     a = cfg.alpha_index
     if not 0 <= a < model.dim:
         raise ValueError("alpha_index out of range")
-    point = getattr(model, "_point", None)
-    if point is None or point.key != beta.tobytes():
-        point = model._point = _Point(model, beta)
-    task = (a, cfg.lam)
-    if point.task == task:
-        return point.result
+    key = (beta.tobytes(), a, cfg.lam)
+    if getattr(model, "_decorrelated", (None,))[0] == key:
+        return model._decorrelated[1]
+    grad = _frozen(model.grad_q(beta))
+    point = _Point(model, beta)
     col = point[a]
     peak_of = np.abs(col)
     bound = cfg.lam
     if bound is None:
         bound = _scaled_lambda(peak_of.max(), model.dim, model.n_samples)
-    peak_of[a] = 0.0  # max|T_ga|, as every |T_ia| >= 0
-    cross = peak_of.max()
-    if cross <= bound:
+    peak_of[a] = 0.0  # then its max is max|T_ga|, as every |T_ia| >= 0
+    if peak_of.max() <= bound:
         w, quad = np.zeros(model.dim - 1), float(col[a])
     else:
         a_max = _abs_peak(point, *point.diagonal, a)
@@ -179,8 +171,8 @@ def _decorrelate(model, beta, cfg: InferenceConfig):
         v = np.insert(-w, a, 1.0)
         on = np.flatnonzero(v)  # alpha and supp(w), whose columns the LP read
         quad = float(np.dot(v[on], [point[i] for i in on])[on] @ v[on])
-    point.task, point.result = task, (col, _frozen(w), quad, point.grad)
-    return point.result
+    model._decorrelated = key, (col, _frozen(w), quad, grad)
+    return model._decorrelated[1]
 
 
 def _information(model, quad):
@@ -234,22 +226,15 @@ def score_test(model, beta_hat, cfg: InferenceConfig):
     return _result(model, statistic, cfg.null_value + score / info, w, info, cfg)
 
 
-def _wald_pieces(model, beta_hat, cfg: InferenceConfig):
-    beta_hat = np.asarray(beta_hat, dtype=float)
-    col, w, quad, grad = _decorrelate(model, beta_hat, cfg)
-    denom = col[cfg.alpha_index] - w @ np.delete(col, cfg.alpha_index)
-    if denom == 0:
-        raise DegenerateInformationError("zero curvature denominator")
-    score = _score(grad, w, cfg.alpha_index)
-    # the sigma^2 scalings of score and curvature cancel in the ratio
-    return float(beta_hat[cfg.alpha_index] - score / denom), w, quad
-
-
 def wald_test(model, beta_hat, cfg: InferenceConfig):
     """Decorrelated Wald test and confidence interval for one coordinate."""
-    alpha_bar, w, quad = _wald_pieces(model, beta_hat, cfg)
+    beta_hat, a = np.asarray(beta_hat, dtype=float), cfg.alpha_index
+    col, w, quad, grad = _decorrelate(model, beta_hat, cfg)
+    denom = col[a] - w @ np.delete(col, a)
+    if denom == 0:
+        raise DegenerateInformationError("zero curvature denominator")
+    # the sigma^2 scalings of score and curvature cancel in the ratio
+    alpha_bar = float(beta_hat[a] - _score(grad, w, a) / denom)
     info = _information(model, quad)
-    statistic = (
-        math.sqrt(model.n_samples) * (alpha_bar - cfg.null_value) * math.sqrt(info)
-    )
+    statistic = math.sqrt(model.n_samples) * (alpha_bar - cfg.null_value) * math.sqrt(info)
     return _result(model, statistic, alpha_bar, w, info, cfg)

@@ -42,7 +42,7 @@ vertex-enumeration oracle and against the full LP solved by HiGHS.
 
 import numpy as np
 
-from .errors import LpInfeasibleError
+from .errors import LpInfeasibleError, LpSolverError
 
 #: entrywise feasibility tolerance for the l-infinity constraints
 FEAS_TOL = 1e-8
@@ -368,21 +368,28 @@ def _infeasible_ray(lam, a_max, delta, a_s, t_s, masked=None):
 
 def _full_lp(a, target, lam, masked=None):
     """The Dantzig LP in one HiGHS call, on its split form, over the rows
-    of A gathered but row and column ``masked``, where w is 0.  Its cost
-    is 1 on ``x >= 0``, so it is bounded below by 0 and never unbounded.
-    The first call imports HiGHS, through the module's ``linprog``."""
+    of A gathered but row and column ``masked``, where w is 0; its cost
+    is 1 on ``x >= 0``, so it is never unbounded.  HiGHS's tolerances are
+    absolute, so the LP is posed divided by 2^e, ``max|a_ij| / 2^e`` in
+    [1, 2), which leaves w unchanged; a w off ``||t - A w||_inf <= lam +
+    FEAS_TOL`` raises ``LpSolverError``.  The first call imports HiGHS."""
     keep = np.delete(np.arange(target.size), [] if masked is None else masked)
     a_mat, t, m = np.array([a[i][keep] for i in keep]), target[keep], keep.size
-    split = np.hstack([a_mat, -a_mat])
+    scale = np.ldexp(1.0, np.frexp(np.abs(a_mat).max(initial=0.0))[1] - 1)
+    split = np.hstack([a_mat, -a_mat]) / scale
     linprog = globals().get("linprog") or __getattr__("linprog")  # patched or not
     res = linprog(np.ones(2 * m), A_ub=np.vstack([split, -split]),
-                  b_ub=np.concatenate([t + lam, lam - t]), bounds=(0, None), method="highs")
+                  b_ub=np.concatenate([t + lam, lam - t]) / scale, bounds=(0, None),
+                  method="highs")
     if res.status == 2:
         raise LpInfeasibleError("LP infeasible")
     if not res.success:
         raise RuntimeError(f"LP solver failure: {res.message}")
     w = np.zeros(target.size)
     w[keep] = res.x[:m] - res.x[m:]
+    violation = np.abs(t - a_mat @ w[keep]).max(initial=0.0) - lam
+    if not violation <= FEAS_TOL:
+        raise LpSolverError(f"LP solver returned w off the constraint by {violation:.3g}")
     return w
 
 

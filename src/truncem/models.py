@@ -17,8 +17,8 @@ of its Gram form ``sum_k c_k z_k z_k^T``, so ``|T_ij| <= sqrt(r_i r_j)``.
 ``curvature_matrix(beta)``, one O(nd^2) build for every model, stacks the
 columns: column alpha fills ``T[alpha:, alpha]`` and its mirror, so T is
 exactly symmetric and its lower triangle is, bit for bit, what inference
-reads.  The models keep no per-point state: the inference module keeps
-what it reads at one point (see ``inference``).
+reads.  The models keep no per-point state of their own; inference keeps
+its last finished decorrelation on the model (see ``inference``).
 
 Normalization convention
 ------------------------
@@ -87,8 +87,8 @@ class _Model:
     validates its arrays before calling this constructor."""
 
     def __init__(self, y, sigma):
-        if not sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < sigma < np.inf:
+            raise ValueError("sigma must be positive and finite")
         self.y = y
         self.sigma = sigma
         self.n_samples = y.shape[0]

@@ -83,7 +83,9 @@ def full_l1_linf_lp(a_mat, target, lam, masked=None):
     as ``dantzig_direction`` poses its LP on the whole curvature matrix,
     row and column ``masked`` are dropped before the solve and a 0 is
     re-inserted there after it.  Raises ``LpInfeasibleError`` when no w
-    is feasible.
+    is feasible.  HiGHS's tolerances are absolute, so the LP is posed
+    divided by the power of two 2^e with ``max|a_ij| / 2^e`` in [1, 2),
+    as ``lp._full_lp`` poses it; that is exact and leaves w unchanged.
     """
     a_mat = np.asarray(a_mat, dtype=float)
     target = np.asarray(target, dtype=float)
@@ -92,11 +94,12 @@ def full_l1_linf_lp(a_mat, target, lam, masked=None):
         w = full_l1_linf_lp(a_mat[np.ix_(keep, keep)], target[keep], lam)
         return np.insert(w, masked, 0.0)
     m = a_mat.shape[1]
-    block = np.hstack([a_mat, -a_mat])
+    scale = np.ldexp(1.0, np.frexp(np.abs(a_mat).max(initial=0.0))[1] - 1)
+    block = np.hstack([a_mat, -a_mat]) / scale
     res = lp.linprog(
         np.ones(2 * m),
         A_ub=np.vstack([block, -block]),
-        b_ub=np.concatenate([target + lam, lam - target]),
+        b_ub=np.concatenate([target + lam, lam - target]) / scale,
         bounds=(0, None),
         method="highs",
     )

@@ -55,6 +55,11 @@ def test_genspec_validation():
         GenSpec("MR", 5, 2, np.zeros(2), 1.0)  # degenerate truth
 
 
+def test_genspec_rejects_infinite_sigma():
+    with pytest.raises(ValueError, match="sigma must be positive and finite"):
+        GenSpec("GMM", 5, 2, np.array([1.0, 0.0]), math.inf)
+
+
 # ---------------------------------------------------------------------------
 # gen_dataset
 

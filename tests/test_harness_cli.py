@@ -212,6 +212,28 @@ def test_infer_data_checks_alpha_index_before_fit(tmp_path, monkeypatch):
         run_infer(ExperimentConfig(model="GMM", s_star=2, data_csv=str(path)))
 
 
+def test_commands_that_test_nothing_ignore_alpha_index(tmp_path, capsys):
+    # the default alpha_index 9 is out of range for d = 8; trace and fit
+    # test no coordinate, on generated or loaded data
+    from truncem.datagen import GenSpec, dataset_to_csv, gen_dataset, make_beta_star
+
+    model = gen_dataset(GenSpec("GMM", 40, 8, make_beta_star(8, (4, 4)), 1.0, seed=3))
+    path = tmp_path / "d8.csv"
+    dataset_to_csv(model, path)
+    run_cli("trace", "--d", "8", "--s-star", "2")
+    assert len(capsys.readouterr().out.splitlines()) == 12  # header and t = 0..10
+    for source in (("--d", "8"), ("--data", str(path))):
+        run_cli("fit", "--s-star", "2", *source)
+        assert len(json.loads(capsys.readouterr().out)["beta_hat"]) == 8
+
+
+def test_resolve_rejects_infinite_sigma():
+    # an infinite sigma made fit --data write a final_loglik of -Infinity
+    for command in (None, "trace", "fit", "infer", "typeone", "scaling"):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            small_cfg(sigma=math.inf).resolve(command)
+
+
 # ---------------------------------------------------------------------------
 # CSV / JSON output
 

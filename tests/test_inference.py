@@ -99,8 +99,11 @@ def score_function(model, beta, w, cfg):
 
 
 def wald_estimator(model, beta_hat, cfg):
-    """The one-step corrected estimate of the tested coordinate."""
-    return inference._wald_pieces(model, beta_hat, cfg)[0]
+    """The one-step corrected estimate of the tested coordinate, from the
+    decorrelation at ``beta_hat``."""
+    col, w, _, grad = inference._decorrelate(model, beta_hat, cfg)
+    a = cfg.alpha_index
+    return beta_hat[a] - inference._score(grad, w, a) / (col[a] - w @ np.delete(col, a))
 
 
 def test_score_function_definitional(rng):
@@ -307,10 +310,11 @@ def assert_same_result(got, expect):
      ("lam_below_cross", 1)],
 )
 def test_score_then_wald_decorrelates_once_per_point(rng, monkeypatch, change, solves):
-    # each evaluation point computes its curvature weights and its gradient
-    # once, and any column at most once, whatever alpha and lam the tests
-    # ask for; the diagonal and the LP run only where column alpha does not
-    # certify w = 0, here only with lam below T_ga, and the matrix never
+    # each decorrelation computes its point's curvature weights and
+    # gradient once, and any column at most once; the Wald test reuses the
+    # score test's whole result when point, alpha and lam agree.  The
+    # diagonal and the LP run only where column alpha does not certify
+    # w = 0, here only with lam below T_ga, and the matrix never
     model, beta_hat = gmm_instance(rng)
     score_cfg = wald_cfg = InferenceConfig(alpha_index=4)
     if change == "estimate_off_null":
@@ -339,15 +343,19 @@ def test_score_then_wald_decorrelates_once_per_point(rng, monkeypatch, change, s
     monkeypatch.setattr(inference, "dantzig_columns",
                         counted("dantzig_columns", inference.dantzig_columns))
     sres = score_test(model, beta_hat, score_cfg)
+    score_columns, columns = columns, Counter()
     wres = wald_test(model, beta_hat, wald_cfg)
     points = 2 if change == "estimate_off_null" else 1
     full = solves if change == "lam_below_cross" else 0
     del counts["_column"]
-    assert counts == Counter(_curvature_weights_at=points, grad_q=points,
+    assert counts == Counter(_curvature_weights_at=solves, grad_q=solves,
                              _diagonal=full, dantzig_columns=full)
-    assert max(columns.values()) == 1
-    assert len({point for point, _ in columns}) == points
-    assert {score_cfg.alpha_index, wald_cfg.alpha_index} <= {i for _, i in columns}
+    assert max(score_columns.values()) == 1
+    assert max(columns.values(), default=1) == 1
+    assert bool(columns) == (solves == 2)
+    assert len({point for point, _ in score_columns + columns}) == points
+    assert score_cfg.alpha_index in {i for _, i in score_columns}
+    assert wald_cfg.alpha_index in {i for _, i in score_columns + columns}
     assert (sres.w_hat is wres.w_hat) == (solves == 1)
     assert not sres.w_hat.flags.writeable
     assert not wres.w_hat.flags.writeable
@@ -357,9 +365,10 @@ def test_score_then_wald_decorrelates_once_per_point(rng, monkeypatch, change, s
 
 @pytest.mark.parametrize("kind", ["GMM", "GMM-LP", "MR"])
 def test_point_keeps_no_model_alive(rng, kind):
-    # the point kept on the model holds it by a weak proxy, so with the
-    # garbage collector off a model that ran both tests, by the column
-    # certificate or by the LP and its diagonal, is freed by del alone
+    # the model keeps only the finished decorrelation, read-only arrays
+    # that hold no model, so with the garbage collector off a model that
+    # ran both tests, by the column certificate or by the LP, is freed by
+    # del alone
     if kind == "MR":
         cfg = ExperimentConfig(model=kind).resolve()
         model, trace, _ = fit_replicate(cfg, 0)
@@ -367,11 +376,15 @@ def test_point_keeps_no_model_alive(rng, kind):
     else:  # lam below T_ga sends the mixture to the LP
         model, beta = gmm_instance(rng)
         icfg = InferenceConfig(alpha_index=4, lam=1e-9 if kind == "GMM-LP" else None)
+    before = set(vars(model))
     gc.disable()
     try:
         score_test(model, beta, icfg)
         wald_test(model, beta, icfg)
-        assert ("diagonal" in vars(model._point)) == (kind != "GMM")
+        assert set(vars(model)) - before == {"_decorrelated"}
+        col, w, _, grad = model._decorrelated[1]
+        assert w.any() == (kind != "GMM")
+        assert not any(a.flags.writeable for a in (col, w, grad))
         ref = weakref.ref(model)
         del model
         assert ref() is None
@@ -600,11 +613,11 @@ def test_nonfinite_curvature_column_raises(monkeypatch, poisoned_index):
     with pytest.raises(ValueError, match="curvature column must be finite"):
         score_test(model, trace.estimate, InferenceConfig(alpha_index=cfg.alpha_index))
     assert len(read) == (1 if poisoned_index == "alpha" else 2)
-    # the point keeps no non-finite column: a second test reads it again
+    # nothing of a decorrelation that raised is kept: a second test reads
+    # the same columns again
     with pytest.raises(ValueError, match="curvature column must be finite"):
         wald_test(model, trace.estimate, InferenceConfig(alpha_index=cfg.alpha_index))
-    assert len(read) == (2 if poisoned_index == "alpha" else 3)
-    assert read[-1] == read[-2]
+    assert read[len(read) // 2:] == read[: len(read) // 2]
 
 
 def test_p_values_keep_their_tail():

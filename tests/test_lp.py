@@ -21,7 +21,7 @@ from oracles import (
 )
 from truncem import lp
 from truncem.datagen import GenSpec, gen_dataset, make_beta_star
-from truncem.errors import LpInfeasibleError
+from truncem.errors import LpInfeasibleError, LpSolverError
 from truncem.harness import ExperimentConfig, fit_replicate
 from truncem.lp import (
     FEAS_TOL,
@@ -549,6 +549,36 @@ def test_full_lp_maps_solver_status(monkeypatch, status, error):
         l1_min(np.array([[0.1, 1.0], [1.0, 1.0]]), np.array([1.0, 0.0]), 0.1)
     assert type(raised.value) is error  # LpInfeasibleError is a RuntimeError
     assert ("numerical difficulties" in str(raised.value)) == (status == 4)
+
+
+def test_fallback_poses_a_tiny_lp_at_unit_scale(monkeypatch):
+    # entries of 1e-4 and lam = 3.4e-8 lie below HiGHS's absolute
+    # tolerances: posed as is, its w broke a row by 6.7e-8.  Divided by a
+    # power of two that brings max|a_ij| into [1, 2), the fallback returns
+    # a feasible w with the oracle's l1 norm
+    x = 0.01 * np.array([[-1, 1, -1, -1, 0, 1, 0, 1],
+                         [-1, 0, 0, 0, 0, 0, -1, -1],
+                         [0, 0, 1, -1, 1, -1, -1, -1],
+                         [0, -1, 1, 1, 1, 0, -1, -1],
+                         [0, 0, 0, 0, 0, 0, -1, 1]])
+    a_mat, target = mr_gram(x)
+    lam = 3.36e-8
+    ref_l1 = float(np.sum(np.abs(full_l1_linf_lp(a_mat, target, lam))))
+    monkeypatch.setattr(lp, "_homotopy", lambda *args: None)
+    calls = counting_linprog(monkeypatch)
+    w = l1_min(a_mat, target, lam)
+    assert calls == [(14, 14)]
+    assert np.max(np.abs(target - a_mat @ w)) <= lam + FEAS_TOL
+    assert np.sum(np.abs(w)) == pytest.approx(ref_l1, rel=1e-9, abs=0.0)
+
+
+def test_full_lp_rejects_a_point_off_the_constraint(monkeypatch):
+    # a solver that reports success on w = 0, which breaks row 0 by 0.9
+    monkeypatch.setattr(lp, "_certified", lambda *args: False)
+    monkeypatch.setattr(lp, "linprog", lambda *args, **kwargs: OptimizeResult(
+        status=0, success=True, x=np.zeros(4)))
+    with pytest.raises(LpSolverError, match="off the constraint"):
+        l1_min(np.array([[0.1, 1.0], [1.0, 1.0]]), np.array([1.0, 0.0]), 0.1)
 
 
 def test_infeasible_masked_lp_is_certified_by_a_ray(monkeypatch):

@@ -88,6 +88,15 @@ def test_rmc_data_validation():
         MissingCovariateRegression(x_bad, np.ones((3, 2)), np.zeros(3), 1.0)
 
 
+def test_models_reject_infinite_sigma():
+    x, y = np.zeros((3, 2)), np.zeros(3)
+    for make in (lambda sigma: GaussianMixture(x, sigma),
+                 lambda sigma: MixtureRegression(x, y, sigma),
+                 lambda sigma: MissingCovariateRegression(x, np.ones((3, 2)), y, sigma)):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            make(math.inf)
+
+
 def test_dimension_mismatch_rejected(rng):
     for model in all_models(rng):
         with pytest.raises(ValueError):
