@@ -180,11 +180,11 @@ def sign_aligned_error(beta_hat, beta_star, tag):
     return float(err)
 
 
-def fit_replicate(cfg: ExperimentConfig, seed, *, tested=False):
+def fit_replicate(cfg: ExperimentConfig, seed, *, tests_alpha=False):
     """Generate one dataset, or load ``cfg.data_csv``, and fit it by
     truncated EM from the seeded initialization around ``beta_star``;
-    returns (model, trace, beta_star).  With ``tested``, a loaded dataset's
-    dimension is checked against ``alpha_index`` before the fit."""
+    returns (model, trace, beta_star).  With ``tests_alpha``, a loaded
+    dataset's dimension is checked against ``alpha_index`` before the fit."""
     if cfg.data_csv is None:
         beta_star = make_beta_star(cfg.d, cfg.beta_values)
         p_missing = cfg.p_missing if cfg.model == "RMC" else 0.0
@@ -192,7 +192,7 @@ def fit_replicate(cfg: ExperimentConfig, seed, *, tested=False):
                                     sigma=cfg.sigma, p_missing=p_missing, seed=seed))
     else:
         model = dataset_from_csv(cfg.model, cfg.data_csv, sigma=cfg.sigma)
-        if tested:
+        if tests_alpha:
             _check_alpha_index(cfg.alpha_index, model.dim)
         beta_star = make_beta_star(model.dim, cfg.beta_values)
     init = make_init(beta_star, cfg.rel_err, init_stream(seed))
@@ -321,7 +321,7 @@ def run_fit(cfg: ExperimentConfig):
 def run_infer(cfg: ExperimentConfig):
     """Single generate/load -> fit -> test run; JSON-ready result."""
     cfg.resolve("infer")
-    model, trace, _ = fit_replicate(cfg, cfg.seed, tested=True)
+    model, trace, _ = fit_replicate(cfg, cfg.seed, tests_alpha=True)
     sres, wres, reason = _run_tests(cfg, model, trace.estimate)
     out = {"config": asdict(cfg)}
     if reason is not None:

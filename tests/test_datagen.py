@@ -49,15 +49,12 @@ def test_genspec_validation():
         GenSpec("GMM", 0, 2, beta, 1.0)
     with pytest.raises(ValueError):
         GenSpec("GMM", 5, 2, beta, 0.0)  # sigma must be positive
+    with pytest.raises(ValueError, match="sigma must be positive and finite"):
+        GenSpec("GMM", 5, 2, beta, math.inf)
     with pytest.raises(ValueError):
         GenSpec("RMC", 5, 2, beta, 1.0, p_missing=1.0)
     with pytest.raises(ValueError):
         GenSpec("MR", 5, 2, np.zeros(2), 1.0)  # degenerate truth
-
-
-def test_genspec_rejects_infinite_sigma():
-    with pytest.raises(ValueError, match="sigma must be positive and finite"):
-        GenSpec("GMM", 5, 2, np.array([1.0, 0.0]), math.inf)
 
 
 # ---------------------------------------------------------------------------
