@@ -17,10 +17,12 @@ one thread:
   ``max |T_gg|``, the LP on the columns, ``v^T T v`` on the support)
   against ``decorrelate_full_matrix`` from ``tests/oracles.py`` (the
   curvature matrix, ``default_lambda``, ``dantzig_direction`` and ``v^T T
-  v`` on T), both with the native LP, both evaluating ``grad_q`` at the
-  point, and with the decorrelation the model keeps (``_decorrelated``,
-  or ``_point`` in an older checkout) cleared before each point, so both
-  compute the curvature weights;
+  v`` on T), both with the native LP, both evaluating the gradient at the
+  point (the column path with its curvature weights, from one posterior
+  evaluation; the whole-matrix path by ``grad_q``), and with the
+  decorrelation the model keeps (``_decorrelated``, or ``_point`` in an
+  older checkout) cleared before each point, so both compute the
+  curvature weights;
 - ``clime-d32``, ``clime-d64``, ``clime-d128``: ``clime_inverse`` of the
   MR design covariance at n=100 and seed 0 with the model's default CLIME
   lambda, all d column LPs;
@@ -47,7 +49,7 @@ finishes every column at its first breakpoint); each row reports the max
 homotopy also reports its pivots (basis updates) per LP, counted in one
 untimed run, and the median time per LP over them, ``us_per_pivot_p50``,
 which includes the per-LP work around the pivots (and, on the columns
-row, the curvature columns, the diagonal bound and ``grad_q``).
+row, the curvature columns, the diagonal bound and the gradient).
 
 ``--baseline DIR`` adds a third side to every row: the native solver of
 the checkout at DIR (for instance the parent commit; checkouts from

@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""Digests of the package's fixed-seed outputs, to compare two checkouts.
+
+    PYTHONPATH=src python3 scripts/fixed_seed_digest.py
+
+Prints one JSON line that maps each output below to the sha256 of its
+bytes:
+
+- ``infer_replicate-GMM``, ``infer_replicate-MR``: the records of
+  ``harness.infer_replicate`` for seeds 0 to 199 at the command-line
+  defaults (d=256, n=100), as JSON;
+- ``<command>-GMM`` and ``<command>-MR`` for ``trace``, ``fit``,
+  ``infer``, ``typeone`` and ``scaling``: what the command prints and
+  writes to its ``--out`` file or files on a small config (d=16, n=60,
+  s*=2; scaling on the same d, n and s*);
+- ``fit-data-GMM``, ``infer-data-GMM``, ``fit-data-MR`` and
+  ``infer-data-MR``: the same for ``fit`` and ``infer --data`` on a
+  CSV of one generated dataset (d=16, n=60) from
+  ``datagen.dataset_to_csv``.
+
+``truncem`` is imported from ``PYTHONPATH``, so comparing two checkouts
+is one run with each checkout's ``src`` and a ``diff`` of the two lines.
+The commands run in this process, as the ``truncem`` console script runs
+them, inside a temporary working directory, and every ``--out`` and
+the data file take one relative name there: the config each output
+echoes then holds the same paths in every run.  BLAS is pinned to one
+thread.
+"""
+
+import os
+
+# must precede the first numpy import
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import pathlib  # noqa: E402
+import tempfile  # noqa: E402
+
+from truncem import cli  # noqa: E402
+from truncem.datagen import GenSpec, dataset_to_csv, gen_dataset, make_beta_star  # noqa: E402
+from truncem.harness import DEFAULT_SIGMA, ExperimentConfig, infer_replicate  # noqa: E402
+
+SEEDS = range(200)
+MODELS = ("GMM", "MR")
+SMALL = ("--d", "16", "--n", "60", "--s-star", "2", "--seed", "3")
+COMMANDS = {
+    "trace": (),
+    "fit": (),
+    "infer": (),
+    "typeone": ("--replicates", "5"),
+    "scaling": ("--scaling-d", "16", "--n-grid", "60", "--s-star-grid", "2",
+                "--scaling-replicates", "2"),
+}
+OUT, DATA = "out", "data.csv"
+
+
+def replicate_records(model):
+    cfg = ExperimentConfig(model=model).resolve("typeone")
+    return json.dumps([infer_replicate(cfg, seed) for seed in SEEDS]).encode()
+
+
+def command_output(*argv):
+    """What ``truncem *argv --out out`` prints, then the name and bytes of
+    each file it writes, which are removed."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        cli.main([*argv, "--out", OUT])
+    data = printed.getvalue().encode()
+    for path in sorted(pathlib.Path().glob(OUT + "*")):
+        data += path.name.encode() + b"\n" + path.read_bytes()
+        path.unlink()
+    return data
+
+
+def write_dataset(model):
+    spec = GenSpec(model=model, n=60, d=16, beta_star=make_beta_star(16, (4.0, 6.0)),
+                   sigma=DEFAULT_SIGMA[model], seed=7)
+    dataset_to_csv(gen_dataset(spec), DATA)
+
+
+def outputs():
+    for model in MODELS:
+        yield f"infer_replicate-{model}", replicate_records(model)
+    for model in MODELS:
+        for command, flags in COMMANDS.items():
+            yield f"{command}-{model}", command_output(command, "--model", model,
+                                                       *SMALL, *flags)
+        write_dataset(model)
+        for command in ("fit", "infer"):
+            yield f"{command}-data-{model}", command_output(command, "--model", model,
+                                                            "--data", DATA)
+
+
+def main():
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs()}
+        finally:
+            os.chdir(cwd)
+    print(json.dumps(digests))
+
+
+if __name__ == "__main__":
+    main()

@@ -75,7 +75,9 @@ def config_from_args(args):
     settings = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            settings.update(json.load(fh))
+            settings = json.load(fh)
+    if not isinstance(settings, dict):
+        raise SystemExit(f"config file must hold a JSON object; got {type(settings).__name__}")
     valid = set(ExperimentConfig.__dataclass_fields__)
     unknown = set(settings) - valid
     if unknown:

@@ -22,4 +22,4 @@ class LpInfeasibleError(RuntimeError):
 
 
 class LpSolverError(RuntimeError):
-    """Raised when an LP solver returns a point off the constraints."""
+    """Raised when an LP solver fails, or returns a point off the constraints."""

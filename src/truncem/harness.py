@@ -251,9 +251,7 @@ def _run_tests(cfg: ExperimentConfig, model, beta_hat):
     Returns ``(score, wald, None)``, or ``(None, None, reason)`` when the
     plug-in information is not positive.
     """
-    icfg = InferenceConfig(
-        alpha_index=cfg.alpha_index, lam=cfg.lam, delta=cfg.delta, null_value=0.0
-    )
+    icfg = InferenceConfig(alpha_index=cfg.alpha_index, lam=cfg.lam, delta=cfg.delta)
     try:
         return score_test(model, beta_hat, icfg), wald_test(model, beta_hat, icfg), None
     except DegenerateInformationError as exc:
@@ -323,12 +321,10 @@ def run_infer(cfg: ExperimentConfig):
     cfg.resolve("infer")
     model, trace, _ = fit_replicate(cfg, cfg.seed, tests_alpha=True)
     sres, wres, reason = _run_tests(cfg, model, trace.estimate)
-    out = {"config": asdict(cfg)}
+    out = {"config": asdict(cfg), "degenerate": reason is not None}
     if reason is not None:
-        out["degenerate"] = True
         out["error"] = reason
         return out
-    out["degenerate"] = False
     for name, res in (("score", sres), ("wald", wres)):
         out[name] = {"statistic": res.statistic, "p_value": res.p_value,
                      "reject": bool(res.reject)}

@@ -18,17 +18,17 @@ for lam) is exact from T's diagonal and radii: an entry above every
 diagonal one lies in a column whose radius reaches that, and those few
 columns are read.  All agrees with the whole matrix to rel 1e-12.
 
-A ``_Point`` reads the columns of T at one point, for one
-``_decorrelate`` call: each column once, from the curvature weights, and
-the diagonal and radii when the LP needs them.  The model keeps only the
-finished result, ``model._decorrelated``: the key ``(beta bytes, alpha,
-lam)`` and the read-only column alpha, direction, quadratic form and
-``grad_q``, which reference no model.  So the Wald test at an estimate
-whose tested coordinate already equals the null value reuses the score
-test's whole result, and both share one ``w_hat``; any other test
-decorrelates afresh.
+A ``_Point`` reads one point for one ``_decorrelate`` call: the gradient
+and the curvature weights from one ``_grad_and_curvature_weights`` call,
+each column of T once, from the weights, and the diagonal and radii when
+the LP needs them.  The model keeps only the finished result,
+``model._decorrelated``: the key ``(beta bytes, alpha, lam)`` and the
+read-only column alpha, direction, quadratic form and gradient, which
+reference no model.  So the Wald test at an estimate whose tested
+coordinate already equals the null value reuses the score test's whole
+result, and both share one ``w_hat``; any other test decorrelates afresh.
 
-The model classes expose ``grad_q`` and the curvature in the
+The model classes give the gradient and the curvature in the
 sigma^2-scaled surrogate normalization (see ``models``); the statistics
 here divide by sigma^2 so that the plug-in information is on the Fisher
 scale and the statistics are asymptotically standard normal for every
@@ -104,13 +104,13 @@ def _frozen(a):
 
 
 class _Point(dict):
-    """The columns of T at ``beta``, each formed on first read from the
-    curvature weights (T is symmetric: rows), read-only, and its
-    ``diagonal`` and radii."""
+    """The gradient ``grad`` at ``beta``, the columns of T there, each
+    formed on first read from the curvature weights (T is symmetric: rows),
+    read-only, and its ``diagonal`` and radii."""
 
     def __init__(self, model, beta):
         self.model = model
-        self.weights = _frozen(model._curvature_weights_at(beta))
+        self.grad, self.weights = map(_frozen, model._grad_and_curvature_weights(beta))
 
     def __missing__(self, i):
         col = _frozen(self.model._column(self.weights, i))
@@ -142,8 +142,8 @@ def _decorrelate(model, beta, cfg: InferenceConfig):
     """Column alpha of the curvature matrix T at ``beta``, the
     decorrelation direction w, the quadratic form ``v.T @ T @ v`` with v
     equal to 1 at alpha and -w elsewhere, by the column certificate of w = 0
-    or by the LP on the columns of T (see the module docstring), and
-    ``grad_q(beta)``, all read-only.  The result is kept as the model's
+    or by the LP on the columns of T (see the module docstring), and the
+    gradient at ``beta``, all read-only.  The result is kept as the model's
     ``_decorrelated`` and returned again for the same beta, alpha and lam.
     """
     a = cfg.alpha_index
@@ -152,7 +152,6 @@ def _decorrelate(model, beta, cfg: InferenceConfig):
     key = (beta.tobytes(), a, cfg.lam)
     if getattr(model, "_decorrelated", (None,))[0] == key:
         return model._decorrelated[1]
-    grad = _frozen(model.grad_q(beta))
     point = _Point(model, beta)
     col = point[a]
     peak_of = np.abs(col)
@@ -171,7 +170,7 @@ def _decorrelate(model, beta, cfg: InferenceConfig):
         v = np.insert(-w, a, 1.0)
         on = np.flatnonzero(v)  # alpha and supp(w), whose columns the LP read
         quad = float(np.dot(v[on], [point[i] for i in on])[on] @ v[on])
-    model._decorrelated = key, (col, _frozen(w), quad, grad)
+    model._decorrelated = key, (col, _frozen(w), quad, point.grad)
     return model._decorrelated[1]
 
 

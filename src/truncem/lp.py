@@ -371,8 +371,9 @@ def _full_lp(a, target, lam, masked=None):
     of A gathered but row and column ``masked``, where w is 0; its cost
     is 1 on ``x >= 0``, so it is never unbounded.  HiGHS's tolerances are
     absolute, so the LP is posed divided by 2^e, ``max|a_ij| / 2^e`` in
-    [1, 2), which leaves w unchanged; a w off ``||t - A w||_inf <= lam +
-    FEAS_TOL`` raises ``LpSolverError``.  The first call imports HiGHS."""
+    [1, 2), which leaves w unchanged.  A failure other than infeasibility,
+    or a w off ``||t - A w||_inf <= lam + FEAS_TOL``, raises
+    ``LpSolverError``.  The first call imports HiGHS."""
     keep = np.delete(np.arange(target.size), [] if masked is None else masked)
     a_mat, t, m = np.array([a[i][keep] for i in keep]), target[keep], keep.size
     scale = np.ldexp(1.0, np.frexp(np.abs(a_mat).max(initial=0.0))[1] - 1)
@@ -384,7 +385,7 @@ def _full_lp(a, target, lam, masked=None):
     if res.status == 2:
         raise LpInfeasibleError("LP infeasible")
     if not res.success:
-        raise RuntimeError(f"LP solver failure: {res.message}")
+        raise LpSolverError(f"LP solver failure: {res.message}")
     w = np.zeros(target.size)
     w[keep] = res.x[:m] - res.x[m:]
     violation = np.abs(t - a_mat @ w[keep]).max(initial=0.0) - lam

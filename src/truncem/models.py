@@ -10,8 +10,8 @@ the diagonal, exact and gradient M-steps, the curvature matrix used for
 inference, and the observed-data log likelihood.
 
 The two mixtures define the curvature matrix T by three readers: the
-weights c of one beta, ``_curvature_weights_at(beta)``; one column,
-``_column(c, alpha)``, one O(nd) matrix-vector product; and
+gradient and weights c at beta, ``_grad_and_curvature_weights(beta)``;
+one column, ``_column(c, alpha)``, one O(nd) matrix-vector product; and
 ``_diagonal(c)``, T's diagonal and the radii ``r_i = sum_k |c_k| z_ki^2``
 of its Gram form ``sum_k c_k z_k z_k^T``, so ``|T_ij| <= sqrt(r_i r_j)``.
 ``curvature_matrix(beta)``, one O(nd^2) build for every model, stacks the
@@ -82,7 +82,7 @@ class _Model:
     """What every model shares: its samples ``y`` (one row or entry per
     sample), their count ``n_samples``, the dimension ``dim``, the noise
     level ``sigma``, the gradient M-step and the curvature matrix, built
-    from the subclass's ``_curvature_weights_at`` and ``_column``.  The
+    from the subclass's ``_grad_and_curvature_weights`` and ``_column``.  The
     regression models also keep their (n, d) design ``x``.  Each subclass
     validates its arrays before calling this constructor."""
 
@@ -101,7 +101,7 @@ class _Model:
     def curvature_matrix(self, beta):
         # column i fills T[i:, i] and its mirror T[i, i:]: T is exactly
         # symmetric, and its lower triangle is what inference reads
-        c = self._curvature_weights_at(beta)
+        c = self._grad_and_curvature_weights(beta)[1]
         t_mat = np.empty((self.dim, self.dim))
         for i in range(self.dim):
             t_mat[i:, i] = t_mat[i, i:] = self._column(c, i)[i:]
@@ -155,17 +155,16 @@ class GaussianMixture(_Mixture):
         return np.sum((self.y - beta) ** 2, axis=1), np.sum((self.y + beta) ** 2, axis=1)
 
     def grad_q(self, beta):
-        beta = _check_vector(beta, self.dim)
-        w = self._weights(beta)
-        return (2.0 * w - 1.0) @ self.y / self.n_samples - beta
+        return self._grad_and_curvature_weights(beta)[0]
 
     def m_step_exact(self, beta):
         w = self._weights(beta)
         return (2.0 * w - 1.0) @ self.y / self.n_samples
 
-    def _curvature_weights_at(self, beta):
+    def _grad_and_curvature_weights(self, beta):  # one posterior evaluation
         w = self._weights(beta)
-        return (4.0 / self.sigma**2) * w * (1.0 - w)
+        grad = (2.0 * w - 1.0) @ self.y / self.n_samples - beta
+        return grad, (4.0 / self.sigma**2) * w * (1.0 - w)
 
     def _column(self, nu, alpha):
         col = self.y.T @ (nu * self.y[:, alpha]) / self.n_samples
@@ -236,19 +235,21 @@ class MixtureRegression(_Mixture):
         fit = self.x @ beta
         return (self.y - fit) ** 2, (self.y + fit) ** 2
 
+    def _gradient(self, fit, w):
+        return self.x.T @ ((2.0 * w - 1.0) * self.y - fit) / self.n_samples
+
     def grad_q(self, beta):
-        fit, w = self._fit_and_weights(beta)
-        resid = (2.0 * w - 1.0) * self.y - fit
-        return self.x.T @ resid / self.n_samples
+        return self._gradient(*self._fit_and_weights(beta))
 
     def m_step_exact(self, beta):
         w = self._weights(beta)
         moment = self.x.T @ ((2.0 * w - 1.0) * self.y) / self.n_samples
         return self.clime_theta() @ moment
 
-    def _curvature_weights_at(self, beta):
-        w = self._weights(beta)
-        return ((4.0 / self.sigma**2) * w * (1.0 - w) * self.y**2 - 1.0) / self.n_samples
+    def _grad_and_curvature_weights(self, beta):
+        fit, w = self._fit_and_weights(beta)  # one x @ beta, one posterior evaluation
+        nu = (4.0 / self.sigma**2) * w * (1.0 - w)
+        return self._gradient(fit, w), (nu * self.y**2 - 1.0) / self.n_samples
 
     def _column(self, c, alpha):
         return (c * self.x[:, alpha]) @ self.x
@@ -333,7 +334,7 @@ class MissingCovariateRegression(_Model):
     def m_step_exact(self, beta):
         raise UnsupportedOperationError(self._NO_EXACT_M_STEP)
 
-    def _curvature_weights_at(self, beta):  # what every other curvature reads
+    def _grad_and_curvature_weights(self, beta):  # what every curvature reads
         raise UnsupportedOperationError(self._NO_CURVATURE)
 
     def loglik(self, beta):

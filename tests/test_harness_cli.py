@@ -493,9 +493,17 @@ def test_cli_rejects_unknown_model_or_m_step_before_any_data(settings, message, 
     assert str(raised.value) == message
 
 
-def test_cli_rejects_unknown_config_keys(tmp_path):
+# a config file that is not a JSON object was passed to dict.update: a list
+# raised TypeError, a string ValueError, and a list of pairs was read as keys
+@pytest.mark.parametrize("settings", [
+    pytest.param({"modle": "GMM"}, id="unknown-key"),
+    pytest.param([1, 2], id="list"),
+    pytest.param("fit", id="string"),
+    pytest.param([["d", 8], ["s_star", 2], ["n", 30]], id="list-of-pairs"),
+])
+def test_cli_rejects_unknown_config_keys(tmp_path, settings):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"modle": "GMM"}))
+    cfg_path.write_text(json.dumps(settings))
     with pytest.raises(SystemExit):
         run_cli("fit", "--config", str(cfg_path))
 

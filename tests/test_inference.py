@@ -20,7 +20,7 @@ from oracles import (
     gmm_curvature_symmetrized,
     mr_curvature_two_products,
 )
-from truncem import inference, lp
+from truncem import inference, lp, models
 from truncem.errors import DegenerateInformationError
 from truncem.harness import ExperimentConfig, fit_replicate, infer_replicate
 from truncem.inference import InferenceConfig, InferenceResult, score_test, wald_test
@@ -310,11 +310,12 @@ def assert_same_result(got, expect):
      ("lam_below_cross", 1)],
 )
 def test_score_then_wald_decorrelates_once_per_point(rng, monkeypatch, change, solves):
-    # each decorrelation computes its point's curvature weights and
-    # gradient once, and any column at most once; the Wald test reuses the
-    # score test's whole result when point, alpha and lam agree.  The
-    # diagonal and the LP run only where column alpha does not certify
-    # w = 0, here only with lam below T_ga, and the matrix never
+    # each decorrelation reads its point's gradient and curvature weights
+    # from one hook call, never from grad_q, and any column at most once;
+    # the Wald test reuses the score test's whole result when point, alpha
+    # and lam agree.  The diagonal and the LP run only where column alpha
+    # does not certify w = 0, here only with lam below T_ga, and the
+    # matrix never
     model, beta_hat = gmm_instance(rng)
     score_cfg = wald_cfg = InferenceConfig(alpha_index=4)
     if change == "estimate_off_null":
@@ -336,7 +337,7 @@ def test_score_then_wald_decorrelates_once_per_point(rng, monkeypatch, change, s
             return fn(*args)
         return wrapper
 
-    for name in ("_curvature_weights_at", "_column", "_diagonal",
+    for name in ("_grad_and_curvature_weights", "_column", "_diagonal",
                  "curvature_matrix", "grad_q"):
         monkeypatch.setattr(GaussianMixture, name,
                             counted(name, getattr(GaussianMixture, name)))
@@ -348,7 +349,7 @@ def test_score_then_wald_decorrelates_once_per_point(rng, monkeypatch, change, s
     points = 2 if change == "estimate_off_null" else 1
     full = solves if change == "lam_below_cross" else 0
     del counts["_column"]
-    assert counts == Counter(_curvature_weights_at=solves, grad_q=solves,
+    assert counts == Counter(_grad_and_curvature_weights=solves, grad_q=0,
                              _diagonal=full, dantzig_columns=full)
     assert max(score_columns.values()) == 1
     assert max(columns.values(), default=1) == 1
@@ -361,6 +362,24 @@ def test_score_then_wald_decorrelates_once_per_point(rng, monkeypatch, change, s
     assert not wres.w_hat.flags.writeable
     assert_same_result(sres, score_test(GaussianMixture(model.y, model.sigma), beta_hat, score_cfg))
     assert_same_result(wres, wald_test(GaussianMixture(model.y, model.sigma), beta_hat, wald_cfg))
+
+
+@pytest.mark.parametrize("model_name", ["GMM", "MR"])
+def test_replicate_evaluates_the_posterior_once_per_point(monkeypatch, model_name):
+    # one sigmoid per EM iteration and one at the tested point, which gives
+    # the score test both its gradient and its curvature weights (and, for
+    # MR, computes x @ beta once); the Wald test reuses that point
+    calls = []
+
+    def counted(x, sigmoid=models._sigmoid):
+        calls.append(x.shape)
+        return sigmoid(x)
+
+    monkeypatch.setattr(models, "_sigmoid", counted)
+    cfg = ExperimentConfig(model=model_name).resolve("typeone")
+    assert infer_replicate(cfg, 0)["degenerate"] == 0
+    assert len(calls) == cfg.n_iter + 1
+    assert set(calls) == {(cfg.n,)}  # each evaluates all n samples' weights
 
 
 @pytest.mark.parametrize("kind", ["GMM", "GMM-LP", "MR"])

@@ -539,11 +539,11 @@ def test_failed_certificate_falls_back_to_one_full_lp(monkeypatch):
     assert calls == [(4, 4)]
 
 
-@pytest.mark.parametrize("status, error", [(2, LpInfeasibleError), (4, RuntimeError),
+@pytest.mark.parametrize("status, error", [(2, LpInfeasibleError), (4, LpSolverError),
                                            (0, LpSolverError)])
 def test_full_lp_maps_solver_status(monkeypatch, status, error):
-    # status 2 is infeasibility; any other failure carries the solver's
-    # message; a success is checked, and w = 0 breaks row 0 by 0.9
+    # status 2 is infeasibility; any other failure is an LpSolverError with
+    # the solver's message; a success is checked, and w = 0 breaks row 0 by 0.9
     monkeypatch.setattr(lp, "_certified", lambda *args: False)
     monkeypatch.setattr(lp, "linprog", lambda *args, **kwargs: OptimizeResult(
         status=status, success=status == 0, message="numerical difficulties",

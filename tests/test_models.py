@@ -322,7 +322,8 @@ def test_gmm_curvature_at_zero_closed_form(rng):
 def test_mr_curvature_gram_form(rng, d, sigma, scale, lifted_range):
     model = random_mr(rng, n=30, d=d, sigma=sigma)
     beta = scale * rng.standard_normal(d) / np.sqrt(d)
-    lifted = np.count_nonzero(model._curvature_weights_at(beta) != -1.0 / model.n_samples)
+    weights = model._grad_and_curvature_weights(beta)[1]
+    lifted = np.count_nonzero(weights != -1.0 / model.n_samples)
     assert lifted_range[0] <= lifted <= lifted_range[1]
     t_mat = model.curvature_matrix(beta)
     ref = mr_curvature_two_products(model, beta)
