@@ -16,7 +16,12 @@ bytes:
 - ``fit-data-GMM``, ``infer-data-GMM``, ``fit-data-MR`` and
   ``infer-data-MR``: the same for ``fit`` and ``infer --data`` on a
   CSV of one generated dataset (d=16, n=60) from
-  ``datagen.dataset_to_csv``.
+  ``datagen.dataset_to_csv``;
+- the paths where EM reaches an exact fixed point late or must not stop
+  at one, each at the defaults but for its flags: ``fit`` and ``trace``
+  of MR with the exact M-step at d=64, n=100 (``*-MR-exact``); ``fit``,
+  ``trace`` and ``infer`` of GMM at sigma=3 (``*-GMM-sigma3``); and a
+  resampled GMM ``fit`` (``fit-GMM-resample``).
 
 ``truncem`` is imported from ``PYTHONPATH``, so comparing two checkouts
 is one run with each checkout's ``src`` and a ``diff`` of the two lines.
@@ -54,6 +59,14 @@ COMMANDS = {
     "typeone": ("--replicates", "5"),
     "scaling": ("--scaling-d", "16", "--n-grid", "60", "--s-star-grid", "2",
                 "--scaling-replicates", "2"),
+}
+LATE_OR_NO_EXIT = {
+    "fit-MR-exact": ("fit", "--model", "MR", "--m-step", "exact", "--d", "64", "--n", "100"),
+    "trace-MR-exact": ("trace", "--model", "MR", "--m-step", "exact", "--d", "64",
+                       "--n", "100"),
+    **{f"{command}-GMM-sigma3": (command, "--model", "GMM", "--sigma", "3")
+       for command in ("fit", "trace", "infer")},
+    "fit-GMM-resample": ("fit", "--model", "GMM", "--resample"),
 }
 OUT, DATA = "out", "data.csv"
 
@@ -93,6 +106,8 @@ def outputs():
         for command in ("fit", "infer"):
             yield f"{command}-data-{model}", command_output(command, "--model", model,
                                                             "--data", DATA)
+    for name, argv in LATE_OR_NO_EXIT.items():
+        yield name, command_output(*argv)
 
 
 def main():

@@ -71,11 +71,21 @@ def build_parser():
     return parser
 
 
+def _unique_keys(pairs):
+    keys = [key for key, _ in pairs]
+    if repeated := sorted({key for key in keys if keys.count(key) > 1}):
+        raise SystemExit(f"repeated config keys: {repeated}")
+    return dict(pairs)
+
+
 def config_from_args(args):
     settings = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            settings = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                settings = json.load(fh, object_pairs_hook=_unique_keys)
+        except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            raise SystemExit(f"cannot read config file {args.config}: {exc}") from None
     if not isinstance(settings, dict):
         raise SystemExit(f"config file must hold a JSON object; got {type(settings).__name__}")
     valid = set(ExperimentConfig.__dataclass_fields__)

@@ -15,7 +15,8 @@ class EmConfig:
     """Knobs of the truncated EM loop.
 
     s_hat: number of coordinates kept by the truncation step.
-    n_iter: number of EM iterations; the loop always runs this many.
+    n_iter: number of EM iterations; an exact fixed point ends the loop
+        and is repeated up to this many.
     m_step: "exact" or "gradient".
     eta: stepsize for the gradient M-step.
     resample: use a fresh contiguous data block per iteration.
@@ -46,7 +47,8 @@ class EmTrace:
 
     ``iterates`` holds beta^(0) ... beta^(T) and ``supports`` the
     truncation supports: ``iterates[t + 1]`` keeps, at ``supports[t]``, the
-    ``s_hat`` largest entries of the M-step from ``iterates[t]``.  The log
+    ``s_hat`` largest entries of the M-step from ``iterates[t]``, or repeat
+    an exact fixed point.  The log
     likelihood is not recorded: neither the estimate nor the decorrelated
     tests read it, so callers that report it evaluate ``model.loglik`` on
     the iterates.
@@ -60,15 +62,6 @@ class EmTrace:
         return self.iterates[-1]
 
 
-def _check_setup(model, init, cfg):
-    init = np.asarray(init, dtype=float)
-    if init.shape != (model.dim,):
-        raise ValueError(f"init must have shape ({model.dim},)")
-    if cfg.s_hat > model.dim:
-        raise ValueError("s_hat exceeds the parameter dimension")
-    return init
-
-
 def resample_block(n_samples, n_iter):
     """Samples per block of resampled EM over ``n_iter >= 1`` iterations."""
     if n_samples < n_iter:
@@ -79,13 +72,19 @@ def resample_block(n_samples, n_iter):
 def run_em(model, init, cfg: EmConfig):
     """Truncated EM: alternate the M-step with hard truncation.
 
-    Returns an EmTrace with n_iter + 1 iterates.  With ``cfg.resample``
-    iteration t sees only the t-th data block: the first
-    ``n_iter * (n // n_iter)`` samples are split into ``n_iter``
-    contiguous blocks in the given order and trailing samples are
-    discarded.
+    Returns an EmTrace with n_iter + 1 iterates.  Without ``cfg.resample``
+    an iterate that repeats the last byte for byte ends the loop, since the
+    map is deterministic, and fills the trace (the same arrays; no caller
+    writes to them).  With ``cfg.resample`` iteration t sees only the t-th
+    data block: the first ``n_iter * (n // n_iter)`` samples are split into
+    ``n_iter`` contiguous blocks in the given order and trailing samples
+    are discarded.
     """
-    init = _check_setup(model, init, cfg)
+    init = np.asarray(init, dtype=float)
+    if init.shape != (model.dim,):
+        raise ValueError(f"init must have shape ({model.dim},)")
+    if cfg.s_hat > model.dim:
+        raise ValueError("s_hat exceeds the parameter dimension")
     if cfg.resample:
         block = resample_block(model.n_samples, cfg.n_iter)
     trace = EmTrace()
@@ -100,8 +99,12 @@ def run_em(model, init, cfg: EmConfig):
         else:
             half = source.m_step_gradient(beta, cfg.eta)
         support = top_support(half, cfg.s_hat)
-        beta = np.zeros_like(half)  # hard_truncate without re-checking the support
-        beta[support] = half[support]
+        prev, beta = beta, np.zeros_like(half)
+        beta[support] = half[support]  # hard_truncate without re-checking the support
         trace.supports.append(support)
         trace.iterates.append(beta)
+        if not cfg.resample and beta.tobytes() == prev.tobytes():  # -0.0 is not 0.0
+            trace.supports += [support] * (cfg.n_iter - 1 - t)
+            trace.iterates += [beta] * (cfg.n_iter - 1 - t)
+            break
     return trace

@@ -34,6 +34,18 @@ def random_rmc(rng, n=20, d=5, sigma=1.0, p_missing=0.3):
     return MissingCovariateRegression(x, mask, y, sigma)
 
 
+def count_m_steps(monkeypatch, cls):
+    """Record every M-step call on instances of ``cls``, by method name."""
+    calls = []
+    for name in ("m_step_exact", "m_step_gradient"):
+        def counted(self, *args, _name=name, _method=getattr(cls, name)):
+            calls.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -11,9 +11,11 @@ import math
 import numpy as np
 
 from truncem import lp
+from truncem.em import EXACT, EmTrace, resample_block
 from truncem.errors import LpInfeasibleError
 from truncem.lp import dantzig_direction
 from truncem.models import _check_vector
+from truncem.sparsity import hard_truncate, top_support
 
 FEAS_TOL = 1e-8
 
@@ -433,6 +435,40 @@ def numpy_scan_homotopy(a, target, lam, a_max, masked=None):
         if not done:
             return None
     return None
+
+
+# ---------------------------------------------------------------------------
+# the truncated EM loop with no early exit
+
+
+def full_em_trace(model, init, cfg):
+    """``run_em`` as it ran before it stopped at an exact fixed point: all
+    ``cfg.n_iter`` M-steps and truncations, each into a fresh array.  The
+    early exit must reproduce this trace byte for byte."""
+    init = np.asarray(init, dtype=float)
+    if init.shape != (model.dim,):
+        raise ValueError(f"init must have shape ({model.dim},)")
+    if cfg.s_hat > model.dim:
+        raise ValueError("s_hat exceeds the parameter dimension")
+    if cfg.resample:
+        block = resample_block(model.n_samples, cfg.n_iter)
+    trace = EmTrace()
+    beta = hard_truncate(init, top_support(init, cfg.s_hat))
+    trace.iterates.append(beta)
+    for t in range(cfg.n_iter):
+        source = model
+        if cfg.resample:
+            source = model.subset(np.arange(t * block, (t + 1) * block))
+        if cfg.m_step == EXACT:
+            half = source.m_step_exact(beta)
+        else:
+            half = source.m_step_gradient(beta, cfg.eta)
+        support = top_support(half, cfg.s_hat)
+        beta = np.zeros_like(half)  # hard_truncate without re-checking the support
+        beta[support] = half[support]
+        trace.supports.append(support)
+        trace.iterates.append(beta)
+    return trace
 
 
 # ---------------------------------------------------------------------------

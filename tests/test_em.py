@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
-from conftest import random_gmm, random_mr, random_rmc
+from conftest import count_m_steps, random_gmm, random_mr, random_rmc
+from oracles import full_em_trace
+from truncem import harness
 from truncem.em import EmConfig, EmTrace, run_em
 from truncem.errors import UnsupportedOperationError
-from truncem.models import GaussianMixture
+from truncem.harness import ExperimentConfig
+from truncem.models import GaussianMixture, MissingCovariateRegression, MixtureRegression
 from truncem.sparsity import hard_truncate, top_support
 
 
@@ -199,3 +204,119 @@ def test_resampled_error_matches_plain_at_block_size(rng):
 def test_trace_estimate_property():
     trace = EmTrace(iterates=[np.zeros(2), np.ones(2)])
     assert np.array_equal(trace.estimate, np.ones(2))
+
+
+# ---------------------------------------------------------------------------
+# the exit at an exact fixed point
+
+MODEL_CLASSES = {"GMM": GaussianMixture, "MR": MixtureRegression,
+                 "RMC": MissingCovariateRegression}
+
+
+def assert_same_bytes(trace, full):
+    """Iterate for iterate and support for support, equal bytes, dtype and
+    shape (``np.array_equal`` would call -0.0 equal to 0.0)."""
+    assert len(trace.iterates) == len(full.iterates)
+    assert len(trace.supports) == len(full.supports)
+    for a, b in zip(trace.iterates + trace.supports, full.iterates + full.supports):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def m_steps_run(trace):
+    """M-steps ``run_em`` ran: each makes one new iterate, and the exit
+    fills the trace with the last one."""
+    return len({id(beta) for beta in trace.iterates}) - 1
+
+
+@pytest.mark.parametrize("settings, seeds, stops_early", [
+    # the CLI defaults stop at t = 2 on every seed; sigma = 3 at t = 4-9
+    pytest.param(dict(model="GMM"), range(50), True, id="gmm-defaults"),
+    pytest.param(dict(model="GMM", sigma=3.0), range(10), True, id="gmm-sigma-3"),
+    pytest.param(dict(model="MR", d=64, m_step="exact"), range(10), True,
+                 id="mr-exact-d64"),
+    pytest.param(dict(model="MR"), range(5), False, id="mr-gradient"),
+    pytest.param(dict(model="RMC"), range(5), False, id="rmc-gradient"),
+    pytest.param(dict(model="GMM", resample=True), range(5), False, id="gmm-resample"),
+])
+def test_fixed_point_exit_matches_the_full_loop(monkeypatch, settings, seeds, stops_early):
+    runs = []
+
+    def recorded(model, init, cfg):
+        runs.append((model, init, cfg))
+        return run_em(model, init, cfg)
+
+    monkeypatch.setattr(harness, "run_em", recorded)
+    cfg = ExperimentConfig(**settings).resolve()
+    steps = []
+    for seed in seeds:
+        _, trace, _ = harness.fit_replicate(cfg, seed)
+        assert_same_bytes(trace, full_em_trace(*runs.pop()))
+        steps.append(m_steps_run(trace))
+    if stops_early:
+        assert min(steps) < cfg.n_iter
+    else:
+        assert steps == [cfg.n_iter] * len(seeds)
+
+
+@pytest.mark.parametrize("settings, calls", [
+    pytest.param(dict(model="GMM"), ["m_step_exact"] * 2, id="gmm-defaults"),
+    pytest.param(dict(model="MR"), ["m_step_gradient"] * 10, id="mr-gradient"),
+    pytest.param(dict(model="GMM", resample=True), ["m_step_exact"] * 10,
+                 id="gmm-resample"),
+])
+def test_m_steps_run_until_a_fixed_point(monkeypatch, settings, calls):
+    cfg = ExperimentConfig(**settings).resolve()
+    counted = count_m_steps(monkeypatch, MODEL_CLASSES[cfg.model])
+    _, trace, _ = harness.fit_replicate(cfg, 0)
+    assert counted == calls
+    assert m_steps_run(trace) == len(calls)
+    assert len(trace.iterates) == cfg.n_iter + 1 and len(trace.supports) == cfg.n_iter
+
+
+class NegatesOneEntry:
+    """A deterministic M-step that flips the sign of entry 1, which the
+    support keeps: from (1, 0, 0) the iterates alternate between +0.0 and
+    -0.0 there, which ``np.array_equal`` calls equal."""
+
+    dim = 3
+
+    def __init__(self):
+        self.calls = 0
+
+    def m_step_exact(self, beta):
+        self.calls += 1
+        return np.array([1.0, -beta[1], 0.0])
+
+
+def test_signed_zero_is_not_a_fixed_point():
+    model, init, cfg = NegatesOneEntry(), np.array([1.0, 0.0, 0.0]), EmConfig(s_hat=2, n_iter=6)
+    trace = run_em(model, init, cfg)
+    assert model.calls == cfg.n_iter
+    assert [math.copysign(1.0, beta[1]) for beta in trace.iterates] == [1.0, -1.0] * 3 + [1.0]
+    assert_same_bytes(trace, full_em_trace(NegatesOneEntry(), init, cfg))
+
+
+class BlockRows:
+    """Samples whose M-step ignores beta and returns their mean row."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.dim, self.n_samples = rows.shape[1], rows.shape[0]
+
+    def subset(self, indices):
+        return BlockRows(self.rows[indices])
+
+    def m_step_exact(self, beta):
+        return self.rows.mean(axis=0)
+
+
+def test_resampled_em_runs_past_a_repeated_iterate():
+    # blocks 0 and 1 give the same iterate and block 2 another: a repeat
+    # under resampling is no fixed point, since each step reads a new block
+    model = BlockRows(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 2.0]]))
+    init = np.array([0.0, 1.0])
+    cfg = EmConfig(s_hat=1, n_iter=3, resample=True)
+    trace = run_em(model, init, cfg)
+    assert trace.iterates[1].tobytes() == trace.iterates[2].tobytes()
+    assert trace.estimate.tolist() == [0.0, 2.0]
+    assert_same_bytes(trace, full_em_trace(model, init, cfg))

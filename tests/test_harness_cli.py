@@ -508,6 +508,23 @@ def test_cli_rejects_unknown_config_keys(tmp_path, settings):
         run_cli("fit", "--config", str(cfg_path))
 
 
+# a missing file ended in a FileNotFoundError traceback, unparsable JSON in
+# a JSONDecodeError traceback, and a repeated key silently kept its last value
+@pytest.mark.parametrize("text, message", [
+    pytest.param(None, r"cannot read config file .*cfg\.json: .*No such file", id="missing"),
+    pytest.param('{"d": 8,', r"cannot read config file .*cfg\.json: Expecting", id="not-json"),
+    pytest.param('{"d": 8, "s_star": 2, "d": 300}', r"repeated config keys: \['d'\]",
+                 id="repeated-key"),
+])
+def test_cli_rejects_unreadable_config_files(tmp_path, monkeypatch, text, message):
+    no_data(monkeypatch)
+    cfg_path = tmp_path / "cfg.json"
+    if text is not None:
+        cfg_path.write_text(text)
+    with pytest.raises(SystemExit, match=message):
+        run_cli("fit", "--config", str(cfg_path))
+
+
 def no_data(monkeypatch):
     """Make drawing or loading a dataset fail the test."""
     from truncem import harness

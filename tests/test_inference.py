@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
-from conftest import random_gmm
+from conftest import count_m_steps, random_gmm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
@@ -366,9 +366,11 @@ def test_score_then_wald_decorrelates_once_per_point(rng, monkeypatch, change, s
 
 @pytest.mark.parametrize("model_name", ["GMM", "MR"])
 def test_replicate_evaluates_the_posterior_once_per_point(monkeypatch, model_name):
-    # one sigmoid per EM iteration and one at the tested point, which gives
+    # one sigmoid per M-step run and one at the tested point, which gives
     # the score test both its gradient and its curvature weights (and, for
-    # MR, computes x @ beta once); the Wald test reuses that point
+    # MR, computes x @ beta once); the Wald test reuses that point.  The
+    # GMM's exact M-step reaches a fixed point after 2 of its 10 iterations
+    # on seed 0; MR's gradient M-step runs all 10
     calls = []
 
     def counted(x, sigmoid=models._sigmoid):
@@ -376,9 +378,11 @@ def test_replicate_evaluates_the_posterior_once_per_point(monkeypatch, model_nam
         return sigmoid(x)
 
     monkeypatch.setattr(models, "_sigmoid", counted)
+    m_steps = count_m_steps(monkeypatch, {"GMM": GaussianMixture,
+                                          "MR": MixtureRegression}[model_name])
     cfg = ExperimentConfig(model=model_name).resolve("typeone")
     assert infer_replicate(cfg, 0)["degenerate"] == 0
-    assert len(calls) == cfg.n_iter + 1
+    assert len(calls) == len(m_steps) + 1 == {"GMM": 3, "MR": cfg.n_iter + 1}[model_name]
     assert set(calls) == {(cfg.n,)}  # each evaluates all n samples' weights
 
 
