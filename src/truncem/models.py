@@ -184,8 +184,7 @@ class MixtureRegression(_Mixture):
     covariance of the design, computed once per model and cached.  The
     curvature matrix is ``x^T diag(c) x``, ``c = (nu y^2 - 1) / n``; column
     alpha is the one product ``(c x[:, alpha]) @ x``.  Its diagonal and radii
-    are the column norms of x / n plus the terms of the samples whose
-    weight is not -1/n (3-9 of 100 by default).
+    are one weighted sum of squares each, by c and by |c|.
 
     The CLIME lambda is fixed, ``clime_lambda = 2 sqrt(log d / n)`` (n of
     this model, so a ``subset`` has its own), and it over-shrinks at small
@@ -255,12 +254,11 @@ class MixtureRegression(_Mixture):
         return (c * self.x[:, alpha]) @ self.x
 
     def _diagonal(self, c):
-        n, x = self.n_samples, self.x
-        lift = c + 1.0 / n
-        lifted, base = np.flatnonzero(lift), np.einsum("ki,ki->i", x, x) / n
-        z = x[lifted]
-        return (np.einsum("k,ki,ki->i", lift[lifted], z, z) - base,
-                np.einsum("k,ki,ki->i", np.abs(c[lifted]) - 1.0 / n, z, z) + base)
+        # summed from c itself: a form that lifts c off -1/n and subtracts
+        # the column norms cancels to a rounding of the norms, far above
+        # both T_ii and r_i where nu y^2 is near 1 (n=1, x=3, y=1, beta=1/256)
+        return (np.einsum("k,ki,ki->i", c, self.x, self.x),
+                np.einsum("k,ki,ki->i", np.abs(c), self.x, self.x))
 
 
 class MissingCovariateRegression(_Model):

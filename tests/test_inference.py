@@ -11,7 +11,7 @@ import pytest
 from scipy.special import ndtr, ndtri
 
 from conftest import count_m_steps, random_gmm
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     decorrelate_full_matrix,
@@ -560,6 +560,9 @@ def assert_max_rule_exact(model, beta, alpha):
 
 @settings(max_examples=200, deadline=None)
 @given(mixtures_at_a_point())
+# nu y^2 near 1: T_22 and r_2 near 0.0012 against a column norm of 9
+@example((MixtureRegression(np.array([[0.0, 0.0, 3.0]]), np.array([1.0]), 1.0),
+          np.array([0.0, 0.0, 1.0 / 256]), 0))
 def test_max_rule_matches_the_whole_matrix(drawn):
     assert_max_rule_exact(*drawn)
 

@@ -311,8 +311,7 @@ def test_gmm_curvature_at_zero_closed_form(rng):
 
 
 # the columns against the two-product form, from one column to d = 199, with
-# few, most or no samples lifted off the weight -1/n, on which the radii of
-# ``_diagonal`` split
+# few, most or no samples lifted off the weight -1/n
 @pytest.mark.parametrize("d", [1, 5, 16, 17, 40, 199])
 @pytest.mark.parametrize("sigma, scale, lifted_range", [
     pytest.param(0.1, 1.0, (1, 9), id="few"),
