@@ -9,6 +9,10 @@ bytes:
 - ``infer_replicate-GMM``, ``infer_replicate-MR``: the records of
   ``harness.infer_replicate`` for seeds 0 to 199 at the command-line
   defaults (d=256, n=100), as JSON;
+- ``homotopy-pivots-MR``: the pivots of every decorrelation LP those MR
+  replicates solve, as JSON: each basis update of the homotopy in order,
+  as its name and its index and sign arguments, so that two checkouts
+  that take the same pivots print the same digest;
 - ``<command>-GMM`` and ``<command>-MR`` for ``trace``, ``fit``,
   ``infer``, ``typeone`` and ``scaling``: what the command prints and
   writes to its ``--out`` file or files on a small config (d=16, n=60,
@@ -45,7 +49,9 @@ import json  # noqa: E402
 import pathlib  # noqa: E402
 import tempfile  # noqa: E402
 
-from truncem import cli  # noqa: E402
+import numpy as np  # noqa: E402
+
+from truncem import cli, lp  # noqa: E402
 from truncem.datagen import GenSpec, dataset_to_csv, gen_dataset, make_beta_star  # noqa: E402
 from truncem.harness import DEFAULT_SIGMA, ExperimentConfig, infer_replicate  # noqa: E402
 
@@ -69,11 +75,36 @@ LATE_OR_NO_EXIT = {
     "fit-GMM-resample": ("fit", "--model", "GMM", "--resample"),
 }
 OUT, DATA = "out", "data.csv"
+#: the homotopy's basis updates, one per pivot
+UPDATES = ("border", "replace_row", "replace_col", "downdate")
 
 
 def replicate_records(model):
     cfg = ExperimentConfig(model=model).resolve("typeone")
     return json.dumps([infer_replicate(cfg, seed) for seed in SEEDS]).encode()
+
+
+@contextlib.contextmanager
+def logged_pivots():
+    """A list that gets each basis update of ``lp._Basis`` made in the
+    block, as its name and its scalar (index and sign) arguments."""
+    log, updates = [], {name: getattr(lp._Basis, name) for name in UPDATES}
+
+    def logged(name, update):
+        def run(self, *args):
+            log.append([name] + [v.item() if isinstance(v, np.generic) else v
+                                 for v in args if np.ndim(v) == 0])
+            return update(self, *args)
+
+        return run
+
+    for name, update in updates.items():
+        setattr(lp._Basis, name, logged(name, update))
+    try:
+        yield log
+    finally:
+        for name, update in updates.items():
+            setattr(lp._Basis, name, update)
 
 
 def command_output(*argv):
@@ -96,8 +127,11 @@ def write_dataset(model):
 
 
 def outputs():
-    for model in MODELS:
-        yield f"infer_replicate-{model}", replicate_records(model)
+    yield "infer_replicate-GMM", replicate_records("GMM")
+    with logged_pivots() as pivots:
+        records = replicate_records("MR")
+    yield "infer_replicate-MR", records
+    yield "homotopy-pivots-MR", json.dumps(pivots).encode()
     for model in MODELS:
         for command, flags in COMMANDS.items():
             yield f"{command}-{model}", command_output(command, "--model", model,

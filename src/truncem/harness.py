@@ -211,14 +211,16 @@ def run_trace(cfg: ExperimentConfig):
     cfg.resolve("trace")
     model, trace, beta_star = fit_replicate(cfg, cfg.seed)
     beta_final = trace.estimate
-    rows = []
+    rows, last = [], None
     for t, beta_t in enumerate(trace.iterates):
+        if beta_t is not last:  # an exact fixed point repeats its array to the end
+            last, loglik = beta_t, model.loglik(beta_t)
         rows.append(
             {
                 "t": t,
                 "opt_error": float(np.linalg.norm(beta_t - beta_final)),
                 "est_error": sign_aligned_error(beta_t, beta_star, cfg.model),
-                "loglik": model.loglik(beta_t),
+                "loglik": loglik,
             }
         )
     return rows

@@ -88,10 +88,15 @@ class InferenceResult:
     info_scalar: float  # Fisher-scaled plug-in partial information
 
 
+def _nuisance(v, alpha):
+    """``v`` without its entry ``alpha``: the array ``np.delete`` builds."""
+    return np.concatenate((v[:alpha], v[alpha + 1:]))
+
+
 def _score(grad, w, alpha):
     """Decorrelated score from the gradient ``grad`` at the point: its alpha
     component minus its projection onto the nuisance components."""
-    return float(grad[alpha] - w @ np.delete(grad, alpha))
+    return float(grad[alpha] - w @ _nuisance(grad, alpha))
 
 
 def _scaled_lambda(max_abs, d, n):
@@ -113,10 +118,11 @@ class _Point(dict):
         self.grad, self.weights = map(_frozen, model._grad_and_curvature_weights(beta))
 
     def __missing__(self, i):
-        col = _frozen(self.model._column(self.weights, i))
-        # col @ col is finite if every entry is, unless it overflows
-        if not (math.isfinite(col @ col) or np.isfinite(col).all()):
+        col = self.model._column(self.weights, i)
+        # col . col is finite if every entry is, unless it overflows
+        if not (math.isfinite(col.dot(col)) or np.isfinite(col).all()):
             raise ValueError("curvature column must be finite")
+        col.setflags(write=False)
         self[i] = col
         return col
 
@@ -167,7 +173,7 @@ def _decorrelate(model, beta, cfg: InferenceConfig):
         if lam is None:  # max|T| lies in T_gg or in column alpha
             lam = max(bound, _scaled_lambda(a_max, model.dim, model.n_samples))
         w = dantzig_columns(point, a, lam, a_max)
-        v = np.insert(-w, a, 1.0)
+        v = np.concatenate((-w[:a], [1.0], -w[a:]))
         on = np.flatnonzero(v)  # alpha and supp(w), whose columns the LP read
         quad = float(np.dot(v[on], [point[i] for i in on])[on] @ v[on])
     model._decorrelated = key, (col, _frozen(w), quad, point.grad)
@@ -229,7 +235,7 @@ def wald_test(model, beta_hat, cfg: InferenceConfig):
     """Decorrelated Wald test and confidence interval for one coordinate."""
     beta_hat, a = np.asarray(beta_hat, dtype=float), cfg.alpha_index
     col, w, quad, grad = _decorrelate(model, beta_hat, cfg)
-    denom = col[a] - w @ np.delete(col, a)
+    denom = col[a] - w @ _nuisance(col, a)
     if denom == 0:
         raise DegenerateInformationError("zero curvature denominator")
     # the sigma^2 scalings of score and curvature cancel in the ratio

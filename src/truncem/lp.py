@@ -70,39 +70,54 @@ class _Basis:
     """The homotopy's basis: active rows S with signs s and support
     columns J with signs z, in the order they joined.  ``a_rows[:k]``
     holds A[S, :], ``a_cols[:k]`` holds A[J, :] = A[:, J]^T, ``ts[:k]`` holds
-    (t_S, s), ``z[:k]`` holds z and ``ray[:k + 1]`` is room for the dual
-    ray, for k = |S| = |J|; ``inv`` is A[S, J]^-1, a contiguous k x k array
-    (a new one when k changes), as numpy's small products and updates are
-    faster on it than on a block of a larger buffer.  ``free_rows`` is 1 on
-    the rows that may bind and 0 on S and the masked row; ``barred_cols`` is
-    0 on the columns that may enter and +inf on J and the masked column, the
-    floor the column ratio is clipped at.  The buffers start at ``_BASIS_ROWS``
-    rows and double when full; each pivot changes them, and ``inv``, by one
-    row or column, and nothing is re-gathered or re-inverted (Vanderbei,
-    *Linear Programming*, ch. 8).  An update returns False, and
-    changes nothing, when its pivot is not above ``_PIVOT_TOL``, scaled by
-    ``a_max`` for a pivot in the units of A or of its inverse."""
+    (t_S, s), ``z[:k]`` holds z, ``signs`` and ``zs`` hold s and z as lists
+    for the scalar scans, and ``ray[:k + 1]`` is room for the dual ray, for
+    k = |S| = |J|; ``inv`` is A[S, J]^-1, a contiguous k x k array (a new one
+    when k changes), as numpy's small products and updates are faster on
+    it than on a block of a larger buffer.  While J equals S entry for
+    entry, as when each column that entered was the row that joined with
+    it, ``a_cols`` is ``a_rows``, so a row is copied in once; the first
+    update that parts them gives ``a_cols`` a copy of its own.
+    ``free_rows`` is 1 on the rows that may bind and 0 on S and the masked
+    row; ``barred_cols`` is 0 on the columns that may enter and +inf on J
+    and the masked column, the floor the column ratio is clipped at.  The
+    buffers start at ``_BASIS_ROWS`` rows and double when full; each pivot
+    changes them, and ``inv``, by one row or column, and nothing is
+    re-gathered or re-inverted (Vanderbei, *Linear Programming*, ch. 8).
+    An update returns False, and changes nothing, when its pivot is not
+    above ``_PIVOT_TOL``, scaled by ``a_max`` for a pivot in the units of A
+    or of its inverse."""
 
     def __init__(self, a, target, a_max, masked):
         self.a, self.target, self.a_max = a, target, a_max
-        self.rows, self.cols = [], []
+        self.rows, self.cols, self.signs, self.zs = [], [], [], []
         m = target.size
         self.free_rows, self.barred_cols = np.ones(m), np.zeros(m)
         if masked is not None:
             self.free_rows[masked], self.barred_cols[masked] = 0.0, np.inf
         self.inv = np.empty((0, 0))
+        self.a_rows = self.a_cols = None
         self._allocate(_BASIS_ROWS)
 
     def _allocate(self, cap):
         """Buffers of ``cap`` rows, holding the basis of the old ones."""
         k, m = len(self.rows), self.target.size
+        shared = self.a_cols is self.a_rows
         for name, shape in (("a_rows", (cap, m)), ("a_cols", (cap, m)), ("ts", (cap, 2)),
                             ("z", (cap,))):
+            if name == "a_cols" and shared:
+                self.a_cols = self.a_rows
+                continue
             buf = np.empty(shape)
             if k:
                 buf[:k] = getattr(self, name)[:k]
             setattr(self, name, buf)
         self.ray = np.empty(cap + 1)
+
+    def _part(self):
+        """Give ``a_cols`` a buffer of its own, as J and S are to differ."""
+        if self.a_cols is self.a_rows:
+            self.a_cols = self.a_rows.copy()
 
     def stage_row(self, i):
         """Copy row i of A to ``a_rows[k]``, growing the buffers if full."""
@@ -117,26 +132,35 @@ class _Basis:
         A[S, j]`` and the Schur complement ``sigma = a_ij - y.A[S, j]``, the
         new inverse is ``[[inv + x y^T / sigma, -x / sigma], [-y^T / sigma,
         1 / sigma]]``."""
-        k = len(self.rows)
-        b = self.a_rows[:k, j]
-        sigma = self.a_rows[k, j] - np.dot(y, b)
+        k, a_rows = len(self.rows), self.a_rows
+        b = a_rows[:k, j]
+        sigma = float(a_rows[k, j] - y.dot(b)) if k else a_rows.item(0, j)
         if not abs(sigma) > _PIVOT_TOL * self.a_max:
             return False
-        # the new row -y / sigma, then inv - x (-y / sigma)^T: the roundings of
-        # inv + x (y / sigma)^T, as negation is exact; numpy writes the update
-        # faster to a contiguous array than to a block of the new one
-        x, inv = np.dot(self.inv, b), np.empty((k + 1, k + 1))
-        row = inv[k, :k]
-        np.divide(y, -sigma, out=row)
-        update = np.multiply.outer(x, row)
-        inv[:k, :k] = np.subtract(self.inv, update, out=update)
-        np.divide(x, -sigma, out=inv[:k, k])
-        inv[k, k] = 1.0 / sigma
+        if k:
+            # the new row -y / sigma, then inv - x (-y / sigma)^T: the roundings
+            # of inv + x (y / sigma)^T, as negation is exact; numpy writes the
+            # update faster to a contiguous array than to a block of the new one
+            x, inv = self.inv.dot(b), np.empty((k + 1, k + 1))
+            row = inv[k, :k]
+            np.divide(y, -sigma, out=row)
+            update = x[:, None] * row
+            inv[:k, :k] = np.subtract(self.inv, update, out=update)
+            np.divide(x, -sigma, out=inv[:k, k])
+            inv[k, k] = 1.0 / sigma
+        else:  # the first pivot: A[S, J] is the 1 x 1 matrix (a_ij)
+            inv = np.array([[1.0 / sigma]])
         self.inv = inv
-        self.a_cols[k] = self.a[j]
+        if j != i:
+            self._part()
+            self.a_cols[k] = self.a[j]
+        elif self.a_cols is not a_rows:
+            self.a_cols[k] = a_rows[k]
         self.ts[k, 0], self.ts[k, 1], self.z[k] = self.target[i], side, sign
         self.rows.append(i)
         self.cols.append(j)
+        self.signs.append(side)
+        self.zs.append(sign)
         self.free_rows[i], self.barred_cols[j] = 0.0, np.inf
         return True
 
@@ -150,8 +174,10 @@ class _Basis:
         y = y.copy()
         y[leave] -= 1.0
         inv -= np.multiply.outer(inv[:, leave] / pivot, y)
+        self._part()
         self.a_rows[leave] = self.a_rows[k]
         self.ts[leave] = self.target[i], side
+        self.signs[leave] = side
         self.free_rows[self.rows[leave]], self.free_rows[i] = 1.0, 0.0
         self.rows[leave] = i
         return True
@@ -162,16 +188,17 @@ class _Basis:
         A[S, j]``; if j is that coordinate, only its sign flips."""
         if j != self.cols[pos]:
             k, inv = len(self.rows), self.inv
-            x = np.dot(inv, self.a_rows[:k, j])
+            x = inv.dot(self.a_rows[:k, j])
             pivot = x[pos]
             if not abs(pivot) > _PIVOT_TOL:
                 return False
             x[pos] -= 1.0
             inv -= np.multiply.outer(x, inv[pos] / pivot)
+            self._part()
             self.a_cols[pos] = self.a[j]
             self.barred_cols[self.cols[pos]], self.barred_cols[j] = 0.0, np.inf
             self.cols[pos] = j
-        self.z[pos] = sign
+        self.z[pos] = self.zs[pos] = sign
         return True
 
     def downdate(self, leave, pos):
@@ -186,9 +213,14 @@ class _Basis:
         inv[pos:-1] = inv[pos + 1:]
         inv[:, leave:-1] = inv[:, leave + 1:]
         self.inv = inv[:-1, :-1].copy()
-        for buf, at in ((self.a_rows, leave), (self.ts, leave), (self.a_cols, pos),
-                        (self.z, pos)):
+        if leave != pos:
+            self._part()
+        shifts = [(self.a_rows, leave), (self.ts, leave), (self.z, pos)]
+        if self.a_cols is not self.a_rows:
+            shifts.append((self.a_cols, pos))
+        for buf, at in shifts:
             buf[at:k - 1] = buf[at + 1:k]
+        del self.signs[leave], self.zs[pos]
         self.free_rows[self.rows.pop(leave)], self.barred_cols[self.cols.pop(pos)] = 1.0, 0.0
         return True
 
@@ -223,48 +255,67 @@ def _homotopy(a, target, lam, a_max, masked=None):
        ``||t - A w||_inf >= lam_b`` for every w, which certifies an
        infeasible LP when lam_b exceeds ``lam + FEAS_TOL``.
 
-    A pivot is about 30 numpy calls on arrays of m or k entries, and scalar
-    loops whose floats round as numpy's do.  Returns the certified optimum,
-    or None when the path is not trusted and HiGHS must solve the LP;
-    raises ``LpInfeasibleError`` on a certified infeasible ray."""
+    A pivot that borders the basis is 34 numpy calls on arrays of m or k
+    entries (10 in the event scan, 7 for the ray and the row that joins, 3
+    of them the row read, 7 in the ratio test, 2 lists for its scalar loop
+    and 8 in the bordering), the m-entry ones into buffers made once per
+    LP, and scalar loops over Python lists whose floats round as numpy's
+    do.  The first pivot, from w = 0, is in closed form: c = t and e = 0,
+    so the row to bind is the largest free |t_i|; y is empty, the ray is
+    (side), g = 0, h = side A[i] and A[S, J]^-1 is (1 / a_ij).  Returns
+    the certified optimum, or None when the path is not trusted and HiGHS
+    must solve the LP; raises ``LpInfeasibleError`` on a certified
+    infeasible ray."""
     m = target.size
     basis = _Basis(a, target, a_max, masked)
-    rows, cols = basis.rows, basis.cols
-    hits, col_ratio = np.empty((2, m))
-    lam_cur = np.abs(target).max()
+    rows, cols, signs, zs = basis.rows, basis.cols, basis.signs, basis.zs
+    free_rows, barred_cols = basis.free_rows, basis.barred_cols
+    # c, e, the row hits, the column ratios, g and h, written in place
+    work = np.empty((6, m))
+    ce, (c, e, hits, col_ratio, g, h) = work[:2], work
+    # at w = 0, c = t and e = 0: the first row to bind is the largest free |t_i|
+    np.abs(target, out=hits)
+    lam_cur = hits.max()
+    hits *= free_rows
+    top = int(hits.argmax())
+    top_hit = hits.item(top)
     for _ in range(10 * m + 10):  # a cap against cycling on degenerate ties
-        k = len(rows)
-        inv, z = basis.inv, basis.z[:k]
-        pq, u = np.dot(inv, basis.ts[:k]), np.dot(z, inv)
-        # w_J = p - lam q and r = t - A w = c + lam e along this stretch
-        c, e = np.dot(pq.T, basis.a_cols[:k])
-        np.subtract(target, c, out=c)
-        # a free row binds where |r_i| reaches lam, at c_i / (sign(c_i) - e_i)
-        # = |c_i| / (1 - sign(c_i) e_i) if 1 - sign(c_i) e_i > 0, that is, if
-        # the hit is positive or +inf from an overflow; a bound or masked row
-        # (c_i set to 0), a zero denominator and 0 / 0 are no hit
-        c *= basis.free_rows
-        np.sign(c, out=hits)
-        hits -= e
-        np.divide(c, hits, out=hits)
-        i = int(hits.argmax())
-        if not 0.0 < hits[i] < np.inf:  # a nan, an inf or no positive hit
-            sign_c = np.sign(c)
-            hits[sign_c * (sign_c - e) <= 0.0] = -np.inf
+        k, inv = len(rows), basis.inv
+        if k:
+            pq, u = inv.dot(basis.ts[:k]), basis.z[:k].dot(inv)
+            # w_J = p - lam q and r = t - A w = c + lam e along this stretch
+            pq.T.dot(basis.a_cols[:k], out=ce)
+            np.subtract(target, c, out=c)
+            # a free row binds where |r_i| reaches lam, at c_i / (sign(c_i) - e_i)
+            # = |c_i| / (1 - sign(c_i) e_i) if 1 - sign(c_i) e_i > 0, that is, if
+            # the hit is positive or +inf from an overflow; a bound or masked row
+            # (c_i set to 0), a zero denominator and 0 / 0 are no hit
+            c *= free_rows
+            np.sign(c, out=hits)
+            hits -= e
+            np.divide(c, hits, out=hits)
             i = int(hits.argmax())
-        lam_next, row_event = hits[i], True
-        # support coordinate l leaves where z_l w_l reaches 0, at p_l / q_l if
-        # z_l q_l < 0; the first of the latest events wins
-        ps, qs = pq.T.tolist()
-        for l, z_l in enumerate(z.tolist()):
-            q = qs[l]
-            if z_l * q < 0.0 and ps[l] / q > lam_next:
-                lam_next, pos, row_event = ps[l] / q, l, False
-        lam_cur = min(lam_cur, lam_next)
+            lam_next = hits.item(i)
+            if not 0.0 < lam_next < np.inf:  # a nan, an inf or no positive hit
+                sign_c = np.sign(c)
+                hits[sign_c * (sign_c - e) <= 0.0] = -np.inf
+                i = int(hits.argmax())
+                lam_next = hits.item(i)
+            c_i, row_event = c.item(i), True
+            # support coordinate l leaves where z_l w_l reaches 0, at p_l / q_l if
+            # z_l q_l < 0; the first of the latest events wins
+            for l, (p, q) in enumerate(pq.tolist()):
+                if zs[l] * q < 0.0 and p / q > lam_next:
+                    lam_next, pos, row_event = p / q, l, False
+        else:
+            u, lam_next, i, c_i, row_event = basis.z[:0], top_hit, top, target.item(top), True
+        if lam_next < lam_cur:
+            lam_cur = lam_next
         if lam_cur <= lam:
             w, t_s, a_s = np.zeros(m), basis.ts[:k, 0], basis.a_rows[:k]
+            rhs = t_s - lam * basis.ts[:k, 1]
             try:
-                w[cols] = w_j = np.linalg.solve(a_s[:, cols], t_s - lam * basis.ts[:k, 1])
+                w[cols] = w_j = np.linalg.solve(a_s.take(cols, axis=1), rhs)
             except np.linalg.LinAlgError:
                 return None
             ok = _certified(target, lam, w_j, basis.a_cols[:k], u, a_s, t_s, masked)
@@ -274,43 +325,54 @@ def _homotopy(a, target, lam, a_max, masked=None):
         # inv[pos] when coordinate pos gets a positive reduced cost (y /
         # (-side scale) is (-side y) / scale, as negation is exact)
         if row_event:
-            side = 1.0 if c[i] > 0.0 else -1.0
-            y = np.dot(basis.a_cols[:k, i], inv)  # A[i, J] inv
-            scale = max(1.0, max(map(abs, y.tolist()), default=0.0))
+            side = 1.0 if c_i > 0.0 else -1.0
             ray = basis.ray[:k + 1]
-            np.divide(y, -side * scale, out=ray[:k])
-            ray[k] = side / scale
+            if k:
+                y = basis.a_cols[:k, i].dot(inv)  # A[i, J] inv
+                scale = max(1.0, max(map(abs, y.tolist())))
+                np.divide(y, -side * scale, out=ray[:k])
+                ray[k] = side / scale
+            else:  # no rows yet: y is empty and the ray is (side)
+                y, ray[0] = ray[:0], side
             basis.stage_row(i)
         else:
             ray = basis.ray[:k]
-            np.divide(inv[pos], -z[pos] * max(map(abs, inv[pos].tolist())), out=ray)
-        delta = ray[:k]
-        g, h = np.dot(u, basis.a_rows[:k]), np.dot(ray, basis.a_rows[:k + row_event])
+            np.divide(inv[pos], -zs[pos] * max(map(abs, inv[pos].tolist())), out=ray)
+        # g = A^T u and h = A^T ray on the rows of S and i; at k = 0, g = 0 and
+        # h = side A[i] (up to the sign of a zero, which the ratio cannot see)
+        a_s = basis.a_rows
+        if k:
+            u.dot(a_s[:k], out=g)
+            ray.dot(a_s[:k + row_event], out=h)
+            np.sign(h, out=col_ratio)
+            col_ratio -= g
+        else:
+            np.multiply(a_s[0], side, out=h)
+            np.sign(h, out=col_ratio)
         # ratio test: a free column, or the leaving coordinate, whose
         # |(A^T u)_j| = |g_j| reaches 1, at (sign(h_j) - g_j) / h_j clipped at 0
         # (none if h_j = 0), or a row of S whose multiplier s_l u_l reaches 0,
         # as u moves along the ray; the first of the earliest wins
-        np.sign(h, out=col_ratio)
-        col_ratio -= g
         col_ratio /= h
         if row_event:
-            np.maximum(col_ratio, basis.barred_cols, out=col_ratio)
+            np.maximum(col_ratio, barred_cols, out=col_ratio)
         else:
             own = max(col_ratio[cols[pos]], 0.0)
-            np.maximum(col_ratio, basis.barred_cols, out=col_ratio)
+            np.maximum(col_ratio, barred_cols, out=col_ratio)
             col_ratio[cols[pos]] = own
         j = int(col_ratio.argmin())
-        if h[j] == 0.0:  # a free column with h_j = 0 came first: bar them all
+        h_j = h.item(j)
+        if h_j == 0.0:  # a free column with h_j = 0 came first: bar them all
             col_ratio[h == 0.0] = np.inf
             j = int(col_ratio.argmin())
-        step = col_ratio[j]
-        if step == np.inf and basis.barred_cols[j] and (row_event or j != cols[pos]):
-            h[j] = 0.0  # as the first of all +inf ratios, j enters only if it may
+            h_j = h.item(j)
+        step = col_ratio.item(j)
+        if step == np.inf and barred_cols.item(j) and (row_event or j != cols[pos]):
+            h_j = 0.0  # as the first of all +inf ratios, j enters only if it may
         leave, emptying = -1, np.inf
-        signs, us = basis.ts[:k, 1].tolist(), u.tolist()
-        for l, d_l in enumerate(delta.tolist()):
-            if signs[l] * d_l < 0.0:
-                ratio = -us[l] / d_l
+        for l, (s_l, u_l, d_l) in enumerate(zip(signs, u.tolist(), ray.tolist())):
+            if s_l * d_l < 0.0:
+                ratio = -u_l / d_l
                 if ratio < 0.0:
                     ratio = 0.0
                 if ratio < emptying:
@@ -319,15 +381,14 @@ def _homotopy(a, target, lam, a_max, masked=None):
             if abs(d_leave) < _PIVOT_TOL:
                 return None
             j = -1
-        elif abs(h[j]) < _PIVOT_TOL * a_max:
+        elif abs(h_j) < _PIVOT_TOL * a_max:
             # no usable pivot: either A^T ray = 0 proves infeasibility, or
             # the path is ill-conditioned here
             ray_rows = rows + [i] if row_event else rows
-            if _infeasible_ray(lam, a_max, ray, basis.a_rows[:len(ray_rows)],
-                               target[ray_rows], masked):
+            if _infeasible_ray(lam, a_max, ray, a_s[:len(ray_rows)], target[ray_rows], masked):
                 raise LpInfeasibleError("LP infeasible")
             return None
-        sign = 1.0 if h[j] > 0.0 else -1.0  # h_j != 0 where column j enters
+        sign = 1.0 if h_j > 0.0 else -1.0  # h_j != 0 where column j enters
         if row_event:
             done = (basis.replace_row(leave, i, side, y) if j < 0
                     else basis.border(i, side, j, sign, y))
@@ -460,7 +521,8 @@ def dantzig_columns(rows, alpha_index, lam, a_max):
     a = alpha_index
     target = np.array(rows[a], dtype=float)
     target[a] = 0.0
-    return np.delete(_l1_min_linf_residual(rows, target, lam, a_max, masked=a), a)
+    w = _l1_min_linf_residual(rows, target, lam, a_max, masked=a)
+    return np.concatenate((w[:a], w[a + 1:]))
 
 
 def clime_inverse(sigma_hat, lam):

@@ -251,7 +251,7 @@ class MixtureRegression(_Mixture):
         return self._gradient(fit, w), (nu * self.y**2 - 1.0) / self.n_samples
 
     def _column(self, c, alpha):
-        return (c * self.x[:, alpha]) @ self.x
+        return (c * self.x[:, alpha]).dot(self.x)
 
     def _diagonal(self, c):
         # summed from c itself: a form that lifts c off -1/n and subtracts

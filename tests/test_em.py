@@ -6,6 +6,7 @@ import pytest
 from conftest import count_m_steps, random_gmm, random_mr, random_rmc
 from oracles import full_em_trace
 from truncem import harness
+from truncem.datagen import make_beta_star
 from truncem.em import EmConfig, EmTrace, run_em
 from truncem.errors import UnsupportedOperationError
 from truncem.harness import ExperimentConfig
@@ -294,6 +295,34 @@ def test_signed_zero_is_not_a_fixed_point():
     assert model.calls == cfg.n_iter
     assert [math.copysign(1.0, beta[1]) for beta in trace.iterates] == [1.0, -1.0] * 3 + [1.0]
     assert_same_bytes(trace, full_em_trace(NegatesOneEntry(), init, cfg))
+
+
+def test_trace_evaluates_loglik_once_per_distinct_iterate(monkeypatch):
+    # the GMM defaults stop at t = 2, so the fill repeats the third iterate
+    runs, evaluated = [], []
+    loglik = GaussianMixture.loglik
+
+    def recorded(model, init, cfg):
+        runs.append((model, init, cfg))
+        return run_em(model, init, cfg)
+
+    def counted(self, beta):
+        evaluated.append(beta)
+        return loglik(self, beta)
+
+    monkeypatch.setattr(harness, "run_em", recorded)
+    monkeypatch.setattr(GaussianMixture, "loglik", counted)
+    cfg = ExperimentConfig(model="GMM", seed=0)
+    rows = harness.run_trace(cfg)
+    assert len(evaluated) == 3 and len(rows) == cfg.n_iter + 1
+    model, init, em_cfg = runs.pop()
+    full = full_em_trace(model, init, em_cfg)
+    beta_star = make_beta_star(cfg.d, cfg.beta_values)
+    assert rows == [{"t": t,
+                     "opt_error": float(np.linalg.norm(beta - full.estimate)),
+                     "est_error": harness.sign_aligned_error(beta, beta_star, cfg.model),
+                     "loglik": loglik(model, beta)}
+                    for t, beta in enumerate(full.iterates)]
 
 
 class BlockRows:

@@ -23,6 +23,7 @@ from truncem import lp
 from truncem.datagen import GenSpec, gen_dataset, make_beta_star
 from truncem.errors import LpInfeasibleError, LpSolverError
 from truncem.harness import ExperimentConfig, fit_replicate
+from truncem.inference import InferenceConfig, score_test
 from truncem.lp import (
     FEAS_TOL,
     _certified,
@@ -684,6 +685,44 @@ def test_homotopy_matches_numpy_scan_reference_bit_for_bit(drawn):
     assert type(got) is type(ref)
     if isinstance(ref, np.ndarray):
         assert got.tobytes() == ref.tobytes()
+
+
+def basis_sizes(updates):
+    """The largest basis size k an update log reaches."""
+    k = top = 0
+    for update in updates:
+        k += {"border": 1, "downdate": -1}.get(update[0], 0)
+        top = max(top, k)
+    return top
+
+
+def test_homotopy_matches_numpy_scan_reference_on_mr_decorrelation(monkeypatch):
+    # the score test's LPs at the MR defaults, rows read from the curvature
+    # weights at the point and row and column alpha = 9 masked: bases of k up
+    # to about 24, some past the buffers' first size, where the drawn LPs
+    # (m <= 10) never reach
+    lps, homotopy = [], lp._homotopy
+
+    def recorded(*args):
+        lps.append(args)
+        return homotopy(*args)
+
+    monkeypatch.setattr(lp, "_homotopy", recorded)
+    cfg = ExperimentConfig(model="MR").resolve()
+    icfg = InferenceConfig(alpha_index=cfg.alpha_index)
+    for seed in range(50):
+        model, trace, _ = fit_replicate(cfg, seed)
+        score_test(model, trace.estimate, icfg)
+    assert len(lps) == 50 and all(args[4] == cfg.alpha_index for args in lps)
+    sizes = []
+    for args in lps:
+        got, updates = updates_taken(homotopy, lp._Basis, *args)
+        ref, ref_updates = updates_taken(numpy_scan_homotopy, NumpyScanBasis, *args)
+        assert updates == ref_updates
+        assert got.tobytes() == ref.tobytes()
+        sizes.append(basis_sizes(updates))
+    assert min(sizes) >= 5
+    assert sum(size > lp._BASIS_ROWS for size in sizes) >= 10
 
 
 def test_working_set_rejects_nonfinite_data_outside_start_block():
