@@ -51,6 +51,13 @@ untimed run, and the median time per LP over them, ``us_per_pivot_p50``,
 which includes the per-LP work around the pivots (and, on the columns
 row, the curvature columns, the diagonal bound and the gradient).
 
+Every repeat also times ``control_kernel`` from ``bench/run.py``, fixed
+pure-Python work whose time drifts with the host's speed; a row reports
+its median as ``ctl_ms_p50``, and each side gives its time per LP and per
+pivot in those units too (``ctl_per_lp_p50``, ``ctl_per_pivot_p50``), as
+``bench/run.py`` reports replicate times in ``ctl``.  Wall-clock figures
+compare only within one run; the ``ctl`` figures also across runs.
+
 ``--baseline DIR`` adds a third side to every row: the native solver of
 the checkout at DIR (for instance the parent commit; checkouts from
 fb3570c on, which keep a decorrelation on the model), whose ``src/truncem`` is
@@ -83,7 +90,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 from oracles import decorrelate_full_matrix, default_lambda, full_l1_linf_lp  # noqa: E402
-from run import blas_runtime, git_sha, src_digest  # noqa: E402
+from run import blas_runtime, control_kernel, git_sha, src_digest  # noqa: E402
 
 from truncem import inference, lp  # noqa: E402
 from truncem.datagen import GenSpec, gen_dataset, make_beta_star  # noqa: E402
@@ -258,13 +265,14 @@ def count_pivots(solve, lp_module):
     return count[0]
 
 
-def summarize(times, shapes, n_lps, pivots):
+def summarize(times, shapes, n_lps, pivots, ctl_ms):
     q1, p50, q3 = np.percentile(np.asarray(times) * 1e3, [25, 50, 75])
     row = {
         "ms_p50": p50,
         "ms_q1": q1,
         "ms_q3": q3,
         "ms_per_lp_p50": p50 / n_lps,
+        "ctl_per_lp_p50": p50 / n_lps / ctl_ms,
         "linprog_calls_per_lp": len(shapes) / n_lps,
         "mean_a_ub_rows": float(np.mean([s[0] for s in shapes])) if shapes else 0.0,
         "mean_a_ub_cols": float(np.mean([s[1] for s in shapes])) if shapes else 0.0,
@@ -272,28 +280,34 @@ def summarize(times, shapes, n_lps, pivots):
     if pivots is not None:
         row["pivots_per_lp"] = pivots / n_lps
         row["us_per_pivot_p50"] = p50 * 1e3 / pivots if pivots else None
+        row["ctl_per_pivot_p50"] = p50 / pivots / ctl_ms if pivots else None
     return row
 
 
 def bench_case(name, n_lps, sides, repeats):
-    """Time every side ``repeats`` times: in each repeat the native solvers,
-    alternating which goes first, then the full LP, so that this tree's and
-    the baseline's follow the full LP equally often."""
+    """Time every side ``repeats`` times: in each repeat the control kernel,
+    then the native solvers, alternating which goes first, then the full
+    LP, so that this tree's and the baseline's follow the full LP equally
+    often."""
     pivots = {side: None if side == "full" else count_pivots(*sides[side]) for side in sides}
     for solve, _ in sides.values():
         solve()  # warm-up: imports and first-call set-up
     names = list(sides)
     times = {side: [] for side in names}
-    shapes, outputs = {}, {}
+    shapes, outputs, control = {}, {}, []
     for r in range(repeats):
+        start = time.perf_counter()
+        control_kernel()
+        control.append(time.perf_counter() - start)
         fast = [side for side in names if side != "full"]
         for side in (fast if r % 2 == 0 else fast[::-1]) + ["full"]:
             elapsed, w, calls = run_once(*sides[side])
             times[side].append(elapsed)
             shapes[side], outputs[side] = calls, w
-    row = {"name": name, "lps_per_run": n_lps, "repeats": repeats}
+    ctl_ms = float(np.median(control)) * 1e3
+    row = {"name": name, "lps_per_run": n_lps, "repeats": repeats, "ctl_ms_p50": ctl_ms}
     for side in names:
-        row[side] = summarize(times[side], shapes[side], n_lps, pivots[side])
+        row[side] = summarize(times[side], shapes[side], n_lps, pivots[side], ctl_ms)
     row["max_abs_dw"] = float(np.max(np.abs(outputs["native"] - outputs["full"])))
     row["speedup_p50"] = row["full"]["ms_p50"] / row["native"]["ms_p50"]
     if "baseline" in sides:
@@ -304,10 +318,11 @@ def bench_case(name, n_lps, sides, repeats):
 
 
 def per_pivot(side):
-    """``pivots/LP, us/pivot`` of a side, for the printed summary."""
+    """``pivots/LP, us/pivot (ctl/pivot)`` of a side, for the printed summary."""
     if side.get("us_per_pivot_p50") is None:
         return "no pivots"
-    return f"{side['pivots_per_lp']:.1f} pivots/LP, {side['us_per_pivot_p50']:.0f} us/pivot"
+    return (f"{side['pivots_per_lp']:.1f} pivots/LP, {side['us_per_pivot_p50']:.0f} us/pivot "
+            f"({side['ctl_per_pivot_p50']:.4f} ctl)")
 
 
 def provenance(repeats, baseline_sha256=None):
@@ -345,7 +360,8 @@ def main(argv=None):
         row = bench_case(name, n_lps, sides, args.repeats)
         rows.append(row)
         got, ref = row["native"], row["full"]
-        line = (f"{name}: native {got['ms_p50']:.1f} ms ({got['linprog_calls_per_lp']:.2f} "
+        line = (f"{name}: native {got['ms_p50']:.1f} ms, {got['ctl_per_lp_p50']:.3f} ctl/LP "
+                f"({got['linprog_calls_per_lp']:.2f} "
                 f"calls/LP, {per_pivot(got)}), full {ref['ms_p50']:.1f} ms, "
                 f"{row['speedup_p50']:.1f}x, max |dw| {row['max_abs_dw']:.1e}")
         if base:

@@ -12,6 +12,7 @@ Draw order per model (fixed, do not reorder):
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,7 @@ class GenSpec:
             raise ValueError("sigma must be positive and finite")
         if not 0 <= self.p_missing < 1:
             raise ValueError("p_missing must lie in [0, 1)")
-        if self.model in ("GMM", "MR") and not np.any(self.beta_star):
+        if self.model in ("GMM", "MR") and not self.beta_star.any():
             raise ValueError(f"{self.model} requires a nonzero beta_star")
 
 
@@ -92,12 +93,12 @@ def make_init(beta_star, rel_err, seed):
         raise ValueError("rel_err must be nonnegative")
     if rel_err == 0:
         return beta_star.copy()
-    norm = np.linalg.norm(beta_star)
+    norm = math.sqrt(beta_star.dot(beta_star))  # np.linalg.norm of a 1-D vector
     if norm == 0:
         raise ValueError("beta_star must be nonzero when rel_err > 0")
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(beta_star.shape[0])
-    direction /= np.linalg.norm(direction)
+    direction /= math.sqrt(direction.dot(direction))
     return beta_star + rel_err * norm * direction
 
 

@@ -99,7 +99,7 @@ def run_em(model, init, cfg: EmConfig):
         else:
             half = source.m_step_gradient(beta, cfg.eta)
         support = top_support(half, cfg.s_hat)
-        prev, beta = beta, np.zeros_like(half)
+        prev, beta = beta, np.zeros(half.shape)
         beta[support] = half[support]  # hard_truncate without re-checking the support
         trace.supports.append(support)
         trace.iterates.append(beta)

@@ -138,7 +138,7 @@ class GaussianMixture(_Mixture):
 
     def __init__(self, y, sigma):
         y = _check_matrix(y, "y")
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise ValueError("y contains non-finite entries")
         super().__init__(y, sigma)
         self.dim = y.shape[1]
@@ -199,7 +199,7 @@ class MixtureRegression(_Mixture):
     def __init__(self, x, y, sigma):
         x = _check_matrix(x, "x")
         y = _check_response(y, x.shape[0])
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValueError("data contains non-finite entries")
         super().__init__(y, sigma)
         self.x = x
@@ -289,13 +289,13 @@ class MissingCovariateRegression(_Model):
         mask = np.asarray(mask, dtype=float)
         if mask.shape != x.shape:
             raise ValueError("mask must match x in shape")
-        if not np.all((mask == 0) | (mask == 1)):
+        if not ((mask == 0) | (mask == 1)).all():
             raise ValueError("mask entries must be 0 or 1")
         y = _check_response(y, x.shape[0])
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise ValueError("y contains non-finite entries")
         x_obs = np.where(mask == 1, x, 0.0)
-        if not np.all(np.isfinite(x_obs)):
+        if not np.isfinite(x_obs).all():
             raise ValueError("observed x entries must be finite")
         super().__init__(y, sigma)
         self.x, self.x_obs, self.miss = x, x_obs, 1.0 - mask

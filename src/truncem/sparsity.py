@@ -27,7 +27,9 @@ def top_support(beta, s):
     if s == 0:
         return np.empty(0, dtype=int)
     mag = np.abs(beta)
-    support = np.flatnonzero(mag >= np.partition(mag, d - s)[d - s])
+    part = mag.copy()  # np.partition and np.flatnonzero, without their wrappers
+    part.partition(d - s)
+    support = (mag >= part[d - s]).nonzero()[0]
     if support.size == s:  # no tie or NaN at the cut: the argsort keeps these
         return support
     # stable sort on -|beta| keeps smaller indices first among ties
@@ -41,6 +43,6 @@ def hard_truncate(beta, support):
     support = np.asarray(support, dtype=int)
     if support.size and (support.min() < 0 or support.max() >= beta.shape[0]):
         raise ValueError("support index out of range")
-    out = np.zeros_like(beta)
+    out = np.zeros(beta.shape)
     out[support] = beta[support]
     return out

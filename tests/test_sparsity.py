@@ -12,12 +12,13 @@ finite_vectors = arrays(
     st.integers(1, 8),
     elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
 )
-# values on a coarse grid, so that ties are common, with many zeros and NaNs
+# values on a coarse grid, so that ties are common, with many signed zeros,
+# infinities and NaNs
 tied_vectors = arrays(
     np.float64,
     st.integers(1, 12),
     elements=st.one_of(
-        st.just(0.0),
+        st.sampled_from([0.0, -0.0, np.inf, -np.inf]),
         st.just(np.nan),
         st.floats(-2.0, 2.0).map(lambda v: round(v, 1)),
     ),
