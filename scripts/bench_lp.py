@@ -322,7 +322,7 @@ def per_pivot(side):
     if side.get("us_per_pivot_p50") is None:
         return "no pivots"
     return (f"{side['pivots_per_lp']:.1f} pivots/LP, {side['us_per_pivot_p50']:.0f} us/pivot "
-            f"({side['ctl_per_pivot_p50']:.4f} ctl)")
+            f"({side['ctl_per_pivot_p50']:.3g} ctl)")
 
 
 def provenance(repeats, baseline_sha256=None):
@@ -360,7 +360,7 @@ def main(argv=None):
         row = bench_case(name, n_lps, sides, args.repeats)
         rows.append(row)
         got, ref = row["native"], row["full"]
-        line = (f"{name}: native {got['ms_p50']:.1f} ms, {got['ctl_per_lp_p50']:.3f} ctl/LP "
+        line = (f"{name}: native {got['ms_p50']:.1f} ms, {got['ctl_per_lp_p50']:.3g} ctl/LP "
                 f"({got['linprog_calls_per_lp']:.2f} "
                 f"calls/LP, {per_pivot(got)}), full {ref['ms_p50']:.1f} ms, "
                 f"{row['speedup_p50']:.1f}x, max |dw| {row['max_abs_dw']:.1e}")
