@@ -2,26 +2,30 @@
 """Alternating pairs of benchmark runs: a baseline checkout against this one.
 
     python3 scripts/bench_pairs.py --baseline DIR --workload W --pairs N \\
-        --seconds S --seed K [--out FILE]
+        --seconds S --seed K
 
 Each pair runs ``bench/run.py --workload W --seed K --seconds S --trace 0``
 once from the checkout at DIR (the baseline, for instance a ``git
 archive`` of the parent commit) and once from this checkout, each with
 its own ``bench/`` and ``src/``; the baseline goes first in even pairs and
-this checkout in odd ones.  A run that fails or reads ``correct: false``
+this checkout in odd ones.  A run that exits non-zero or reads ``correct: false``
 stops the script with a non-zero exit.
 
-For every end-to-end metric of ``BENCHMARK.json`` it prints each side's
-median and quartiles, the change of the medians, the number of pairs each
-side won (ties count for neither) and two verdicts:
+It prints each side's median share of failed replicates and, for every
+end-to-end metric of ``BENCHMARK.json``, each side's median and
+quartiles, the change of the medians, the number of pairs each side won
+(ties count for neither) and two verdicts:
 
-- ``gain``: the change won at least nine tenths of the pairs, and its
-  median beats the baseline's by more than the distance between the
-  baseline's quartiles;
-- ``regression``: the change's median is worse than the baseline's by
-  more than the metric's bound in ``BENCHMARK.json``.
+- ``gain``: the change won at least nine tenths of the pairs, its median
+  beats the baseline's by more than the distance between the baseline's
+  quartiles, and its median share of failed replicates is no larger;
+- ``regression``: ``YES`` when the change's median is worse than the
+  baseline's by more than the metric's bound in ``BENCHMARK.json``;
+  otherwise ``unresolved`` when the baseline's quartiles are further
+  apart than that bound and not every change run beats every baseline
+  run, as such a spread cannot tell a regression within the bound from
+  none; otherwise ``no``.
 
-``--out`` also writes every run's metrics and the summary as JSON.
 Nothing under ``bench/`` is changed.
 """
 
@@ -37,7 +41,8 @@ SIDES = ("baseline", "change")
 
 
 def run_bench(checkout, args):
-    """The metrics of one ``bench/run.py`` run from ``checkout``."""
+    """The metrics of one ``bench/run.py`` run from ``checkout``, with its
+    share of failed replicates as ``failed_frac``."""
     cmd = [sys.executable, str(checkout / "bench" / "run.py"), "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -46,7 +51,9 @@ def run_bench(checkout, args):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     if not result["correct"]:
         sys.exit(f"{checkout}: outputs disagree with bench/reference/")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    metrics["failed_frac"] = result["failed"] / result["attempted"]
+    return metrics
 
 
 def quartiles(values):
@@ -65,6 +72,16 @@ def summarize(runs, spec):
     wins = sum(sign * (n - b) > 0 for b, n in zip(base, new))
     losses = sum(sign * (n - b) < 0 for b, n in zip(base, new))
     gain = sign * (np50 - bp50)  # positive when the change is better
+    bound = spec["bound"] * abs(bp50)
+    fails_more = (statistics.median(r["failed_frac"] for r in runs["change"])
+                  > statistics.median(r["failed_frac"] for r in runs["baseline"]))
+    every_run_better = min(sign * v for v in new) > max(sign * v for v in base)
+    if -gain > bound:
+        regression = "YES"
+    elif bq3 - bq1 > bound and not every_run_better:
+        regression = "unresolved"
+    else:
+        regression = "no"
     return {
         "metric": name,
         "better": spec["better"],
@@ -73,8 +90,8 @@ def summarize(runs, spec):
         "rel_change": np50 / bp50 - 1 if bp50 else None,
         "change_wins": wins,
         "baseline_wins": losses,
-        "gain": wins >= 0.9 * len(base) and gain > bq3 - bq1,
-        "regression": -gain > spec["bound"] * abs(bp50),
+        "gain": wins >= 0.9 * len(base) and gain > bq3 - bq1 and not fails_more,
+        "regression": regression,
     }
 
 
@@ -86,7 +103,6 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--out", help="also write the runs and the summary to this JSON file")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be positive")
@@ -106,6 +122,9 @@ def main(argv=None):
 
     summary = [summarize(runs, spec) for spec in specs]
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s")
+    print("failed share         " + "  ".join(
+        f"{side} {statistics.median(r['failed_frac'] for r in runs[side]):.4g}"
+        for side in SIDES))
     for row in summary:
         b, c = row["baseline"], row["change"]
         rel = "n/a" if row["rel_change"] is None else f"{row['rel_change']:+.1%}"
@@ -113,12 +132,7 @@ def main(argv=None):
               f"  change {c['p50']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  {rel}"
               f"  wins {row['change_wins']}-{row['baseline_wins']}"
               f"  gain {'yes' if row['gain'] else 'no'}"
-              f"  regression {'YES' if row['regression'] else 'no'}")
-    if args.out:
-        out = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-               "pairs": args.pairs, "baseline": str(baseline), "runs": runs,
-               "summary": summary}
-        pathlib.Path(args.out).write_text(json.dumps(out, indent=2) + "\n")
+              f"  regression {row['regression']}")
 
 
 if __name__ == "__main__":

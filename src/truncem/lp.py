@@ -92,27 +92,26 @@ class _Basis:
         self.a, self.target, self.a_max = a, target, a_max
         self.rows, self.cols, self.signs, self.zs = [], [], [], []
         m = target.size
-        self.free_rows, self.barred_cols = np.empty(m), np.zeros(m)
-        self.free_rows.fill(1.0)
+        self.free_rows, self.barred_cols = np.ones(m), np.zeros(m)
         if masked is not None:
             self.free_rows[masked], self.barred_cols[masked] = 0.0, np.inf
         self.inv = np.empty((0, 0))
-        self.a_rows = self.a_cols = np.empty((_BASIS_ROWS, m))
-        self.ts, self.z = np.empty((_BASIS_ROWS, 2)), np.empty(_BASIS_ROWS)
-        self.ray = np.empty(_BASIS_ROWS + 1)
+        self.a_rows = self.a_cols = None
+        self._allocate(_BASIS_ROWS)
 
     def _allocate(self, cap):
-        """Grow the buffers to ``cap`` rows, holding the basis of the old ones."""
-        k = len(self.rows)
-
-        def grown(buf):
-            new = np.empty((cap,) + buf.shape[1:])
-            new[:k] = buf[:k]
-            return new
-
+        """Buffers of ``cap`` rows, holding the basis of the old ones."""
+        k, m = len(self.rows), self.target.size
         shared = self.a_cols is self.a_rows
-        self.a_rows, self.ts, self.z = grown(self.a_rows), grown(self.ts), grown(self.z)
-        self.a_cols = self.a_rows if shared else grown(self.a_cols)
+        for name, shape in (("a_rows", (cap, m)), ("a_cols", (cap, m)), ("ts", (cap, 2)),
+                            ("z", (cap,))):
+            if name == "a_cols" and shared:
+                self.a_cols = self.a_rows
+                continue
+            buf = np.empty(shape)
+            if k:
+                buf[:k] = getattr(self, name)[:k]
+            setattr(self, name, buf)
         self.ray = np.empty(cap + 1)
 
     def _part(self):
