@@ -25,7 +25,9 @@ one thread:
   curvature weights;
 - ``clime-d32``, ``clime-d64``, ``clime-d128``: ``clime_inverse`` of the
   MR design covariance at n=100 and seed 0 with the model's default CLIME
-  lambda, all d column LPs;
+  lambda, all d column LPs; every column ends at its first breakpoint, so
+  a call takes no pivot and well under a millisecond, and each timed
+  repeat of a native solver makes ``DEFAULT_LAMBDA_CALLS`` calls;
 - ``clime-d64-lam0.1``, ``clime-d64-lam0.05``: the same at d=64 with
   lambda 0.1 and 0.05, where the columns are dense (about 21 and 46
   nonzeros) and the homotopy takes many breakpoints.
@@ -41,8 +43,8 @@ the whole curvature matrix with row and column alpha masked out, and the
 full LP drops them, solves on T_gg and re-inserts the 0.  The full side
 of a CLIME row calls it once per column, since ``clime_inverse``
 finishes the columns that end at their first breakpoint without it.
-Each side reports the median and quartiles of its wall time per run and
-per LP, ``linprog`` calls per LP and the mean ``A_ub`` shape per call (0
+Each side reports the median and quartiles of its wall time per run (a
+repeat's time over its calls) and per LP, ``linprog`` calls per LP and the mean ``A_ub`` shape per call (0
 calls and a 0 x 0 shape when no LP falls back to HiGHS, and when CLIME
 finishes every column at its first breakpoint); each row reports the max
 |w_native - w_full| and the ratio of the medians.  A side that runs the
@@ -100,6 +102,9 @@ from truncem.inference import InferenceConfig  # noqa: E402
 ALPHA_INDEX = 9
 MR_SEEDS = range(5)
 CLIME_CASES = ((32, None), (64, None), (128, None), (64, 0.1), (64, 0.05))
+#: calls per timed repeat of a native solver on the CLIME rows at the
+#: default lambda: 0.04-0.1 ms a call, so a repeat takes 10 ms or more
+DEFAULT_LAMBDA_CALLS = 250
 #: the homotopy's basis updates, one per pivot
 UPDATES = ("border", "replace_row", "replace_col", "downdate")
 
@@ -155,8 +160,10 @@ def mr_score_points():
 
 
 def mr_decorrelation_case(points, base):
-    """(name, n_lps, sides) for the score test's LPs at the MR defaults;
-    a side is (solve, the lp module whose homotopy and ``linprog`` it runs)."""
+    """(name, n_lps, sides, calls) for the score test's LPs at the MR
+    defaults; a side is (solve, the lp module whose homotopy and
+    ``linprog`` it runs), and ``calls`` is the native solvers' calls per
+    timed repeat."""
     inputs = []
     for model, beta in points:
         t_mat = model.curvature_matrix(beta)
@@ -172,11 +179,11 @@ def mr_decorrelation_case(points, base):
     sides = {"native": (on(lp), lp), "full": (on_full_lp(on(lp)), lp)}
     if base:
         sides["baseline"] = (on(base["lp"]), base["lp"])
-    return "mr-decorrelation-d256", len(inputs), sides
+    return "mr-decorrelation-d256", len(inputs), sides, 1
 
 
 def mr_columns_case(points, base):
-    """(name, n_lps, sides) for the score test's decorrelation at the MR
+    """(name, n_lps, sides, calls) for the score test's decorrelation at the MR
     defaults, the column path against the whole matrix, each computing the
     curvature weights and the gradient afresh."""
 
@@ -201,18 +208,19 @@ def mr_columns_case(points, base):
         sides["baseline"] = (run(base["inference"]._decorrelate, models,
                                  base["inference"].InferenceConfig(alpha_index=ALPHA_INDEX)),
                              base["lp"])
-    return "mr-decorrelate-columns-d256", len(points), sides
+    return "mr-decorrelate-columns-d256", len(points), sides, 1
 
 
 def clime_case(d, lam, base):
-    """(name, n_lps, sides) for CLIME of the MR design covariance, at the
-    model's default CLIME lambda when ``lam`` is None."""
+    """(name, n_lps, sides, calls) for CLIME of the MR design covariance, at
+    the model's default CLIME lambda when ``lam`` is None."""
     cfg = ExperimentConfig(model="MR", d=d).resolve()
     spec = GenSpec("MR", n=cfg.n, d=d, beta_star=make_beta_star(d, cfg.beta_values),
                    sigma=cfg.sigma, seed=0)
     model = gen_dataset(spec)
     sigma_hat = model.design_covariance()
-    name = f"clime-d{d}" if lam is None else f"clime-d{d}-lam{lam}"
+    name, calls = (f"clime-d{d}", DEFAULT_LAMBDA_CALLS) if lam is None else (
+        f"clime-d{d}-lam{lam}", 1)
     lam = model.clime_lambda if lam is None else lam
 
     def full():
@@ -221,12 +229,12 @@ def clime_case(d, lam, base):
     sides = {"native": (lambda: lp.clime_inverse(sigma_hat, lam), lp), "full": (full, lp)}
     if base:
         sides["baseline"] = (lambda: base["lp"].clime_inverse(sigma_hat, lam), base["lp"])
-    return name, d, sides
+    return name, d, sides, calls
 
 
-def run_once(solve, lp_module):
-    """One timed solve; returns (seconds, w, A_ub shape of each linprog call
-    made through ``lp_module``)."""
+def run_once(solve, lp_module, calls=1):
+    """``calls`` timed solves; returns (seconds per solve, w, A_ub shape of
+    each linprog call made through ``lp_module``)."""
     shapes, linprog = [], lp_module.linprog
 
     def recorded(*args, **kwargs):
@@ -236,11 +244,12 @@ def run_once(solve, lp_module):
     lp_module.linprog = recorded
     try:
         start = time.perf_counter()
-        w = solve()
+        for _ in range(calls):
+            w = solve()
         elapsed = time.perf_counter() - start
     finally:
         lp_module.linprog = linprog
-    return elapsed, w, shapes
+    return elapsed / calls, w, shapes
 
 
 def count_pivots(solve, lp_module):
@@ -265,7 +274,7 @@ def count_pivots(solve, lp_module):
     return count[0]
 
 
-def summarize(times, shapes, n_lps, pivots, ctl_ms):
+def summarize(times, shapes, n_lps, pivots, ctl_ms, calls):
     q1, p50, q3 = np.percentile(np.asarray(times) * 1e3, [25, 50, 75])
     row = {
         "ms_p50": p50,
@@ -273,7 +282,7 @@ def summarize(times, shapes, n_lps, pivots, ctl_ms):
         "ms_q3": q3,
         "ms_per_lp_p50": p50 / n_lps,
         "ctl_per_lp_p50": p50 / n_lps / ctl_ms,
-        "linprog_calls_per_lp": len(shapes) / n_lps,
+        "linprog_calls_per_lp": len(shapes) / n_lps / calls,
         "mean_a_ub_rows": float(np.mean([s[0] for s in shapes])) if shapes else 0.0,
         "mean_a_ub_cols": float(np.mean([s[1] for s in shapes])) if shapes else 0.0,
     }
@@ -284,11 +293,11 @@ def summarize(times, shapes, n_lps, pivots, ctl_ms):
     return row
 
 
-def bench_case(name, n_lps, sides, repeats):
+def bench_case(name, n_lps, sides, calls, repeats):
     """Time every side ``repeats`` times: in each repeat the control kernel,
-    then the native solvers, alternating which goes first, then the full
-    LP, so that this tree's and the baseline's follow the full LP equally
-    often."""
+    then the native solvers, ``calls`` times each, alternating which goes
+    first, then the full LP once, so that this tree's and the baseline's
+    follow the full LP equally often."""
     pivots = {side: None if side == "full" else count_pivots(*sides[side]) for side in sides}
     for solve, _ in sides.values():
         solve()  # warm-up: imports and first-call set-up
@@ -301,13 +310,15 @@ def bench_case(name, n_lps, sides, repeats):
         control.append(time.perf_counter() - start)
         fast = [side for side in names if side != "full"]
         for side in (fast if r % 2 == 0 else fast[::-1]) + ["full"]:
-            elapsed, w, calls = run_once(*sides[side])
+            elapsed, w, linprogs = run_once(*sides[side], 1 if side == "full" else calls)
             times[side].append(elapsed)
-            shapes[side], outputs[side] = calls, w
+            shapes[side], outputs[side] = linprogs, w
     ctl_ms = float(np.median(control)) * 1e3
-    row = {"name": name, "lps_per_run": n_lps, "repeats": repeats, "ctl_ms_p50": ctl_ms}
+    row = {"name": name, "lps_per_run": n_lps, "native_calls_per_repeat": calls,
+           "repeats": repeats, "ctl_ms_p50": ctl_ms}
     for side in names:
-        row[side] = summarize(times[side], shapes[side], n_lps, pivots[side], ctl_ms)
+        row[side] = summarize(times[side], shapes[side], n_lps, pivots[side], ctl_ms,
+                              1 if side == "full" else calls)
     row["max_abs_dw"] = float(np.max(np.abs(outputs["native"] - outputs["full"])))
     row["speedup_p50"] = row["full"]["ms_p50"] / row["native"]["ms_p50"]
     if "baseline" in sides:
@@ -356,17 +367,17 @@ def main(argv=None):
     cases = ([mr_decorrelation_case(points, base), mr_columns_case(points, base)]
              + [clime_case(d, lam, base) for d, lam in CLIME_CASES])
     rows = []
-    for name, n_lps, sides in cases:
-        row = bench_case(name, n_lps, sides, args.repeats)
+    for name, n_lps, sides, calls in cases:
+        row = bench_case(name, n_lps, sides, calls, args.repeats)
         rows.append(row)
         got, ref = row["native"], row["full"]
-        line = (f"{name}: native {got['ms_p50']:.1f} ms, {got['ctl_per_lp_p50']:.3g} ctl/LP "
+        line = (f"{name}: native {got['ms_p50']:.3g} ms, {got['ctl_per_lp_p50']:.3g} ctl/LP "
                 f"({got['linprog_calls_per_lp']:.2f} "
                 f"calls/LP, {per_pivot(got)}), full {ref['ms_p50']:.1f} ms, "
                 f"{row['speedup_p50']:.1f}x, max |dw| {row['max_abs_dw']:.1e}")
         if base:
             old = row["baseline"]
-            line += (f"; baseline {old['ms_p50']:.1f} ms ({per_pivot(old)}), "
+            line += (f"; baseline {old['ms_p50']:.3g} ms ({per_pivot(old)}), "
                      f"{row['speedup_vs_baseline_p50']:.2f}x")
         print(line, flush=True)
     out = {"provenance": provenance(args.repeats, base and base["src_sha256"]), "rows": rows}

@@ -26,7 +26,12 @@ quartiles, the change of the medians, the number of pairs each side won
   run, as such a spread cannot tell a regression within the bound from
   none; otherwise ``no``.
 
-Nothing under ``bench/`` is changed.
+It also writes what it prints to ``BENCH_pairs.json`` at the root of
+this checkout, one entry per workload: the baseline as given, the seed,
+the seconds, the pairs, each side's run metrics in pair order, each
+side's median share of failed replicates and the summary rows.  A run
+replaces its workload's entry and keeps the others.  Nothing under
+``bench/`` is changed.
 """
 
 import argparse
@@ -37,6 +42,7 @@ import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+OUT = ROOT / "BENCH_pairs.json"
 SIDES = ("baseline", "change")
 
 
@@ -95,6 +101,14 @@ def summarize(runs, spec):
     }
 
 
+def save_entry(path, workload, entry):
+    """Set ``workload``'s entry of the JSON object at ``path``, keeping the
+    other workloads' entries."""
+    entries = json.loads(path.read_text()) if path.is_file() else {}
+    entries[workload] = entry
+    path.write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--baseline", required=True, metavar="DIR",
@@ -121,10 +135,9 @@ def main(argv=None):
             for side in SIDES), flush=True)
 
     summary = [summarize(runs, spec) for spec in specs]
+    failed = {side: statistics.median(r["failed_frac"] for r in runs[side]) for side in SIDES}
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s")
-    print("failed share         " + "  ".join(
-        f"{side} {statistics.median(r['failed_frac'] for r in runs[side]):.4g}"
-        for side in SIDES))
+    print("failed share         " + "  ".join(f"{side} {failed[side]:.4g}" for side in SIDES))
     for row in summary:
         b, c = row["baseline"], row["change"]
         rel = "n/a" if row["rel_change"] is None else f"{row['rel_change']:+.1%}"
@@ -133,6 +146,9 @@ def main(argv=None):
               f"  wins {row['change_wins']}-{row['baseline_wins']}"
               f"  gain {'yes' if row['gain'] else 'no'}"
               f"  regression {row['regression']}")
+    save_entry(OUT, args.workload, {
+        "baseline": args.baseline, "seed": args.seed, "seconds": args.seconds,
+        "pairs": args.pairs, "runs": runs, "failed_share": failed, "summary": summary})
 
 
 if __name__ == "__main__":

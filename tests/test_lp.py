@@ -6,7 +6,7 @@ import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult, linprog
 
@@ -674,8 +674,22 @@ def gram_lps(draw):
     return a_mat, target, lam, lp._abs_max(a_mat, masked), masked
 
 
+TIED_GRAM = np.array([[3.0, 1.0, -1.0, 0.5],
+                      [1.0, 2.0, 0.3, 0.0],
+                      [-1.0, 0.3, 2.0, 0.2],
+                      [0.5, 0.0, 0.2, 1.0]])
+ZERO_ENTRY_GRAM = np.array([[2.0, 0.5, -0.4], [0.5, 1.5, 0.6], [-0.4, 0.6, 1.0]])
+
+
 @settings(max_examples=300, deadline=None)
 @given(gram_lps())
+# the first pivot, from w = 0: masked, the largest free |t_i| is tied
+# between rows 1 and 2, and the first of them binds
+@example((TIED_GRAM, np.array([0.0, 1.0, -1.0, 0.5]), 0.05, lp._abs_max(TIED_GRAM, 0), 0))
+# unmasked, t_1 = 0 makes the row hit 0 / 0, so the scan's second pass
+# picks the first row at k = 0
+@example((ZERO_ENTRY_GRAM, np.array([0.8, 0.0, -0.5]), 0.05, lp._abs_max(ZERO_ENTRY_GRAM),
+          None))
 def test_homotopy_matches_numpy_scan_reference_bit_for_bit(drawn):
     # the scalar scans, the in-place ray and the contiguous inverse take the
     # pivots of the whole-array numpy scans with the same roundings
