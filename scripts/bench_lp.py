@@ -44,14 +44,15 @@ full LP drops them, solves on T_gg and re-inserts the 0.  The full side
 of a CLIME row calls it once per column, since ``clime_inverse``
 finishes the columns that end at their first breakpoint without it.
 Each side reports the median and quartiles of its wall time per run (a
-repeat's time over its calls) and per LP, ``linprog`` calls per LP and the mean ``A_ub`` shape per call (0
-calls and a 0 x 0 shape when no LP falls back to HiGHS, and when CLIME
-finishes every column at its first breakpoint); each row reports the max
-|w_native - w_full| and the ratio of the medians.  A side that runs the
-homotopy also reports its pivots (basis updates) per LP, counted in one
-untimed run, and the median time per LP over them, ``us_per_pivot_p50``,
-which includes the per-LP work around the pivots (and, on the columns
-row, the curvature columns, the diagonal bound and the gradient).
+repeat's time over its calls) and per LP, ``linprog`` calls per LP and
+the mean ``A_ub`` shape per call (0 calls and a 0 x 0 shape when no LP
+falls back to HiGHS, and when CLIME finishes every column at its first
+breakpoint); each row reports the max |w_native - w_full| and the ratio
+of the medians.  A side that runs the homotopy also reports its pivots
+(basis updates) per LP, counted in one untimed run, and the median time
+per LP over them, ``us_per_pivot_p50``, which includes the per-LP work
+around the pivots (and, on the columns row, the curvature columns, the
+diagonal bound and the gradient).
 
 Every repeat also times ``control_kernel`` from ``bench/run.py``, fixed
 pure-Python work whose time drifts with the host's speed; a row reports
@@ -183,9 +184,9 @@ def mr_decorrelation_case(points, base):
 
 
 def mr_columns_case(points, base):
-    """(name, n_lps, sides, calls) for the score test's decorrelation at the MR
-    defaults, the column path against the whole matrix, each computing the
-    curvature weights and the gradient afresh."""
+    """(name, n_lps, sides, calls) for the score test's decorrelation at
+    the MR defaults, the column path against the whole matrix, each
+    computing the curvature weights and the gradient afresh."""
 
     def run(decorrelate, points, icfg):
         def solve():
@@ -302,6 +303,7 @@ def bench_case(name, n_lps, sides, calls, repeats):
     for solve, _ in sides.values():
         solve()  # warm-up: imports and first-call set-up
     names = list(sides)
+    side_calls = {side: 1 if side == "full" else calls for side in names}
     times = {side: [] for side in names}
     shapes, outputs, control = {}, {}, []
     for r in range(repeats):
@@ -310,7 +312,7 @@ def bench_case(name, n_lps, sides, calls, repeats):
         control.append(time.perf_counter() - start)
         fast = [side for side in names if side != "full"]
         for side in (fast if r % 2 == 0 else fast[::-1]) + ["full"]:
-            elapsed, w, linprogs = run_once(*sides[side], 1 if side == "full" else calls)
+            elapsed, w, linprogs = run_once(*sides[side], side_calls[side])
             times[side].append(elapsed)
             shapes[side], outputs[side] = linprogs, w
     ctl_ms = float(np.median(control)) * 1e3
@@ -318,7 +320,7 @@ def bench_case(name, n_lps, sides, calls, repeats):
            "repeats": repeats, "ctl_ms_p50": ctl_ms}
     for side in names:
         row[side] = summarize(times[side], shapes[side], n_lps, pivots[side], ctl_ms,
-                              1 if side == "full" else calls)
+                              side_calls[side])
     row["max_abs_dw"] = float(np.max(np.abs(outputs["native"] - outputs["full"])))
     row["speedup_p50"] = row["full"]["ms_p50"] / row["native"]["ms_p50"]
     if "baseline" in sides:
