@@ -17,10 +17,13 @@ bytes:
   ``infer``, ``typeone`` and ``scaling``: what the command prints and
   writes to its ``--out`` file or files on a small config (d=16, n=60,
   s*=2; scaling on the same d, n and s*);
-- ``fit-data-GMM``, ``infer-data-GMM``, ``fit-data-MR`` and
-  ``infer-data-MR``: the same for ``fit`` and ``infer --data`` on a
-  CSV of one generated dataset (d=16, n=60) from
-  ``datagen.dataset_to_csv``;
+- ``dataset-csv-GMM``, ``dataset-csv-MR`` and ``dataset-csv-RMC``: the
+  text ``datagen.dataset_to_csv`` writes for one generated dataset of
+  each model (d=16, n=60; RMC with ``p_missing`` 0.25, so that its mask
+  has zeros);
+- ``fit-data-GMM``, ``infer-data-GMM``, ``fit-data-MR``,
+  ``infer-data-MR`` and ``fit-data-RMC``: the same as the commands above
+  for ``fit`` and ``infer --data`` on that CSV (RMC has no ``infer``);
 - the paths where EM reaches an exact fixed point late or must not stop
   at one, each at the defaults but for its flags: ``fit`` and ``trace``
   of MR with the exact M-step at d=64, n=100 (``*-MR-exact``); ``fit``,
@@ -121,9 +124,13 @@ def command_output(*argv):
 
 
 def write_dataset(model):
+    """The bytes of one generated dataset that ``dataset_to_csv`` writes
+    to ``DATA``."""
     spec = GenSpec(model=model, n=60, d=16, beta_star=make_beta_star(16, (4.0, 6.0)),
-                   sigma=DEFAULT_SIGMA[model], seed=7)
+                   sigma=DEFAULT_SIGMA[model], p_missing=0.25 if model == "RMC" else 0.0,
+                   seed=7)
     dataset_to_csv(gen_dataset(spec), DATA)
+    return pathlib.Path(DATA).read_bytes()
 
 
 def outputs():
@@ -136,10 +143,12 @@ def outputs():
         for command, flags in COMMANDS.items():
             yield f"{command}-{model}", command_output(command, "--model", model,
                                                        *SMALL, *flags)
-        write_dataset(model)
+        yield f"dataset-csv-{model}", write_dataset(model)
         for command in ("fit", "infer"):
             yield f"{command}-data-{model}", command_output(command, "--model", model,
                                                             "--data", DATA)
+    yield "dataset-csv-RMC", write_dataset("RMC")
+    yield "fit-data-RMC", command_output("fit", "--model", "RMC", "--data", DATA)
     for name, argv in LATE_OR_NO_EXIT.items():
         yield name, command_output(*argv)
 

@@ -19,7 +19,9 @@ import numpy as np
 
 from .models import GaussianMixture, MissingCovariateRegression, MixtureRegression
 
-MODEL_TAGS = ("GMM", "MR", "RMC")
+_MODELS = {cls.tag: cls for cls in (GaussianMixture, MixtureRegression,
+                                    MissingCovariateRegression)}
+MODEL_TAGS = tuple(_MODELS)
 
 
 @dataclass
@@ -103,32 +105,23 @@ def make_init(beta_star, rel_err, seed):
 
 
 def dataset_to_csv(model, path):
-    """Write the samples of a model's dataset as CSV.
+    """Write the samples of a model's dataset as CSV, one row per sample.
 
-    GMM rows: y_0..y_{d-1}.  MR rows: x_0..x_{d-1}, y.  RMC rows:
-    x_0..x_{d-1}, m_0..m_{d-1}, y (mask entries are 0/1).
+    The columns are the model's ``sample_arrays`` side by side, each named
+    by its initial and, if it has one column per coordinate, the
+    coordinate: GMM rows are y_0..y_{d-1}, MR rows x_0..x_{d-1}, y and RMC
+    rows x_0..x_{d-1}, m_0..m_{d-1}, y (mask entries are 0/1).
     """
-    d = model.dim
+    header, texts = [], []
+    for name, per_coordinate in model.sample_arrays:
+        columns = [f"{name[0]}{j}" for j in range(model.dim)] if per_coordinate else [name]
+        header += columns
+        texts += ["{:.0f}".format if name == "mask" else repr] * len(columns)
+    data = np.column_stack([getattr(model, name) for name, _ in model.sample_arrays])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if model.tag == "GMM":
-            writer.writerow([f"y{j}" for j in range(d)])
-            for row in model.y:
-                writer.writerow([repr(float(v)) for v in row])
-        elif model.tag == "MR":
-            writer.writerow([f"x{j}" for j in range(d)] + ["y"])
-            for xi, yi in zip(model.x, model.y):
-                writer.writerow([repr(float(v)) for v in xi] + [repr(float(yi))])
-        else:
-            writer.writerow(
-                [f"x{j}" for j in range(d)] + [f"m{j}" for j in range(d)] + ["y"]
-            )
-            for xi, mi, yi in zip(model.x, model.mask, model.y):
-                writer.writerow(
-                    [repr(float(v)) for v in xi]
-                    + [str(int(v)) for v in mi]
-                    + [repr(float(yi))]
-                )
+        writer.writerow(header)
+        writer.writerows([text(v) for text, v in zip(texts, row)] for row in data.tolist())
 
 
 def dataset_from_csv(tag, path, sigma):
@@ -153,13 +146,14 @@ def dataset_from_csv(tag, path, sigma):
     if not rows:
         raise ValueError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=float)
-    if tag == "GMM":
-        return GaussianMixture(data, sigma)
-    if tag == "MR":
-        return MixtureRegression(data[:, :-1], data[:, -1], sigma)
-    if data.shape[1] % 2 == 0:
-        raise ValueError(f"{path}: RMC needs 2d + 1 columns, got {data.shape[1]}")
-    d = (data.shape[1] - 1) // 2
-    return MissingCovariateRegression(
-        data[:, :d], data[:, d : 2 * d], data[:, -1], sigma
-    )
+    cls = _MODELS[tag]
+    wide = sum(per_coordinate for _, per_coordinate in cls.sample_arrays)
+    narrow = len(cls.sample_arrays) - wide
+    d, extra = divmod(data.shape[1] - narrow, wide)
+    if extra:
+        raise ValueError(f"{path}: {tag} needs {wide}d + {narrow} columns, got {data.shape[1]}")
+    arrays, start = [], 0
+    for _, per_coordinate in cls.sample_arrays:
+        arrays.append(data[:, start : start + d] if per_coordinate else data[:, start])
+        start += d if per_coordinate else 1
+    return cls(*arrays, sigma)

@@ -84,7 +84,12 @@ class _Model:
     level ``sigma``, the gradient M-step and the curvature matrix, built
     from the subclass's ``_grad_and_curvature_weights`` and ``_column``.  The
     regression models also keep their (n, d) design ``x``.  Each subclass
-    validates its arrays before calling this constructor."""
+    validates its arrays before calling this constructor.
+
+    ``sample_arrays`` names the subclass constructor's sample arrays in
+    order, each with True when it has one entry per coordinate (one CSV
+    column each) and False when it has one per sample; ``subset`` and the
+    dataset CSV layout of ``datagen`` read it."""
 
     def __init__(self, y, sigma):
         if not 0 < sigma < np.inf:
@@ -92,6 +97,10 @@ class _Model:
         self.y = y
         self.sigma = sigma
         self.n_samples = y.shape[0]
+
+    def subset(self, indices):
+        return type(self)(*(getattr(self, name)[indices] for name, _ in self.sample_arrays),
+                          self.sigma)
 
     def m_step_gradient(self, beta, eta):
         if not 0 <= eta < np.inf:
@@ -135,6 +144,7 @@ class GaussianMixture(_Mixture):
     is the one product ``y^T (nu y[:, alpha]) / n``."""
 
     tag = "GMM"
+    sample_arrays = (("y", True),)
 
     def __init__(self, y, sigma):
         y = _check_matrix(y, "y")
@@ -142,9 +152,6 @@ class GaussianMixture(_Mixture):
             raise ValueError("y contains non-finite entries")
         super().__init__(y, sigma)
         self.dim = y.shape[1]
-
-    def subset(self, indices):
-        return GaussianMixture(self.y[indices], self.sigma)
 
     def _weights(self, beta):
         # posterior probability of the positive component, per sample
@@ -195,6 +202,7 @@ class MixtureRegression(_Mixture):
     """
 
     tag = "MR"
+    sample_arrays = (("x", True), ("y", False))
 
     def __init__(self, x, y, sigma):
         x = _check_matrix(x, "x")
@@ -209,9 +217,6 @@ class MixtureRegression(_Mixture):
     @property
     def clime_lambda(self):
         return float(2.0 * np.sqrt(np.log(self.dim) / self.n_samples))
-
-    def subset(self, indices):
-        return MixtureRegression(self.x[indices], self.y[indices], self.sigma)
 
     def design_covariance(self):
         return self.x.T @ self.x / self.n_samples
@@ -280,6 +285,7 @@ class MissingCovariateRegression(_Model):
     """
 
     tag = "RMC"
+    sample_arrays = (("x", True), ("mask", True), ("y", False))
     _NO_CURVATURE = "curvature matrix not implemented for missing-covariate regression"
     _NO_EXACT_M_STEP = ("exact M-step is unavailable for missing-covariate regression: "
                         "the per-sample second-moment matrix need not be invertible")
@@ -302,11 +308,6 @@ class MissingCovariateRegression(_Model):
         self.dim = x.shape[1]
 
     mask = property(lambda self: 1.0 - self.miss, doc="1 where x was observed, else 0.")
-
-    def subset(self, indices):
-        return MissingCovariateRegression(
-            self.x[indices], self.mask[indices], self.y[indices], self.sigma
-        )
 
     def _conditional_moments(self, beta):
         """The checked ``beta`` with the n-vectors ``tau2`` and ``r``."""

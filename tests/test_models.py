@@ -536,7 +536,11 @@ def test_outputs_invariant_under_sample_permutation(rng):
 
 
 def test_subset_selects_samples(rng):
-    model = random_gmm(rng, n=10)
-    sub = model.subset(np.arange(3))
-    assert sub.n_samples == 3
-    assert np.array_equal(sub.y, model.y[:3])
+    # every constructor array, RMC's raw x and mask included
+    arrays = {"GMM": ("y",), "MR": ("x", "y"), "RMC": ("x", "mask", "y")}
+    for model in all_models(rng):
+        sub = model.subset(np.arange(3))
+        assert type(sub) is type(model) and sub.sigma == model.sigma
+        assert sub.n_samples == 3
+        for name in arrays[model.tag]:
+            assert np.array_equal(getattr(sub, name), getattr(model, name)[:3])
