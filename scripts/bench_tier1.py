@@ -16,8 +16,10 @@ side included, gets a new, empty Hypothesis database (through
 database state: none.
 
 ``BENCH_tier1.json`` records, per side, the suite's wall time (the
-process, start to exit) and pytest's own figure, as median and
-quartiles, with each run's outcome line; per test (its setup, call and
+process, start to exit), pytest's own figure and the sum of the tests'
+durations (what the suite spends outside them, collection included, is
+the wall time less that sum), as median and quartiles, with each run's
+outcome line; per test (its setup, call and
 teardown summed) the median and quartiles of each side; and the ten
 tests whose medians differ the most between the sides.  pytest prints
 each phase to 10 ms, so a test's figure is a sum of those roundings.
@@ -87,6 +89,7 @@ def summarize(runs):
     for side, side_runs in runs.items():
         walls, durations, seconds, outcomes = zip(*side_runs)
         suite[side] = {"wall_s": quartiles(walls), "pytest_s": quartiles(seconds),
+                       "tests_s": quartiles([sum(d.values()) for d in durations]),
                        "outcomes": list(outcomes)}
         for name in set().union(*durations):
             values = [d[name] for d in durations if name in d]
@@ -134,7 +137,8 @@ def main(argv=None):
     result.update(summarize(runs))
     for side, row in result["suite"].items():
         print(f"{side}: wall p50 {row['wall_s']['p50']:.2f} s "
-              f"[{row['wall_s']['q1']:.2f}, {row['wall_s']['q3']:.2f}]")
+              f"[{row['wall_s']['q1']:.2f}, {row['wall_s']['q3']:.2f}], "
+              f"tests p50 {row['tests_s']['p50']:.2f} s")
     for row in result["largest_differences"]:
         print(f"{row['change_minus_baseline']:+.3f} s  {row['test']}")
     pathlib.Path(args.out).write_text(json.dumps(result, indent=1) + "\n")

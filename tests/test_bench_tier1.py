@@ -61,6 +61,7 @@ def test_summary_compares_only_tests_every_run_has():
     summary = bench_tier1.summarize(runs)
     assert summary["suite"]["baseline"]["wall_s"] == {"p50": 22.0, "q1": 21.0, "q3": 23.0}
     assert summary["suite"]["change"]["pytest_s"]["p50"] == 22.0
+    assert summary["suite"]["change"]["tests_s"]["p50"] == pytest.approx(3.5)  # slow, fast, new
     assert summary["suite"]["change"]["outcomes"] == ["3 passed"] * 5
     tests = summary["tests"]
     assert list(tests) == ["fast", "flaky", "new", "slow"]
