@@ -41,7 +41,9 @@ what a command would pay if its path imported one of them (only the LP
 fallback imports ``scipy.optimize``).
 
 One untimed run of every case and side precedes the rounds, so both
-sides read compiled bytecode.
+sides read compiled bytecode: children run without
+``PYTHONDONTWRITEBYTECODE``, which would leave a side with no bytecode
+cache compiling every module in every round.
 
 The provenance names HEAD's commit (``git_sha``) only when the sources
 under ``src`` are HEAD's; otherwise it is null and ``src_sha256`` alone
@@ -108,6 +110,7 @@ def run_child(code, src):
     loaded) of one fresh interpreter running ``code`` with ``src`` as its
     only path entry."""
     env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     start = time.perf_counter()
     child = subprocess.Popen([sys.executable, "-c", code], env=env, cwd=ROOT,
                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)

@@ -5,24 +5,25 @@
 
 Each round runs the Tier-1 suite once on this checkout and once on the
 checkout at DIR (for instance a ``git archive`` of the parent commit),
-taking turns at going first, as ``scripts/bench_pairs.py`` does.  A run
-is ``python -m pytest -q --continue-on-collection-errors`` from the
-checkout's root with ``PYTHONPATH`` set to its ``src`` and BLAS pinned
-to one thread, plus ``--durations=0 --durations-min=0`` for every test's
-setup, call and teardown times, and ``-p no:cacheprovider`` so that no
-run leaves state for the next.  Every run, the untimed warm-up of each
-side included, gets a new, empty Hypothesis database (through
+taking turns at going first, as ``scripts/bench_pairs.py`` does, after
+one untimed run of each side.  A run is ``python -m pytest -q
+--continue-on-collection-errors`` from the checkout's root with
+``PYTHONPATH`` set to its ``src`` and BLAS pinned to one thread, plus
+``--durations=0 --durations-min=0`` for every test's setup, call and
+teardown times and ``-p no:cacheprovider`` so that no run leaves state
+for the next.  Every run gets a new, empty Hypothesis database (through
 ``HYPOTHESIS_STORAGE_DIRECTORY``), so both sides start from the same
-database state: none.
+database state: none.  Runs drop ``PYTHONDONTWRITEBYTECODE``, so the
+untimed run of each side leaves bytecode for its rounds.
 
 ``BENCH_tier1.json`` records, per side, the suite's wall time (the
 process, start to exit), pytest's own figure and the sum of the tests'
-durations (what the suite spends outside them, collection included, is
-the wall time less that sum), as median and quartiles, with each run's
-outcome line; per test (its setup, call and
-teardown summed) the median and quartiles of each side; and the ten
-tests whose medians differ the most between the sides.  pytest prints
-each phase to 10 ms, so a test's figure is a sum of those roundings.
+durations (the wall time less that sum is what the suite spends outside
+its tests, collection included), as median and quartiles, with each
+run's outcome line; per test (its setup, call and teardown summed) the
+median and quartiles of each side; and the ten tests whose medians
+differ the most between the sides.  pytest prints each phase to 10 ms,
+so a test's figure is a sum of those roundings.
 """
 
 import os
@@ -74,6 +75,7 @@ def run_suite(checkout):
     with tempfile.TemporaryDirectory() as database:
         env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
                    HYPOTHESIS_STORAGE_DIRECTORY=database)
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
         start = time.perf_counter()
         proc = subprocess.run([sys.executable, *PYTEST], cwd=checkout, env=env,
                               capture_output=True, text=True)
