@@ -36,7 +36,6 @@ replaces its workload's entry and keeps the others.  Nothing under
 
 import argparse
 import json
-import os
 import pathlib
 import statistics
 import subprocess
@@ -52,10 +51,7 @@ def run_bench(checkout, args):
     share of failed replicates as ``failed_frac``."""
     cmd = [sys.executable, str(checkout / "bench" / "run.py"), "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
-    # without bytecode written by an earlier run, each run compiles every module
-    env = dict(os.environ)
-    env.pop("PYTHONDONTWRITEBYTECODE", None)
-    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"{checkout}: bench/run.py exited {proc.returncode}\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])

@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Tier-1 wall time, per test, against a baseline checkout.
 
-    python3 scripts/bench_tier1.py --baseline DIR [--rounds 5] [--out BENCH_tier1.json]
+    python3 scripts/bench_tier1.py --baseline DIR [--out BENCH_tier1.json]
 
-Each round runs the Tier-1 suite once on this checkout and once on the
-checkout at DIR (for instance a ``git archive`` of the parent commit),
-taking turns at going first, as ``scripts/bench_pairs.py`` does, after
-one untimed run of each side.  A run is ``python -m pytest -q
+Each of ``ROUNDS`` rounds runs the Tier-1 suite once on this checkout
+and once on the checkout at DIR (for instance a ``git archive`` of the
+parent commit), taking turns at going first, as
+``scripts/bench_pairs.py`` does, after one untimed run of each side.  A run is ``python -m pytest -q
 --continue-on-collection-errors`` from the checkout's root with
 ``PYTHONPATH`` set to its ``src`` and BLAS pinned to one thread, plus
 ``--durations=0 --durations-min=0`` for every test's setup, call and
@@ -26,24 +26,19 @@ differ the most between the sides.  pytest prints each phase to 10 ms,
 so a test's figure is a sum of those roundings.
 """
 
+import argparse
+import json
 import os
+import pathlib
+import platform
+import re
+import subprocess
+import sys
+import tempfile
+import time
+from importlib.metadata import version
 
-# must precede the first numpy import, here and in every child
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import argparse  # noqa: E402
-import json  # noqa: E402
-import pathlib  # noqa: E402
-import platform  # noqa: E402
-import re  # noqa: E402
-import subprocess  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
-import time  # noqa: E402
-from importlib.metadata import version  # noqa: E402
-
-from bench_startup import committed_sha, quartiles, tree_digest  # noqa: E402
+from bench_startup import committed_sha, quartiles, tree_digest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PYTEST = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=0",
@@ -53,6 +48,10 @@ _DURATION = re.compile(r"^(\d+\.\d+)s (?:setup|call|teardown) +(\S.*)$")
 #: pytest's closing line, for instance ``402 passed in 27.04s``
 _OUTCOME = re.compile(r"^=* ?(\d+ \w+.*) in (\d+\.\d+)s")
 LARGEST = 10
+#: timed runs of each side, after one untimed run
+ROUNDS = 5
+#: every run pins BLAS to one thread, as ``scripts/bench_startup.py`` does
+ONE_THREAD = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 
 
 def parse_report(text):
@@ -73,7 +72,7 @@ def run_suite(checkout):
     """(wall seconds, per-test seconds, pytest's seconds, outcome) of one
     Tier-1 run on ``checkout``."""
     with tempfile.TemporaryDirectory() as database:
-        env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
+        env = dict(os.environ, **ONE_THREAD, PYTHONPATH=str(checkout / "src"),
                    HYPOTHESIS_STORAGE_DIRECTORY=database)
         env.pop("PYTHONDONTWRITEBYTECODE", None)
         start = time.perf_counter()
@@ -110,11 +109,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--baseline", required=True, metavar="DIR",
                         help="the checkout to compare against")
-    parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--out", default=str(ROOT / "BENCH_tier1.json"))
     args = parser.parse_args(argv)
-    if args.rounds < 5:
-        parser.error("--rounds must be at least 5")
     baseline = pathlib.Path(args.baseline).resolve()
     if not (baseline / "tests").is_dir():
         parser.error(f"--baseline: no tests/ under {baseline}")
@@ -123,7 +119,7 @@ def main(argv=None):
     for checkout in checkouts.values():  # untimed: both sides read compiled bytecode
         run_suite(checkout)
     runs = {side: [] for side in checkouts}
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         for side in (list(checkouts) if r % 2 == 0 else list(checkouts)[::-1]):
             runs[side].append(run_suite(checkouts[side]))
         print(f"round {r + 1}: " + "; ".join(
@@ -133,7 +129,7 @@ def main(argv=None):
     result = {"provenance": {
         "git_sha": committed_sha(), "src_sha256": tree_digest(ROOT / "src"),
         "baseline": args.baseline, "baseline_src_sha256": tree_digest(baseline / "src"),
-        "rounds": args.rounds, "command": ["python", *PYTEST], "nproc": os.cpu_count(),
+        "rounds": ROUNDS, "command": ["python", *PYTEST], "nproc": os.cpu_count(),
         "python": platform.python_version(), "pytest": version("pytest"),
         "hypothesis": version("hypothesis"), "platform": platform.platform()}}
     result.update(summarize(runs))

@@ -107,21 +107,25 @@ def make_init(beta_star, rel_err, seed):
 def dataset_to_csv(model, path):
     """Write the samples of a model's dataset as CSV, one row per sample.
 
-    The columns are the model's ``sample_arrays`` side by side, each named
-    by its initial and, if it has one column per coordinate, the
-    coordinate: GMM rows are y_0..y_{d-1}, MR rows x_0..x_{d-1}, y and RMC
-    rows x_0..x_{d-1}, m_0..m_{d-1}, y (mask entries are 0/1).
+    The columns are the model's ``sample_arrays`` side by side: an array
+    with one entry per sample is one column under its name, one with an
+    entry per coordinate d columns under its initial and the coordinate
+    (no two declared arrays share an initial).  GMM rows are
+    y_0..y_{d-1}, MR rows x_0..x_{d-1}, y and RMC rows x_0..x_{d-1},
+    m_0..m_{d-1}, y.
     """
-    header, texts = [], []
+    header, blocks = [], []
     for name, per_coordinate in model.sample_arrays:
-        columns = [f"{name[0]}{j}" for j in range(model.dim)] if per_coordinate else [name]
-        header += columns
-        texts += ["{:.0f}".format if name == "mask" else repr] * len(columns)
-    data = np.column_stack([getattr(model, name) for name, _ in model.sample_arrays])
+        header += [f"{name[0]}{j}" for j in range(model.dim)] if per_coordinate else [name]
+        values = getattr(model, name).reshape(model.n_samples, -1)
+        # the mask's 0/1 entries are written as integers, every other number
+        # as the repr of its float, which reads back bit for bit
+        number = int if name == "mask" else float
+        blocks.append([[repr(number(v)) for v in row] for row in values.tolist()])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([text(v) for text, v in zip(texts, row)] for row in data.tolist())
+        writer.writerows([text for block in row for text in block] for row in zip(*blocks))
 
 
 def dataset_from_csv(tag, path, sigma):
