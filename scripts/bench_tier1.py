@@ -6,15 +6,16 @@
 Each of ``ROUNDS`` rounds runs the Tier-1 suite once on this checkout
 and once on the checkout at DIR (for instance a ``git archive`` of the
 parent commit), taking turns at going first, as
-``scripts/bench_pairs.py`` does, after one untimed run of each side.  A run is ``python -m pytest -q
---continue-on-collection-errors`` from the checkout's root with
-``PYTHONPATH`` set to its ``src`` and BLAS pinned to one thread, plus
-``--durations=0 --durations-min=0`` for every test's setup, call and
-teardown times and ``-p no:cacheprovider`` so that no run leaves state
-for the next.  Every run gets a new, empty Hypothesis database (through
-``HYPOTHESIS_STORAGE_DIRECTORY``), so both sides start from the same
-database state: none.  Runs drop ``PYTHONDONTWRITEBYTECODE``, so the
-untimed run of each side leaves bytecode for its rounds.
+``scripts/bench_pairs.py`` does, after one untimed run of each side.
+A run is ``python -m pytest -q --continue-on-collection-errors`` from
+the checkout's root with ``PYTHONPATH`` set to its ``src`` and BLAS
+pinned to one thread, plus ``--durations=0 --durations-min=0`` for
+every test's setup, call and teardown times and ``-p no:cacheprovider``
+so that no run leaves state for the next.  Every run gets a new, empty
+Hypothesis database (through ``HYPOTHESIS_STORAGE_DIRECTORY``), so both
+sides start from the same database state: none.  Runs drop
+``PYTHONDONTWRITEBYTECODE``, so the untimed run of each side leaves
+bytecode for its rounds.
 
 ``BENCH_tier1.json`` records, per side, the suite's wall time (the
 process, start to exit), pytest's own figure and the sum of the tests'
