@@ -3,14 +3,14 @@
 
     python3 scripts/bench_faults.py [--replicates 144] [--out BENCH_faults.json]
 
-Each workload of ``bench/run.py`` runs in a fresh process with BLAS pinned
-to one thread, at seed 0.  The process runs the warm-up replicates that
+Each workload of ``BENCHMARK.json`` runs in a fresh process, at seed 0,
+in the environment of ``sides.child_env`` (BLAS pinned to one thread).  The process runs the warm-up replicates that
 ``bench/run.py`` runs, then ``--replicates`` replicates in a closed loop
 through ``bench/workloads.py``, checking each output with its
 ``OutputCheck`` as the benchmark does.  Around each replicate call it reads
 ``ru_minflt``.  The file reports, per workload and per (model, n) cell of
 its cycle (``fit-em`` has seven), the mean minor faults per replicate, with
-the provenance block of ``BENCH_lp.json``.  It reports no times: each
+the provenance block of ``sides.provenance``.  It reports no times: each
 workload runs once per invocation, so a time would follow the host's
 speed at that moment rather than the code (``bench/run.py`` compares
 times in ``ctl`` units instead).  The 144 replicates of the default are
@@ -18,21 +18,16 @@ four cycles of ``fit-em``.  Exits non-zero, without writing, if a run
 fails or a check reads wrong.
 """
 
-import os
+import argparse
+import json
+import pathlib
+import resource
+import statistics
+import subprocess
+import sys
 
-# must precede the first numpy import, here and in each workload's process
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+from sides import ROOT, child_env, provenance
 
-import argparse  # noqa: E402
-import json  # noqa: E402
-import pathlib  # noqa: E402
-import resource  # noqa: E402
-import statistics  # noqa: E402
-import subprocess  # noqa: E402
-import sys  # noqa: E402
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEED = 0
 
 
@@ -86,22 +81,20 @@ def main(argv=None):
     if args.workload:
         print(json.dumps(measure(args.workload, args.replicates)))
         return
-    # importing bench_lp puts src/, tests/ and bench/ on sys.path
-    from bench_lp import provenance
-    from run import WORKLOAD_NAMES
-
     results = {}
-    for name in WORKLOAD_NAMES:
+    for spec in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]:
+        name = spec["name"]
         cmd = [sys.executable, str(pathlib.Path(__file__).resolve()), "--workload", name,
                "--replicates", str(args.replicates)]
-        proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+        proc = subprocess.run(cmd, cwd=ROOT, env=child_env(ROOT / "src"),
+                              capture_output=True, text=True)
         if proc.returncode != 0:
             sys.exit(f"{name}: exited {proc.returncode}\n{proc.stderr}")
         results[name] = result = json.loads(proc.stdout.strip().splitlines()[-1])
         if not result["correct"]:
             sys.exit(f"{name}: outputs disagree with bench/reference/: {result['errors']}")
         print(f"{name}: {result['minflt_per_replicate']:.1f} faults per replicate", flush=True)
-    out = {"provenance": dict(provenance(1), seed=SEED, replicates=args.replicates),
+    out = {"provenance": provenance("numpy", "scipy", seed=SEED, replicates=args.replicates),
            "workloads": results}
     pathlib.Path(args.out).write_text(json.dumps(out, indent=2) + "\n")
 

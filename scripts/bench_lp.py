@@ -73,27 +73,24 @@ first.  The row then reports ``max_abs_dw_baseline`` and
 
 import os
 
+from sides import ONE_THREAD, ROOT, provenance, src_digest
+
 # must precede the first numpy import
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+os.environ.update(ONE_THREAD)
 
 import argparse  # noqa: E402
-import hashlib  # noqa: E402
 import importlib  # noqa: E402
 import importlib.util  # noqa: E402
 import json  # noqa: E402
 import pathlib  # noqa: E402
-import platform  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
 
 import numpy as np  # noqa: E402
-import scipy  # noqa: E402
 from oracles import decorrelate_full_matrix, default_lambda, full_l1_linf_lp  # noqa: E402
-from run import blas_runtime, control_kernel, git_sha, src_digest  # noqa: E402
+from run import blas_runtime, control_kernel  # noqa: E402
 
 from truncem import inference, lp  # noqa: E402
 from truncem.datagen import GenSpec, gen_dataset, make_beta_star  # noqa: E402
@@ -123,11 +120,7 @@ def load_baseline(root):
     spec.loader.exec_module(package)
     modules = {name: importlib.import_module(f"truncem_baseline.{name}")
                for name in ("lp", "models", "inference")}
-    digest = hashlib.sha256()  # as bench/run.py's src_digest hashes this tree
-    for path in sorted(init.parents[1].rglob("*.py")):
-        digest.update(path.relative_to(init.parents[2]).as_posix().encode())
-        digest.update(path.read_bytes())
-    return dict(modules, src_sha256=digest.hexdigest())
+    return dict(modules, src_sha256=src_digest(init.parents[1]))
 
 
 def full_lp(a, target, lam, a_max, masked=None):
@@ -338,23 +331,6 @@ def per_pivot(side):
             f"({side['ctl_per_pivot_p50']:.3g} ctl)")
 
 
-def provenance(repeats, baseline_sha256=None):
-    return {
-        "git_sha": git_sha(),
-        "src_sha256": src_digest(),
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "blas": {"runtime": blas_runtime(),
-                 "env": {v: os.environ[v] for v in
-                         ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}},
-        "platform": platform.platform(),
-        "repeats": repeats,
-        **({"baseline_src_sha256": baseline_sha256} if baseline_sha256 else {}),
-    }
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=5)
@@ -382,7 +358,10 @@ def main(argv=None):
             line += (f"; baseline {old['ms_p50']:.3g} ms ({per_pivot(old)}), "
                      f"{row['speedup_vs_baseline_p50']:.2f}x")
         print(line, flush=True)
-    out = {"provenance": provenance(args.repeats, base and base["src_sha256"]), "rows": rows}
+    out = {"provenance": provenance(
+        "numpy", "scipy", blas={"runtime": blas_runtime(), "env": ONE_THREAD},
+        repeats=args.repeats, **({"baseline_src_sha256": base["src_sha256"]} if base else {})),
+           "rows": rows}
     pathlib.Path(args.out).write_text(json.dumps(out, indent=2) + "\n")
 
 

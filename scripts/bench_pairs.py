@@ -7,9 +7,11 @@
 Each pair runs ``bench/run.py --workload W --seed K --seconds S --trace 0``
 once from the checkout at DIR (the baseline, for instance a ``git
 archive`` of the parent commit) and once from this checkout, each with
-its own ``bench/`` and ``src/``; the baseline goes first in even pairs and
-this checkout in odd ones.  A run that exits non-zero or reads ``correct: false``
-stops the script with a non-zero exit.
+its own ``bench/`` and ``src/``, through ``sides.run_bench``; the baseline
+goes first in even pairs and this checkout in odd ones, after one untimed
+run of each side that leaves it compiled bytecode (``sides.alternate``).
+A run that exits non-zero or reads ``correct: false`` stops the script
+with a non-zero exit.
 
 It prints each side's median share of failed replicates and, for every
 end-to-end metric of ``BENCHMARK.json``, each side's median and
@@ -38,34 +40,19 @@ import argparse
 import json
 import pathlib
 import statistics
-import subprocess
-import sys
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+from sides import ROOT, alternate, quartiles, run_bench
+
 OUT = ROOT / "BENCH_pairs.json"
 SIDES = ("baseline", "change")
 
 
-def run_bench(checkout, args):
-    """The metrics of one ``bench/run.py`` run from ``checkout``, with its
-    share of failed replicates as ``failed_frac``."""
-    cmd = [sys.executable, str(checkout / "bench" / "run.py"), "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    if proc.returncode != 0:
-        sys.exit(f"{checkout}: bench/run.py exited {proc.returncode}\n{proc.stderr}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    if not result["correct"]:
-        sys.exit(f"{checkout}: outputs disagree with bench/reference/")
+def pair_metrics(result):
+    """The end-to-end metrics of one run, with its share of failed
+    replicates as ``failed_frac``."""
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
     metrics["failed_frac"] = result["failed"] / result["attempted"]
     return metrics
-
-
-def quartiles(values):
-    if len(values) == 1:
-        return values * 3
-    return statistics.quantiles(values, n=4, method="inclusive")
 
 
 def summarize(runs, spec):
@@ -73,30 +60,30 @@ def summarize(runs, spec):
     name, sign = spec["name"], 1 if spec["better"] == "higher" else -1
     base = [r[name] for r in runs["baseline"]]
     new = [r[name] for r in runs["change"]]
-    bq1, bp50, bq3 = quartiles(base)
-    nq1, np50, nq3 = quartiles(new)
+    bq, nq = quartiles(base), quartiles(new)
+    spread = bq["q3"] - bq["q1"]
     wins = sum(sign * (n - b) > 0 for b, n in zip(base, new))
     losses = sum(sign * (n - b) < 0 for b, n in zip(base, new))
-    gain = sign * (np50 - bp50)  # positive when the change is better
-    bound = spec["bound"] * abs(bp50)
+    gain = sign * (nq["p50"] - bq["p50"])  # positive when the change is better
+    bound = spec["bound"] * abs(bq["p50"])
     fails_more = (statistics.median(r["failed_frac"] for r in runs["change"])
                   > statistics.median(r["failed_frac"] for r in runs["baseline"]))
     every_run_better = min(sign * v for v in new) > max(sign * v for v in base)
     if -gain > bound:
         regression = "YES"
-    elif bq3 - bq1 > bound and not every_run_better:
+    elif spread > bound and not every_run_better:
         regression = "unresolved"
     else:
         regression = "no"
     return {
         "metric": name,
         "better": spec["better"],
-        "baseline": {"p50": bp50, "q1": bq1, "q3": bq3},
-        "change": {"p50": np50, "q1": nq1, "q3": nq3},
-        "rel_change": np50 / bp50 - 1 if bp50 else None,
+        "baseline": bq,
+        "change": nq,
+        "rel_change": nq["p50"] / bq["p50"] - 1 if bq["p50"] else None,
         "change_wins": wins,
         "baseline_wins": losses,
-        "gain": wins >= 0.9 * len(base) and gain > bq3 - bq1 and not fails_more,
+        "gain": wins >= 0.9 * len(base) and gain > spread and not fails_more,
         "regression": regression,
     }
 
@@ -126,14 +113,16 @@ def main(argv=None):
     checkouts = {"baseline": baseline, "change": ROOT}
     specs = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
-    runs = {side: [] for side in SIDES}
-    for p in range(args.pairs):
-        for side in (SIDES if p % 2 == 0 else SIDES[::-1]):
-            runs[side].append(run_bench(checkouts[side], args))
+    def run(side):
+        return pair_metrics(run_bench(checkouts[side], args.workload, args.seed,
+                                      args.seconds, trace=0))
+
+    def report(p, runs):
         print(f"pair {p + 1}: " + "; ".join(
             f"{side} " + ", ".join(f"{s['name']} {runs[side][-1][s['name']]:.4g}" for s in specs)
             for side in SIDES), flush=True)
 
+    runs = alternate(run, SIDES, args.pairs, report)
     summary = [summarize(runs, spec) for spec in specs]
     failed = {side: statistics.median(r["failed_frac"] for r in runs[side]) for side in SIDES}
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s")

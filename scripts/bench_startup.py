@@ -3,8 +3,9 @@
 
     python3 scripts/bench_startup.py [--baseline DIR] [--out BENCH_startup.json]
 
-Each case runs in a new interpreter with BLAS pinned to one thread and
-``PYTHONPATH`` set to the side's ``src`` alone:
+Each case runs in a new interpreter with the environment of
+``sides.child_env``: BLAS pinned to one thread and ``PYTHONPATH`` set to
+the side's ``src`` alone:
 
 - ``import truncem.cli``: the import of the command line, which every
   command pays before it parses its arguments;
@@ -29,7 +30,7 @@ module counts do not vary).
 
 ``--baseline DIR`` runs every case on the checkout at DIR as well (for
 instance the parent commit), taking turns with this tree at going first
-in each round, as ``scripts/bench_lp.py`` does.  The case then reports
+in each round (``sides.alternate``).  The case then reports
 the ratios of the medians (baseline over this tree, so above 1 means
 this tree is faster or smaller) and in how many rounds this tree's
 process was the faster and the smaller of the pair.
@@ -50,28 +51,17 @@ under ``src`` are HEAD's; otherwise it is null and ``src_sha256`` alone
 identifies the tree measured.
 """
 
+import argparse
+import json
 import os
+import pathlib
+import resource
+import statistics
+import subprocess
+import sys
+import time
 
-# must precede the first numpy import, here and in every child
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import argparse  # noqa: E402
-import hashlib  # noqa: E402
-import json  # noqa: E402
-import pathlib  # noqa: E402
-import platform  # noqa: E402
-import resource  # noqa: E402
-import statistics  # noqa: E402
-import subprocess  # noqa: E402
-import sys  # noqa: E402
-import time  # noqa: E402
-from importlib.metadata import version  # noqa: E402
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "bench"))
-
-from run import git_sha, src_digest  # noqa: E402
+from sides import ROOT, alternate, child_env, provenance, quartiles, src_digest
 
 #: timed runs of every case and side, after one untimed run
 ROUNDS = 10
@@ -109,10 +99,8 @@ def run_child(code, src):
     """(wall seconds, peak RSS in MiB, modules loaded, scipy modules
     loaded) of one fresh interpreter running ``code`` with ``src`` as its
     only path entry."""
-    env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop("PYTHONDONTWRITEBYTECODE", None)
     start = time.perf_counter()
-    child = subprocess.Popen([sys.executable, "-c", code], env=env, cwd=ROOT,
+    child = subprocess.Popen([sys.executable, "-c", code], env=child_env(src), cwd=ROOT,
                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     try:
         err = child.stderr.read()
@@ -127,32 +115,6 @@ def run_child(code, src):
     return elapsed, usage.ru_maxrss / 1024.0, modules, scipy
 
 
-def committed_sha():
-    """HEAD's commit id if the package sources are HEAD's, else None, so
-    that a run on an uncommitted tree names no commit."""
-    sha = git_sha()
-    if sha is None:
-        return None
-    status = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=ROOT,
-                            capture_output=True, text=True)
-    return sha if status.returncode == 0 and not status.stdout else None
-
-
-def tree_digest(src):
-    """sha256 over the package sources under ``src``, as ``src_digest``
-    hashes this tree's."""
-    digest = hashlib.sha256()
-    for path in sorted(src.rglob("*.py")):
-        digest.update(path.relative_to(src.parent).as_posix().encode())
-        digest.update(path.read_bytes())
-    return digest.hexdigest()
-
-
-def quartiles(values):
-    q1, p50, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"p50": p50, "q1": q1, "q3": q3}
-
-
 def summarize(samples):
     walls, rss, modules, scipy = zip(*samples)
     return {"wall_s": quartiles(walls), "peak_rss_mb": quartiles(rss),
@@ -163,14 +125,8 @@ def summarize(samples):
 def bench_case(code, sides):
     """Run one case on every side ``ROUNDS`` times after a warm-up,
     alternating which side goes first; returns the case's row."""
-    names = list(sides)
-    for name in names:
-        run_child(code, sides[name])
-    samples = {name: [] for name in names}
-    for r in range(ROUNDS):
-        for name in names if r % 2 == 0 else names[::-1]:
-            samples[name].append(run_child(code, sides[name]))
-    row = {name: summarize(samples[name]) for name in names}
+    samples = alternate(lambda name: run_child(code, sides[name]), list(sides), ROUNDS)
+    row = {name: summarize(samples[name]) for name in sides}
     if "baseline" in sides:
         this, base = samples["this"], samples["baseline"]
         row["wall_ratio_p50"] = (row["baseline"]["wall_s"]["p50"]
@@ -215,19 +171,11 @@ def main(argv=None):
         budget[name] = bench_case(import_code(modules), {"this": ROOT / "src"})
         print(line(name, budget[name]), flush=True)
     out = {
-        "provenance": {
-            "git_sha": committed_sha(),
-            "src_sha256": src_digest(),
-            "nproc": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": version("numpy"),
-            "scipy": version("scipy"),
-            "platform": platform.platform(),
-            "script_peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-            "rounds": ROUNDS,
-            **({"baseline_src_sha256": tree_digest(sides["baseline"])}
-               if args.baseline else {}),
-        },
+        "provenance": provenance(
+            "numpy", "scipy",
+            script_peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            rounds=ROUNDS,
+            **({"baseline_src_sha256": src_digest(sides["baseline"])} if args.baseline else {})),
         "cases": rows,
         "budget": budget,
     }

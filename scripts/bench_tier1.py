@@ -5,17 +5,16 @@
 
 Each of ``ROUNDS`` rounds runs the Tier-1 suite once on this checkout
 and once on the checkout at DIR (for instance a ``git archive`` of the
-parent commit), taking turns at going first, as
-``scripts/bench_pairs.py`` does, after one untimed run of each side.
-A run is ``python -m pytest -q --continue-on-collection-errors`` from
-the checkout's root with ``PYTHONPATH`` set to its ``src`` and BLAS
-pinned to one thread, plus ``--durations=0 --durations-min=0`` for
-every test's setup, call and teardown times and ``-p no:cacheprovider``
-so that no run leaves state for the next.  Every run gets a new, empty
+parent commit), taking turns at going first, after one untimed run of
+each side (``sides.alternate``).  A run is ``python -m pytest -q
+--continue-on-collection-errors`` from the checkout's root in the
+environment of ``sides.child_env`` (``PYTHONPATH`` set to its ``src``,
+BLAS pinned to one thread, no ``PYTHONDONTWRITEBYTECODE``), plus
+``--durations=0 --durations-min=0`` for every test's setup, call and
+teardown times and ``-p no:cacheprovider`` so that no run leaves state
+for the next.  Every run gets a new, empty
 Hypothesis database (through ``HYPOTHESIS_STORAGE_DIRECTORY``), so both
-sides start from the same database state: none.  Runs drop
-``PYTHONDONTWRITEBYTECODE``, so the untimed run of each side leaves
-bytecode for its rounds.
+sides start from the same database state: none.
 
 ``BENCH_tier1.json`` records, per side, the suite's wall time (the
 process, start to exit), pytest's own figure and the sum of the tests'
@@ -29,19 +28,15 @@ so a test's figure is a sum of those roundings.
 
 import argparse
 import json
-import os
 import pathlib
-import platform
 import re
 import subprocess
 import sys
 import tempfile
 import time
-from importlib.metadata import version
 
-from bench_startup import committed_sha, quartiles, tree_digest
+from sides import ROOT, alternate, child_env, provenance, quartiles, src_digest
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 PYTEST = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=0",
           "--durations-min=0", "-p", "no:cacheprovider"]
 #: one line of the ``--durations`` report: seconds, phase, test id
@@ -51,8 +46,6 @@ _OUTCOME = re.compile(r"^=* ?(\d+ \w+.*) in (\d+\.\d+)s")
 LARGEST = 10
 #: timed runs of each side, after one untimed run
 ROUNDS = 5
-#: every run pins BLAS to one thread, as ``scripts/bench_startup.py`` does
-ONE_THREAD = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 
 
 def parse_report(text):
@@ -73,9 +66,7 @@ def run_suite(checkout):
     """(wall seconds, per-test seconds, pytest's seconds, outcome) of one
     Tier-1 run on ``checkout``."""
     with tempfile.TemporaryDirectory() as database:
-        env = dict(os.environ, **ONE_THREAD, PYTHONPATH=str(checkout / "src"),
-                   HYPOTHESIS_STORAGE_DIRECTORY=database)
-        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        env = dict(child_env(checkout / "src"), HYPOTHESIS_STORAGE_DIRECTORY=database)
         start = time.perf_counter()
         proc = subprocess.run([sys.executable, *PYTEST], cwd=checkout, env=env,
                               capture_output=True, text=True)
@@ -117,22 +108,16 @@ def main(argv=None):
         parser.error(f"--baseline: no tests/ under {baseline}")
     checkouts = {"baseline": baseline, "change": ROOT}
 
-    for checkout in checkouts.values():  # untimed: both sides read compiled bytecode
-        run_suite(checkout)
-    runs = {side: [] for side in checkouts}
-    for r in range(ROUNDS):
-        for side in (list(checkouts) if r % 2 == 0 else list(checkouts)[::-1]):
-            runs[side].append(run_suite(checkouts[side]))
+    def report(r, runs):
         print(f"round {r + 1}: " + "; ".join(
             f"{side} {runs[side][-1][0]:.1f} s, {runs[side][-1][3]}" for side in checkouts),
             flush=True)
 
-    result = {"provenance": {
-        "git_sha": committed_sha(), "src_sha256": tree_digest(ROOT / "src"),
-        "baseline": args.baseline, "baseline_src_sha256": tree_digest(baseline / "src"),
-        "rounds": ROUNDS, "command": ["python", *PYTEST], "nproc": os.cpu_count(),
-        "python": platform.python_version(), "pytest": version("pytest"),
-        "hypothesis": version("hypothesis"), "platform": platform.platform()}}
+    runs = alternate(lambda side: run_suite(checkouts[side]), list(checkouts), ROUNDS, report)
+    result = {"provenance": provenance(
+        "pytest", "hypothesis", baseline=args.baseline,
+        baseline_src_sha256=src_digest(baseline / "src"), rounds=ROUNDS,
+        command=["python", *PYTEST])}
     result.update(summarize(runs))
     for side, row in result["suite"].items():
         print(f"{side}: wall p50 {row['wall_s']['p50']:.2f} s "

@@ -147,7 +147,7 @@ def dataset_from_csv(tag, path, sigma):
                 rows.append([float(v) for v in row])
             except ValueError as exc:
                 raise ValueError(f"{path}: row {k}: {exc}") from None
-    if not rows:
+    if not rows or not header:  # a file of blank lines has rows of no fields
         raise ValueError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=float)
     cls = _MODELS[tag]

@@ -1,16 +1,10 @@
 """The verdicts of ``scripts/bench_pairs.py`` on synthetic runs, and the
 file it keeps; no benchmark is run."""
 
-import importlib.util
 import json
-import pathlib
 
+import bench_pairs
 import pytest
-
-SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
-_spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
-bench_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
 
 HIGHER = {"name": "rate", "better": "higher", "bound": 0.25}
 LOWER = {"name": "time", "better": "lower", "bound": 0.25}

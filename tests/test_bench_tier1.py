@@ -1,38 +1,8 @@
 """The report parser and the summary of ``scripts/bench_tier1.py`` on a
 captured Tier-1 report; no suite is run."""
 
-import importlib.util
-import os
-import pathlib
-import sys
-
+import bench_tier1
 import pytest
-
-SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
-
-
-def _load_bench_tier1():
-    """The script as a module.  Its import of ``bench_startup``, and through
-    that of ``bench/run.py``, pins BLAS in ``os.environ``, extends
-    ``sys.path`` and registers both as top-level modules; all three are put
-    back, so that later tests and the processes they start see the
-    suite's own environment."""
-    environ, path = dict(os.environ), list(sys.path)
-    sys.path.insert(0, str(SCRIPTS))
-    try:
-        spec = importlib.util.spec_from_file_location("bench_tier1", SCRIPTS / "bench_tier1.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        os.environ.clear()
-        os.environ.update(environ)
-        sys.path[:] = path
-        for name in ("bench_startup", "run"):
-            sys.modules.pop(name, None)
-    return module
-
-
-bench_tier1 = _load_bench_tier1()
 
 #: excerpts of ``pytest -q --durations=0 --durations-min=0`` on the suite,
 #: the acceptance section and every phase of two tests included

@@ -243,7 +243,8 @@ def test_csv_rmc_needs_odd_column_count(tmp_path):
 
 
 @pytest.mark.parametrize("tag, header", [("GMM", "y0,y1"), ("MR", "x0,x1,y"),
-                                         ("RMC", "x0,m0,y")])
+                                         ("RMC", "x0,m0,y"), ("GMM", "\n"), ("MR", "\n"),
+                                         ("RMC", "\n")])
 def test_csv_without_data_rows_rejected(tag, header, tmp_path):
     path = tmp_path / "header_only.csv"
     path.write_text(header + "\n")
