@@ -4,13 +4,14 @@
     python3 scripts/bench_faults.py [--replicates 144] [--out BENCH_faults.json]
 
 Each workload of ``BENCHMARK.json`` runs in a fresh process, at seed 0,
-in the environment of ``sides.child_env`` (BLAS pinned to one thread).  The process runs the warm-up replicates that
-``bench/run.py`` runs, then ``--replicates`` replicates in a closed loop
-through ``bench/workloads.py``, checking each output with its
-``OutputCheck`` as the benchmark does.  Around each replicate call it reads
-``ru_minflt``.  The file reports, per workload and per (model, n) cell of
-its cycle (``fit-em`` has seven), the mean minor faults per replicate, with
-the provenance block of ``sides.provenance``.  It reports no times: each
+in the environment of ``sides.child_env`` (BLAS pinned to one thread).
+The process runs the warm-up replicates that ``bench/run.py`` runs, then
+``--replicates`` replicates in a closed loop through
+``bench/workloads.py``, checking each output with its ``OutputCheck`` as
+the benchmark does.  Around each replicate call it reads ``ru_minflt``.
+The file reports, per workload and per (model, n) cell of its cycle
+(``fit-em`` has seven), the mean minor faults per replicate, with the
+provenance block of ``sides.provenance``.  It reports no times: each
 workload runs once per invocation, so a time would follow the host's
 speed at that moment rather than the code (``bench/run.py`` compares
 times in ``ctl`` units instead).  The 144 replicates of the default are

@@ -358,10 +358,10 @@ def main(argv=None):
             line += (f"; baseline {old['ms_p50']:.3g} ms ({per_pivot(old)}), "
                      f"{row['speedup_vs_baseline_p50']:.2f}x")
         print(line, flush=True)
-    out = {"provenance": provenance(
-        "numpy", "scipy", blas={"runtime": blas_runtime(), "env": ONE_THREAD},
-        repeats=args.repeats, **({"baseline_src_sha256": base["src_sha256"]} if base else {})),
-           "rows": rows}
+    prov = provenance("numpy", "scipy", blas={"runtime": blas_runtime(), "env": ONE_THREAD},
+                      repeats=args.repeats,
+                      **({"baseline_src_sha256": base["src_sha256"]} if base else {}))
+    out = {"provenance": prov, "rows": rows}
     pathlib.Path(args.out).write_text(json.dumps(out, indent=2) + "\n")
 
 

@@ -12,9 +12,9 @@ environment of ``sides.child_env`` (``PYTHONPATH`` set to its ``src``,
 BLAS pinned to one thread, no ``PYTHONDONTWRITEBYTECODE``), plus
 ``--durations=0 --durations-min=0`` for every test's setup, call and
 teardown times and ``-p no:cacheprovider`` so that no run leaves state
-for the next.  Every run gets a new, empty
-Hypothesis database (through ``HYPOTHESIS_STORAGE_DIRECTORY``), so both
-sides start from the same database state: none.
+for the next.  Every run gets a new, empty Hypothesis database (through
+``HYPOTHESIS_STORAGE_DIRECTORY``), so both sides start from the same
+database state: none.
 
 ``BENCH_tier1.json`` records, per side, the suite's wall time (the
 process, start to exit), pytest's own figure and the sum of the tests'

@@ -1,17 +1,12 @@
 """What the benchmark scripts share when they run a baseline checkout and
-this one side by side.
-
-- ``child_env``: the environment of every child process, with BLAS
-  pinned to one thread, ``PYTHONPATH`` set to the side's ``src`` alone
-  and ``PYTHONDONTWRITEBYTECODE`` dropped, so that the untimed run of a
-  side leaves compiled bytecode for its timed runs;
-- ``alternate``: one untimed run of each side, then rounds in which the
-  side that goes first alternates;
-- ``quartiles``, ``src_digest``, ``committed_sha`` and ``provenance``;
-- ``run_bench``: one ``bench/run.py`` run and its result line.
+this one side by side: the child environment, the alternating rounds,
+quartiles, the source digest, the provenance block and the
+``bench/run.py`` call.
 
 Importing this module changes neither ``os.environ`` nor ``sys.path``
-and imports neither numpy nor the package.
+and imports neither numpy nor the package, so a script that measures
+fresh processes keeps its own footprint, which a child's ``ru_maxrss``
+starts from, small.
 """
 
 import hashlib
@@ -30,7 +25,9 @@ ONE_THREAD = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_
 
 def child_env(src):
     """This process's environment for a child that imports the package
-    from ``src``."""
+    from ``src`` alone, with BLAS on one thread.  It drops
+    ``PYTHONDONTWRITEBYTECODE``, so that the untimed run of a side leaves
+    compiled bytecode for its timed runs."""
     env = dict(os.environ, **ONE_THREAD, PYTHONPATH=str(src))
     env.pop("PYTHONDONTWRITEBYTECODE", None)
     return env
@@ -53,7 +50,6 @@ def alternate(run, sides, rounds, report=None):
 
 def quartiles(values):
     """Median and quartiles (inclusive method); one value is all three."""
-    values = list(values)
     if len(values) == 1:
         return dict.fromkeys(("p50", "q1", "q3"), values[0])
     q1, p50, q3 = statistics.quantiles(values, n=4, method="inclusive")
