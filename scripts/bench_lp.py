@@ -73,7 +73,7 @@ first.  The row then reports ``max_abs_dw_baseline`` and
 
 import os
 
-from sides import ONE_THREAD, ROOT, provenance, src_digest
+from sides import ONE_THREAD, ROOT, provenance, quartiles, src_digest
 
 # must precede the first numpy import
 os.environ.update(ONE_THREAD)
@@ -269,11 +269,12 @@ def count_pivots(solve, lp_module):
 
 
 def summarize(times, shapes, n_lps, pivots, ctl_ms, calls):
-    q1, p50, q3 = np.percentile(np.asarray(times) * 1e3, [25, 50, 75])
+    ms = quartiles([t * 1e3 for t in times])
+    p50 = ms["p50"]
     row = {
         "ms_p50": p50,
-        "ms_q1": q1,
-        "ms_q3": q3,
+        "ms_q1": ms["q1"],
+        "ms_q3": ms["q3"],
         "ms_per_lp_p50": p50 / n_lps,
         "ctl_per_lp_p50": p50 / n_lps / ctl_ms,
         "linprog_calls_per_lp": len(shapes) / n_lps / calls,
